@@ -18,7 +18,6 @@ from .confusion import (
     ConfusionEstimate,
     FrequencyEstimates,
     PredictionBatch,
-    PredictionRecord,
     estimate_confusion,
     frequency_estimates,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "poisson_binomial_dp",
     "poisson_binomial_cf",
     "complement_count",
-    "PredictionRecord",
     "PredictionBatch",
     "ConfusionEstimate",
     "FrequencyEstimates",

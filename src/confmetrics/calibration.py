@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .confusion import PredictionBatch
+from .distribution import unit_interval_array
 
 __all__ = [
     "CalibrationBin",
@@ -40,17 +41,6 @@ class CalibrationReport:
 
     ace: float
     bins: tuple[CalibrationBin, ...]
-
-
-def _checked_scores(scores: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("scores must form a one-dimensional sequence")
-    bad = ~((arr >= 0.0) & (arr <= 1.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"score at index {i} outside [0, 1]: {float(arr[i])!r}")
-    return arr
 
 
 def ace(batch: PredictionBatch, num_bins: int = DEFAULT_NUM_BINS) -> CalibrationReport:
@@ -90,7 +80,7 @@ def ace(batch: PredictionBatch, num_bins: int = DEFAULT_NUM_BINS) -> Calibration
 def reverse_sample_labels(scores: Sequence[float] | np.ndarray, seed) -> np.ndarray:
     """Draw one label per score from Bernoulli(score), deterministically for
     a given seed."""
-    arr = _checked_scores(scores)
+    arr = unit_interval_array(scores, "score")
     rng = np.random.default_rng(seed)
     return (rng.random(arr.size) < arr).astype(np.int64)
 
@@ -100,5 +90,5 @@ def threshold_predictions(
 ) -> np.ndarray:
     """Predicted labels by score thresholding; a score equal to the
     threshold predicts positive."""
-    arr = _checked_scores(scores)
+    arr = unit_interval_array(scores, "score")
     return (arr >= threshold).astype(np.int64)

@@ -197,10 +197,10 @@ def _cmd_generate(args) -> None:
         **kwargs,
     )
     generator = shift_dataset if args.shifted else hypersphere_dataset
-    dataset = generator(config, args.threshold)
+    batch = generator(config, args.threshold).batch
+    columns = (batch.predictions.tolist(), batch.scores.tolist(), batch.labels.tolist())
     lines = ["prediction,score,label"]
-    for record in dataset.batch:
-        lines.append(f"{record.predicted_label},{record.score!r},{record.true_label}")
+    lines.extend(f"{p},{s!r},{y}" for p, s, y in zip(*columns))
     _emit("\n".join(lines), args.output)
 
 

@@ -7,7 +7,7 @@ negatives among the negative predictions is Poisson binomial in the score
 complements.  False positives and false negatives follow as count
 complements.  All operations are pure and deterministic.
 
-A batch may contain records with the same score but different predicted
+A batch may contain rows with the same score but different predicted
 labels; such batches are accepted as-is, even though the theoretical
 guarantees assume the predicted label is a function of the score.
 """
@@ -15,14 +15,18 @@ guarantees assume the predicted label is a function of the score.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, complement_count, poisson_binomial_dp
+from .distribution import (
+    DiscreteDistribution,
+    complement_count,
+    poisson_binomial_dp,
+    unit_interval_array,
+)
 
 __all__ = [
-    "PredictionRecord",
     "PredictionBatch",
     "ConfusionEstimate",
     "FrequencyEstimates",
@@ -31,50 +35,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One monitored prediction: a hard label, its calibrated score, and
-    optionally the ground-truth label."""
-
-    predicted_label: int
-    score: float
-    true_label: int | None = None
-
-    def __post_init__(self):
-        if self.predicted_label not in (0, 1):
-            raise ValueError(f"predicted_label must be 0 or 1, got {self.predicted_label!r}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
-        if self.true_label is not None and self.true_label not in (0, 1):
-            raise ValueError(f"true_label must be 0, 1 or absent, got {self.true_label!r}")
+def _binary_array(values, name: str, n: int) -> np.ndarray:
+    """``values`` as a read-only int8 array of n zeros and ones."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name}s must form a one-dimensional sequence")
+    if arr.size != n:
+        raise ValueError(f"{name}s and scores must have equal length")
+    bad = (arr != 0) & (arr != 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{name} at index {i} must be 0 or 1, got {arr.tolist()[i]!r}")
+    arr = arr.astype(np.int8)
+    arr.flags.writeable = False
+    return arr
 
 
 class PredictionBatch:
     """An ordered monitoring window of predictions.
 
-    Wraps the records and exposes them as numpy arrays.  ``labels`` is None
-    unless every record carries a true label.
+    Holds three aligned read-only arrays: predicted labels (int8), scores
+    (float64) and, when known, true labels (int8, else None).  Build batches
+    with :meth:`from_arrays`, which validates; slicing a batch returns a
+    batch of array views.
     """
 
-    def __init__(self, records: Iterable[PredictionRecord]):
-        self._records = tuple(records)
-        n = len(self._records)
-        self._predictions = np.fromiter(
-            (r.predicted_label for r in self._records), dtype=np.int8, count=n
-        )
-        self._scores = np.fromiter(
-            (r.score for r in self._records), dtype=np.float64, count=n
-        )
-        if n and all(r.true_label is not None for r in self._records):
-            self._labels = np.fromiter(
-                (r.true_label for r in self._records), dtype=np.int8, count=n
-            )
-        else:
-            self._labels = None
-        self._predictions.flags.writeable = False
-        self._scores.flags.writeable = False
-        if self._labels is not None:
-            self._labels.flags.writeable = False
+    __slots__ = ("_predictions", "_scores", "_labels")
 
     @classmethod
     def from_arrays(
@@ -83,24 +69,31 @@ class PredictionBatch:
         scores: Sequence[float] | np.ndarray,
         labels: Sequence[int] | np.ndarray | None = None,
     ) -> "PredictionBatch":
-        predictions = np.asarray(predictions)
-        scores = np.asarray(scores, dtype=np.float64)
-        if predictions.shape != scores.shape:
-            raise ValueError("predictions and scores must have equal length")
-        if labels is None:
-            labels = [None] * len(scores)
-        else:
-            labels = np.asarray(labels)
-            if labels.shape != scores.shape:
-                raise ValueError("labels must match predictions in length")
-        return cls(
-            PredictionRecord(int(p), float(s), None if y is None else int(y))
-            for p, s, y in zip(predictions, scores, labels)
+        """Validated batch of one-dimensional columns of equal length.
+
+        Raises ValueError for a prediction or label that is not exactly 0 or
+        1, and for a score outside [0, 1] or NaN.
+        """
+        scores = unit_interval_array(scores, "score").copy()
+        scores.flags.writeable = False
+        n = scores.size
+        return cls._from_valid_arrays(
+            _binary_array(predictions, "prediction", n),
+            scores,
+            None if labels is None else _binary_array(labels, "label", n),
         )
 
-    @property
-    def records(self) -> tuple[PredictionRecord, ...]:
-        return self._records
+    @classmethod
+    def _from_valid_arrays(
+        cls, predictions: np.ndarray, scores: np.ndarray, labels: np.ndarray | None
+    ) -> "PredictionBatch":
+        """Internal fast path: arrays that passed :meth:`from_arrays`, or
+        views of them."""
+        self = object.__new__(cls)
+        self._predictions = predictions
+        self._scores = scores
+        self._labels = labels
+        return self
 
     @property
     def predictions(self) -> np.ndarray:
@@ -116,7 +109,7 @@ class PredictionBatch:
 
     @property
     def n(self) -> int:
-        return len(self._records)
+        return self._scores.size
 
     @property
     def n_pos(self) -> int:
@@ -137,13 +130,11 @@ class PredictionBatch:
     def __len__(self) -> int:
         return self.n
 
-    def __iter__(self) -> Iterator[PredictionRecord]:
-        return iter(self._records)
-
     def __getitem__(self, index: slice) -> "PredictionBatch":
         if not isinstance(index, slice):
-            raise TypeError("batches slice into batches; use .records for items")
-        return PredictionBatch(self._records[index])
+            raise TypeError("batches slice into batches; index the arrays for items")
+        labels = None if self._labels is None else self._labels[index]
+        return self._from_valid_arrays(self._predictions[index], self._scores[index], labels)
 
     def __repr__(self) -> str:
         return (

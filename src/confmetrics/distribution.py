@@ -1,10 +1,13 @@
 """Exact finite discrete distributions with rational support.
 
-A :class:`DiscreteDistribution` is an immutable PMF whose support points are
-`fractions.Fraction` values in lowest terms, kept sorted ascending.  Reduced
+A :class:`DiscreteDistribution` is an immutable PMF held as three aligned
+arrays: int64 numerators and denominators of its support points in lowest
+terms, sorted ascending by value, and float64 probabilities.  Reduced
 fractions make numerically equal keys (1/2 arising as 2/4) merge instead of
 colliding, which is what makes probability aggregation over count ratios
-correct.
+correct.  `fractions.Fraction` values appear only at the edges: the mapping
+constructor takes them, and ``support``, ``items`` and ``as_dict`` return
+them.
 
 Poisson binomial PMFs can be built by two independent routes: iterative
 convolution (:func:`poisson_binomial_dp`, the reference method) and the
@@ -38,20 +41,27 @@ PROB_SUM_TOL = 1e-9
 # total mass; anything larger indicates a numerically broken transform.
 _CF_RENORM_TOL = 1e-8
 
+# Support numerators and denominators are stored as int64.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _as_fraction(value: object) -> Fraction:
     """Convert a support key to an exact Fraction.
 
     Floats are taken at their exact binary value, so 0.5 and Fraction(1, 2)
-    denote the same key.
+    denote the same key.  The reduced numerator and denominator must fit in
+    int64.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a valid support value")
-    if isinstance(value, (int, float)):
-        return Fraction(value)
-    raise TypeError(f"unsupported support value type: {type(value).__name__}")
+    if not isinstance(value, (int, float, Fraction)):
+        raise TypeError(f"unsupported support value type: {type(value).__name__}")
+    frac = Fraction(value)
+    if abs(frac.numerator) > _INT64_MAX or frac.denominator > _INT64_MAX:
+        raise ValueError(
+            f"support value {value!r} needs more than 64 bits as a reduced fraction"
+        )
+    return frac
 
 
 class DiscreteDistribution:
@@ -62,7 +72,7 @@ class DiscreteDistribution:
     support carries only points with mass.
     """
 
-    __slots__ = ("_fracs", "_nums", "_dens", "_float_vals", "_probs")
+    __slots__ = ("_nums", "_dens", "_float_vals", "_probs")
 
     def __init__(self, pmf: Mapping[object, float]):
         if not pmf:
@@ -73,29 +83,24 @@ class DiscreteDistribution:
             bad = items[int(np.argmin(probs))]
             raise ValueError(f"negative probability {bad[1]!r} at support {bad[0]}")
         self._init_validated(
-            fracs=tuple(v for v, _ in items),
-            nums=None,
-            dens=None,
+            nums=np.array([v.numerator for v, _ in items], dtype=np.int64),
+            dens=np.array([v.denominator for v, _ in items], dtype=np.int64),
             float_vals=np.array([float(v) for v, _ in items], dtype=np.float64),
             probs=probs,
         )
 
-    def _init_validated(self, fracs, nums, dens, float_vals, probs) -> None:
+    def _init_validated(self, nums, dens, float_vals, probs) -> None:
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         keep = probs > 0.0
         if not keep.all():
-            if fracs is not None:
-                fracs = tuple(f for f, k in zip(fracs, keep) if k)
-            if nums is not None:
-                nums = nums[keep]
-                dens = dens[keep]
+            nums = nums[keep]
+            dens = dens[keep]
             float_vals = float_vals[keep]
             probs = probs[keep]
-        for arr in (float_vals, probs) + (() if nums is None else (nums, dens)):
+        for arr in (nums, dens, float_vals, probs):
             arr.flags.writeable = False
-        self._fracs = fracs
         self._nums = nums
         self._dens = dens
         self._float_vals = float_vals
@@ -113,7 +118,6 @@ class DiscreteDistribution:
         if np.any(probs < 0.0):
             raise ValueError("negative probability in derived distribution")
         self._init_validated(
-            fracs=None,
             nums=nums,
             dens=dens,
             float_vals=nums / dens,
@@ -131,11 +135,9 @@ class DiscreteDistribution:
     @property
     def support(self) -> tuple[Fraction, ...]:
         """Support points as Fractions, ascending."""
-        if self._fracs is None:
-            self._fracs = tuple(
-                Fraction(int(n), int(d)) for n, d in zip(self._nums, self._dens)
-            )
-        return self._fracs
+        return tuple(
+            Fraction(n, d) for n, d in zip(self._nums.tolist(), self._dens.tolist())
+        )
 
     @property
     def float_values(self) -> np.ndarray:
@@ -148,19 +150,14 @@ class DiscreteDistribution:
         return self._probs
 
     def items(self) -> Iterator[tuple[Fraction, float]]:
-        return zip(self.support, (float(p) for p in self._probs))
+        return zip(self.support, self._probs.tolist())
 
     def as_dict(self) -> dict[Fraction, float]:
         return dict(self.items())
 
     def ratios(self) -> Iterator[tuple[int, int, float]]:
         """Yield (numerator, denominator, probability) triples."""
-        if self._nums is not None:
-            for n, d, p in zip(self._nums, self._dens, self._probs):
-                yield int(n), int(d), float(p)
-        else:
-            for f, p in zip(self._fracs, self._probs):
-                yield f.numerator, f.denominator, float(p)
+        return zip(self._nums.tolist(), self._dens.tolist(), self._probs.tolist())
 
     def __len__(self) -> int:
         return len(self._probs)
@@ -168,9 +165,10 @@ class DiscreteDistribution:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented
-        return len(self) == len(other) and all(
-            a == b and p == q
-            for (a, p), (b, q) in zip(self.items(), other.items())
+        return (
+            np.array_equal(self._nums, other._nums)
+            and np.array_equal(self._dens, other._dens)
+            and np.array_equal(self._probs, other._probs)
         )
 
     __hash__ = None  # mutable-by-content comparisons; not hashable
@@ -193,16 +191,22 @@ class DiscreteDistribution:
         return max(raw, 0.0)
 
 
-def _check_bernoulli_params(params: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(params, dtype=np.float64)
+def unit_interval_array(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
+    """``values`` as a one-dimensional float64 array; raises ValueError on
+    another shape or on the first entry outside [0, 1], NaN included.
+    ``name`` is the singular noun the messages use for one entry."""
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
-        raise ValueError("Bernoulli parameters must form a one-dimensional sequence")
+        raise ValueError(f"{name}s must form a one-dimensional sequence")
     bad = ~((arr >= 0.0) & (arr <= 1.0))  # also catches NaN
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(
-            f"Bernoulli parameter at index {i} outside [0, 1]: {float(arr[i])!r}"
-        )
+        raise ValueError(f"{name} at index {i} outside [0, 1]: {float(arr[i])!r}")
+    return arr
+
+
+def _check_bernoulli_params(params: Sequence[float] | np.ndarray) -> np.ndarray:
+    arr = unit_interval_array(params, "Bernoulli parameter")
     # Sorting the parameters does not change the distribution but makes the
     # result independent of input order, bit for bit.
     return np.sort(arr)
@@ -260,16 +264,9 @@ def poisson_binomial_cf(params: Sequence[float] | np.ndarray) -> DiscreteDistrib
 
 def _integer_support(d: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Return (values, probabilities) for an integer-supported distribution."""
-    if d._nums is not None:
-        if np.any(d._dens != 1):
-            raise ValueError("distribution support is not integer-valued")
-        return d._nums, d._probs
-    values = np.empty(len(d), dtype=np.int64)
-    for i, f in enumerate(d.support):
-        if f.denominator != 1:
-            raise ValueError("distribution support is not integer-valued")
-        values[i] = f.numerator
-    return values, d._probs
+    if np.any(d._dens != 1):
+        raise ValueError("distribution support is not integer-valued")
+    return d._nums, d._probs
 
 
 def dense_count_probabilities(d: DiscreteDistribution, max_count: int) -> np.ndarray:

@@ -19,21 +19,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from .calibration import reverse_sample_labels, threshold_predictions
-from .confusion import PredictionBatch, estimate_confusion
+from .confusion import PredictionBatch
 from .intervals import hdi
-from .metrics import (
-    accuracy_distribution,
-    f1_distribution,
-    precision_distribution,
-    recall_distribution,
-    shortcut_f1,
-    shortcut_recall,
-)
+from .metrics import METRICS, estimate_all, shortcut_f1, shortcut_recall
 from .reports import true_metrics
 from .synthesis import random_beta_params, sample_beta_scores
 
@@ -43,7 +35,6 @@ __all__ = [
     "run_convergence_experiment",
     "run_coverage_experiment",
     "rows_to_csv",
-    "write_rows_csv",
     "DEFAULT_CONVERGENCE_WINDOWS",
     "DEFAULT_COVERAGE_WINDOWS",
     "DEFAULT_ALPHAS",
@@ -136,18 +127,18 @@ def run_convergence_experiment(
         errors: dict[str, list[float]] = {"recall": [], "f1": [], "control": []}
         for trial in range(trials):
             batch = _trial_batch(seed, window, trial, with_labels=False)
-            est = estimate_confusion(batch)
+            exact_recall, exact_f1 = (
+                e.point for e in estimate_all(batch, metrics=("recall", "f1"))
+            )
 
-            exact_recall = recall_distribution(est).expectation()
             approx_recall = shortcut_recall(batch)
             if approx_recall is not None:
                 errors["recall"].append(exact_recall - approx_recall)
                 errors["control"].append(exact_recall - exact_recall)
 
-            f1_dist = f1_distribution(est)
             approx_f1 = shortcut_f1(batch)
-            if f1_dist is not None and approx_f1 is not None:
-                errors["f1"].append(f1_dist.expectation() - approx_f1)
+            if exact_f1 is not None and approx_f1 is not None:
+                errors["f1"].append(exact_f1 - approx_f1)
         for metric in ("recall", "f1", "control"):
             rows.append(_summary(window, metric, errors[metric]))
     return rows
@@ -171,27 +162,20 @@ def run_coverage_experiment(
         raise ValueError(f"need at least one trial, got {trials!r}")
     rows = []
     for window in window_sizes:
-        hits = {(m, a): 0 for m in ("accuracy", "precision", "recall", "f1") for a in alphas}
+        hits = {(m, a): 0 for m in METRICS for a in alphas}
         totals = dict.fromkeys(hits, 0)
         for trial in range(trials):
             batch = _trial_batch(seed, window, trial, with_labels=True)
             realized = true_metrics(batch)
-            est = estimate_confusion(batch)
-            dists = {
-                "accuracy": accuracy_distribution(batch),
-                "precision": precision_distribution(est),
-                "recall": recall_distribution(est),
-                "f1": f1_distribution(est),
-            }
-            for metric, dist in dists.items():
-                actual = getattr(realized, metric)
-                if dist is None or actual is None:
+            for estimate in estimate_all(batch, alpha=None):
+                actual = getattr(realized, estimate.metric)
+                if estimate.distribution is None or actual is None:
                     continue
                 for alpha in alphas:
-                    interval = hdi(dist, alpha)
-                    totals[(metric, alpha)] += 1
+                    interval = hdi(estimate.distribution, alpha)
+                    totals[(estimate.metric, alpha)] += 1
                     if interval.lower - 1e-12 <= actual <= interval.upper + 1e-12:
-                        hits[(metric, alpha)] += 1
+                        hits[(estimate.metric, alpha)] += 1
         for (metric, alpha), total in totals.items():
             rows.append(
                 CoverageRow(
@@ -216,7 +200,3 @@ def rows_to_csv(rows) -> str:
     for row in rows:
         writer.writerow([getattr(row, name) for name in names])
     return buffer.getvalue()
-
-
-def write_rows_csv(rows, path: str | Path) -> None:
-    Path(path).write_text(rows_to_csv(rows), encoding="utf-8")

@@ -4,7 +4,8 @@ Two input formats carry the same three fields: ``prediction`` (0/1),
 ``score`` (a decimal in [0, 1]) and an optional ``label`` (0/1).  CSV files
 need a header row; JSONL files hold one object per line.  Unknown columns
 or keys are ignored with a warning.  Malformed content is rejected with the
-1-based line number of the offending row.
+1-based line number of the offending row.  Files are read as UTF-8; a
+leading byte-order mark is skipped.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import warnings
 from pathlib import Path
 
-from .confusion import PredictionBatch, PredictionRecord
+from .confusion import PredictionBatch
 
 __all__ = ["parse_input", "FORMATS"]
 
@@ -44,15 +45,11 @@ def _parse_score(raw, line: int) -> float:
     return value
 
 
-def _build_record(prediction, score, label, line: int) -> PredictionRecord:
+def _parse_row(prediction, score, label, line: int) -> tuple[int, float, int | None]:
     true_label = None
     if label is not None and str(label).strip() != "":
         true_label = _parse_binary(label, "label", line)
-    return PredictionRecord(
-        predicted_label=_parse_binary(prediction, "prediction", line),
-        score=_parse_score(score, line),
-        true_label=true_label,
-    )
+    return _parse_binary(prediction, "prediction", line), _parse_score(score, line), true_label
 
 
 def _warn_unknown(names, source: str) -> None:
@@ -64,9 +61,9 @@ def _warn_unknown(names, source: str) -> None:
         )
 
 
-def _parse_csv(path: Path) -> list[PredictionRecord]:
-    records = []
-    with path.open(newline="", encoding="utf-8") as handle:
+def _parse_csv(path: Path) -> list[tuple[int, float, int | None]]:
+    rows = []
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise ValueError("line 1: missing CSV header")
@@ -78,16 +75,16 @@ def _parse_csv(path: Path) -> list[PredictionRecord]:
             line = reader.line_num
             if row.get(None):
                 raise ValueError(f"line {line}: more fields than header columns")
-            records.append(
-                _build_record(row.get("prediction"), row.get("score"), row.get("label"), line)
+            rows.append(
+                _parse_row(row.get("prediction"), row.get("score"), row.get("label"), line)
             )
-    return records
+    return rows
 
 
-def _parse_jsonl(path: Path) -> list[PredictionRecord]:
-    records = []
+def _parse_jsonl(path: Path) -> list[tuple[int, float, int | None]]:
+    rows = []
     unknown_keys: set[str] = set()
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         for line_num, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -101,21 +98,23 @@ def _parse_jsonl(path: Path) -> list[PredictionRecord]:
             if missing:
                 raise ValueError(f"line {line_num}: missing keys: {', '.join(missing)}")
             unknown_keys.update(set(obj) - set(_KNOWN))
-            records.append(
-                _build_record(obj["prediction"], obj["score"], obj.get("label"), line_num)
+            rows.append(
+                _parse_row(obj["prediction"], obj["score"], obj.get("label"), line_num)
             )
     _warn_unknown(unknown_keys, "JSONL keys")
-    return records
+    return rows
 
 
 def parse_input(path: str | Path, format: str = "csv") -> PredictionBatch:
     """Read a prediction file into an ordered batch.
 
-    Labels are attached when present.  Raises ValueError naming the 1-based
-    line of the first malformed row.
+    Labels are attached when every row has one.  Raises ValueError naming
+    the 1-based line of the first malformed row.
     """
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     path = Path(path)
-    records = _parse_csv(path) if format == "csv" else _parse_jsonl(path)
-    return PredictionBatch(records)
+    rows = _parse_csv(path) if format == "csv" else _parse_jsonl(path)
+    predictions, scores, labels = zip(*rows) if rows else ((), (), ())
+    labelled = bool(rows) and None not in labels
+    return PredictionBatch.from_arrays(predictions, scores, labels if labelled else None)

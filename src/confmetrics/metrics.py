@@ -2,13 +2,16 @@
 
 Each metric (accuracy, precision, recall, F1) becomes a finite distribution
 over exact rational values by pushing the confusion-count distributions
-through the metric formula.  Accuracy and precision are plain rescalings of
-a single count distribution.  Recall and F1 need the joint of the true
-positive and false negative counts; the counts are independent, so the joint
-is the product of the marginals and the derivation walks all count pairs,
-accumulating probability on the reduced fraction each pair maps to.  That
-walk is O(n^2) pairs; the accumulation is order-independent, so the result
-does not depend on iteration order.
+through the metric formula.  The true-positive and true-negative counts are
+independent, and every metric is a function of the two.  Precision is a
+plain rescaling of the true-positive count.  Accuracy rescales the number of
+correct predictions, TP + TN, whose distribution is the convolution of the
+two count PMFs.  Recall and F1 need the joint of the true positive and false
+negative counts; by independence the joint is the product of the marginals,
+and the derivation walks all count pairs, accumulating probability on the
+reduced fraction each pair maps to.  That walk is O(n^2) pairs; the
+accumulation is order-independent, so the result does not depend on
+iteration order.
 
 Point estimates are distribution means.  The shortcut estimators compute the
 mean without materialising a distribution: exactly for accuracy and
@@ -29,12 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confusion import ConfusionEstimate, PredictionBatch, estimate_confusion
-from .distribution import (
-    DiscreteDistribution,
-    dense_count_probabilities,
-    poisson_binomial_dp,
+from .confusion import (
+    ConfusionEstimate,
+    PredictionBatch,
+    _require_nonempty,
+    estimate_confusion,
 )
+from .distribution import DiscreteDistribution, dense_count_probabilities
 from .intervals import HdiInterval, hdi
 
 __all__ = [
@@ -73,23 +77,12 @@ class MetricEstimate:
         return self.point is None
 
 
-def _require_nonempty(batch: PredictionBatch) -> None:
-    if batch.n == 0:
-        raise ValueError("estimation needs a nonempty batch")
-
-
-def _correctness_probabilities(batch: PredictionBatch) -> np.ndarray:
-    # Probability each individual prediction is correct: the score for
-    # positive predictions, its complement for negative ones.
-    return np.where(batch.predictions == 1, batch.scores, 1.0 - batch.scores)
-
-
-def _scaled_counts(counts: DiscreteDistribution, denominator: int) -> DiscreteDistribution:
-    """Divide an integer count distribution by a fixed positive denominator."""
-    nums = np.fromiter((n for n, _, _ in counts.ratios()), dtype=np.int64, count=len(counts))
-    dens = np.full(nums.size, denominator, dtype=np.int64)
-    g = np.gcd(nums, dens)
-    return DiscreteDistribution._from_ratio_arrays(nums // g, dens // g, counts.probabilities)
+def _scaled_counts(pmf: np.ndarray, denominator: int) -> DiscreteDistribution:
+    """Divide a dense count PMF over 0..len(pmf)-1 by a fixed positive
+    denominator."""
+    nums = np.arange(pmf.size, dtype=np.int64)
+    g = np.gcd(nums, denominator)
+    return DiscreteDistribution._from_ratio_arrays(nums // g, denominator // g, pmf)
 
 
 def _aggregate_ratio_masses(
@@ -124,15 +117,18 @@ def _aggregate_ratio_masses(
     )
 
 
-def accuracy_distribution(batch: PredictionBatch) -> DiscreteDistribution:
+def accuracy_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
     """Distribution of the fraction of correct predictions in the window.
 
-    The number of correct predictions is Poisson binomial in the per-record
-    correctness probabilities; dividing by the window size gives accuracy.
+    The number of correct predictions is TP + TN.  The two counts are
+    independent, so its PMF is the convolution of their PMFs; dividing by
+    the window size gives accuracy.
     """
-    _require_nonempty(batch)
-    counts = poisson_binomial_dp(_correctness_probabilities(batch))
-    return _scaled_counts(counts, batch.n)
+    correct = np.convolve(
+        dense_count_probabilities(est.dist_tp, est.n_pos),
+        dense_count_probabilities(est.dist_tn, est.n_neg),
+    )
+    return _scaled_counts(correct, est.n_pos + est.n_neg)
 
 
 def precision_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
@@ -140,7 +136,7 @@ def precision_distribution(est: ConfusionEstimate) -> DiscreteDistribution | Non
     predictions; None when the window has no positive predictions."""
     if est.n_pos == 0:
         return None
-    return _scaled_counts(est.dist_tp, est.n_pos)
+    return _scaled_counts(dense_count_probabilities(est.dist_tp, est.n_pos), est.n_pos)
 
 
 def recall_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
@@ -189,7 +185,9 @@ def shortcut_accuracy(batch: PredictionBatch) -> float:
     """Mean correctness probability; identical to the mean of
     :func:`accuracy_distribution`."""
     _require_nonempty(batch)
-    return float(_correctness_probabilities(batch).mean())
+    # Each prediction is correct with probability its score if positive,
+    # and one minus its score if negative.
+    return float(np.where(batch.predictions == 1, batch.scores, 1.0 - batch.scores).mean())
 
 
 def shortcut_precision(batch: PredictionBatch) -> float | None:
@@ -229,13 +227,12 @@ def shortcut_f1(batch: PredictionBatch) -> float | None:
 
 
 def _exact_estimate(
-    metric: str,
-    batch: PredictionBatch,
-    est: ConfusionEstimate,
-    alpha: float | None,
+    metric: str, est: ConfusionEstimate, alpha: float | None
 ) -> MetricEstimate:
+    # Calls the module-level names at each call, so rebinding one of them
+    # (as a profiler does) reaches every caller.
     if metric == "accuracy":
-        dist = accuracy_distribution(batch)
+        dist = accuracy_distribution(est)
     elif metric == "precision":
         dist = precision_distribution(est)
     elif metric == "recall":
@@ -271,8 +268,8 @@ def estimate_all(
 
     The exact method attaches full distributions, and highest-density
     intervals when ``alpha`` is given; the shortcut method attaches points
-    only.  Undefined metrics come back as estimates with ``point=None``
-    rather than aborting the window.
+    only and rejects ``alpha``.  Undefined metrics come back as estimates
+    with ``point=None`` rather than aborting the window.
     """
     _require_nonempty(batch)
     if method not in ("exact", "shortcut"):
@@ -283,9 +280,13 @@ def estimate_all(
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     if method == "shortcut":
+        if alpha is not None:
+            raise ValueError(
+                "alpha applies to the exact method only; shortcuts have no intervals"
+            )
         return [
             MetricEstimate(metric=m, method="shortcut", point=_SHORTCUTS[m](batch))
             for m in metrics
         ]
     est = estimate_confusion(batch)
-    return [_exact_estimate(m, batch, est, alpha) for m in metrics]
+    return [_exact_estimate(m, est, alpha) for m in metrics]

@@ -38,26 +38,23 @@ class EstimateConfig:
     metrics: tuple[str, ...] = METRICS
     method: str = "exact"
     alpha: float | None = None
-    threshold: float | None = None  # prediction threshold, echoed for synthetic runs
 
     def echo(self) -> dict:
         return {
             "metrics": list(self.metrics),
             "method": self.method,
             "alpha": self.alpha,
-            "threshold": self.threshold,
         }
 
 
 @dataclass(frozen=True)
 class MonitoringReport:
-    """Per-window estimates plus the configuration they were produced under."""
+    """Per-window estimates, and the metrics that were undefined on the window."""
 
     window_index: int
     window_size: int
     partial: bool
     estimates: tuple[MetricEstimate, ...]
-    config_echo: dict
     undefined_metrics: tuple[str, ...]
 
 
@@ -92,7 +89,6 @@ def windowed_estimates(
                 window_size=window.n,
                 partial=window.n < window_size,
                 estimates=estimates,
-                config_echo=config.echo(),
                 undefined_metrics=tuple(e.metric for e in estimates if e.undefined),
             )
         )

@@ -59,7 +59,7 @@ def test_criterion_1_exact_distributions_match_enumeration():
             [int(p) for p in predictions], [float(s) for s in scores]
         )
         derived = {
-            "accuracy": accuracy_distribution(batch),
+            "accuracy": accuracy_distribution(est),
             "precision": precision_distribution(est),
             "recall": recall_distribution(est),
             "f1": f1_distribution(est),

@@ -75,6 +75,22 @@ class TestEstimate:
         assert out == ""
         assert "line 2" in err
 
+    def test_alpha_with_shortcut_fails(self, labelled_csv, capsys):
+        code, out, err = run(
+            capsys, "estimate", "--input", labelled_csv,
+            "--method", "shortcut", "--alpha", "0.05",
+        )
+        assert code == 1 and out == ""
+        assert "error:" in err and "alpha" in err
+
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + LABELLED, encoding="utf-8")
+        code, out, err = run(capsys, "estimate", "--input", path, "--method", "shortcut")
+        assert code == 0 and err == ""
+        estimates = {e["metric"]: e for e in json.loads(out)["windows"][0]["estimates"]}
+        assert estimates["precision"]["point"] == pytest.approx(0.7)
+
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(capsys, "estimate", "--input", tmp_path / "nope.csv")
         assert code == 1 and "error:" in err

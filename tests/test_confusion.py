@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confmetrics.confusion import (
     PredictionBatch,
-    PredictionRecord,
     estimate_confusion,
     frequency_estimates,
 )
@@ -21,24 +22,100 @@ def as_ints(dist):
 
 class TestRecords:
     def test_rejects_bad_prediction(self):
-        with pytest.raises(ValueError, match="predicted_label"):
-            PredictionRecord(2, 0.5)
+        with pytest.raises(ValueError, match="prediction"):
+            batch([2], [0.5])
 
     def test_rejects_score_out_of_range(self):
         with pytest.raises(ValueError, match="score"):
-            PredictionRecord(1, 1.5)
+            batch([1], [1.5])
 
     def test_boundary_scores_accepted(self):
-        PredictionRecord(1, 0.0)
-        PredictionRecord(0, 1.0)
+        assert batch([1, 0], [0.0, 1.0]).scores.tolist() == [0.0, 1.0]
 
     def test_labels_optional_per_record(self):
-        b = PredictionBatch([PredictionRecord(1, 0.5, 1), PredictionRecord(0, 0.5)])
-        assert b.labels is None
+        # A batch is labelled throughout or not at all; ingest leaves the
+        # labels off when any row lacks one.
+        assert batch([1, 0], [0.5, 0.5]).labels is None
+        with pytest.raises(ValueError, match="label at index 1"):
+            batch([1, 0], [0.5, 0.5], [1, None])
 
     def test_labels_exposed_when_complete(self):
         b = batch([1, 0], [0.5, 0.5], [1, 0])
         assert b.labels.tolist() == [1, 0]
+
+
+class TestStrictInput:
+    @pytest.mark.parametrize(
+        "predictions, scores, labels, message",
+        [
+            ([0.7, 1.9], [0.5, 0.5], None, "prediction at index 0"),
+            ([1, 0], [0.5, 0.5], [0.6, 1], "label at index 0"),
+            ([1, -1], [0.5, 0.5], None, "prediction at index 1"),
+            ([1, 0], [0.5, 0.5], [1, 2], "label at index 1"),
+            ([1, np.nan], [0.5, 0.5], None, "prediction at index 1"),
+            ([[1, 0]], [[0.5, 0.5]], None, "one-dimensional"),
+            ([[1, 0]], [0.5, 0.5], None, "one-dimensional"),
+            ([1, 0], [0.5, 0.5], [[1, 0]], "one-dimensional"),
+            ([1], 0.5, None, "one-dimensional"),
+            ([1, 0, 1], [0.5, 0.5], None, "equal length"),
+            ([1, 0], [0.5, 0.5], [1], "equal length"),
+            ([1, 0], [0.5, np.nan], None, "score at index 1"),
+            ([1, 0], [0.5, -0.1], None, "score at index 1"),
+        ],
+    )
+    def test_from_arrays_rejects(self, predictions, scores, labels, message):
+        with pytest.raises(ValueError, match=message):
+            batch(predictions, scores, labels)
+
+    def test_float_and_bool_zeros_and_ones_accepted(self):
+        b = batch(np.array([1.0, 0.0]), [0.5, 0.5], np.array([False, True]))
+        assert b.predictions.tolist() == [1, 0]
+        assert b.labels.tolist() == [0, 1]
+
+    def test_arrays_are_read_only_copies(self):
+        scores = np.array([0.2, 0.9])
+        b = batch([0, 1], scores, [0, 1])
+        scores[0] = 0.7
+        assert b.scores.tolist() == [0.2, 0.9]
+        for arr in (b.predictions, b.scores, b.labels, b[0:1].scores):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=1),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=1),
+    ),
+    max_size=12,
+)
+
+
+class TestSlicing:
+    @settings(deadline=None, max_examples=80)
+    @given(rows, st.booleans(), st.integers(-14, 14), st.integers(-14, 14))
+    def test_slice_equals_from_arrays_on_sliced_arrays(self, data, labelled, a, b):
+        predictions = np.array([p for p, _, _ in data], dtype=np.int64)
+        scores = np.array([s for _, s, _ in data], dtype=np.float64)
+        labels = np.array([y for _, _, y in data], dtype=np.int64) if labelled else None
+        got = batch(predictions, scores, labels)[a:b]
+        want = batch(
+            predictions[a:b], scores[a:b], None if labels is None else labels[a:b]
+        )
+        assert got.n == want.n
+        assert got.predictions.dtype == want.predictions.dtype
+        assert got.predictions.tolist() == want.predictions.tolist()
+        assert got.scores.tolist() == want.scores.tolist()
+        if labels is None:
+            assert got.labels is None and want.labels is None
+        else:
+            assert got.labels.dtype == want.labels.dtype
+            assert got.labels.tolist() == want.labels.tolist()
+
+    def test_rejects_integer_index(self):
+        with pytest.raises(TypeError):
+            batch([1], [0.5])[0]
 
 
 class TestEstimateConfusion:
@@ -64,7 +141,7 @@ class TestEstimateConfusion:
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError, match="nonempty"):
-            estimate_confusion(PredictionBatch([]))
+            estimate_confusion(PredictionBatch.from_arrays([], []))
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(5)

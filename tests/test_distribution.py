@@ -52,6 +52,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiscreteDistribution({})
 
+    def test_rejects_keys_beyond_int64(self):
+        with pytest.raises(ValueError, match="64 bits"):
+            DiscreteDistribution({1e-300: 0.5, 0.1: 0.5})
+        with pytest.raises(ValueError, match="64 bits"):
+            DiscreteDistribution({Fraction(2**63, 3): 1.0})
+
+    def test_largest_int64_keys_accepted(self):
+        # Fraction(0.1) has a 56-bit denominator.
+        d = DiscreteDistribution({0.1: 0.5, Fraction(-(2**63 - 1), 2**63 - 2): 0.5})
+        assert d.support == (Fraction(-(2**63 - 1), 2**63 - 2), Fraction(0.1))
+        assert d.support[1].denominator == 2**55
+
     def test_probabilities_are_read_only(self):
         d = DiscreteDistribution({0: 0.5, 1: 0.5})
         with pytest.raises(ValueError):

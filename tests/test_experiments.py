@@ -6,9 +6,9 @@ import math
 import pytest
 
 from confmetrics.experiments import (
+    rows_to_csv,
     run_convergence_experiment,
     run_coverage_experiment,
-    write_rows_csv,
 )
 
 
@@ -71,11 +71,9 @@ class TestCoverage:
                 assert row.coverage >= 0.95
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     rows = run_convergence_experiment((10,), trials=10, seed=9)
-    path = tmp_path / "rows.csv"
-    write_rows_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
+    lines = rows_to_csv(rows).strip().splitlines()
     assert lines[0] == "window,metric,trials,mean_error,mean_abs_error,std_error"
     assert len(lines) == len(rows) + 1
     first = lines[1].split(",")

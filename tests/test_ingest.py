@@ -27,6 +27,12 @@ class TestCsv:
         path = write(tmp_path, "a.csv", "prediction,score,label\n1,0.8,1\n0,0.3,\n")
         assert parse_input(path).labels is None
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = write(tmp_path, "a.csv", "\ufeffprediction,score,label\n1,0.8,1\n")
+        batch = parse_input(path)
+        assert batch.predictions.tolist() == [1]
+        assert batch.labels.tolist() == [1]
+
     def test_crlf_accepted(self, tmp_path):
         path = write(tmp_path, "a.csv", "prediction,score\r\n1,0.8\r\n0,0.3\r\n")
         assert parse_input(path).n == 2
@@ -78,7 +84,21 @@ class TestJsonl:
             ),
             "jsonl",
         )
-        assert csv_batch.records == jsonl_batch.records
+        assert csv_batch.predictions.tolist() == jsonl_batch.predictions.tolist()
+        assert csv_batch.scores.tolist() == jsonl_batch.scores.tolist()
+        assert csv_batch.labels is None and jsonl_batch.labels is None
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = write(tmp_path, "a.jsonl", '\ufeff{"prediction": 1, "score": 0.8}\n')
+        assert parse_input(path, "jsonl").scores.tolist() == [0.8]
+
+    def test_partial_labels_leave_batch_unlabelled(self, tmp_path):
+        path = write(
+            tmp_path,
+            "a.jsonl",
+            '{"prediction": 1, "score": 0.8, "label": 1}\n{"prediction": 0, "score": 0.3}\n',
+        )
+        assert parse_input(path, "jsonl").labels is None
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "a.jsonl", '{"prediction": 1, "score": 0.8}\n\n')

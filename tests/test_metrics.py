@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confmetrics.confusion import PredictionBatch, estimate_confusion
+from confmetrics.distribution import poisson_binomial_dp
 from confmetrics.metrics import (
     METRICS,
     accuracy_distribution,
@@ -36,7 +37,7 @@ def approx_dict(dist):
 
 class TestAccuracy:
     def test_example_distribution(self):
-        d = accuracy_distribution(EXAMPLE)
+        d = accuracy_distribution(estimate_confusion(EXAMPLE))
         assert d.as_dict() == {
             Fraction(0): pytest.approx(0.024),
             Fraction(1, 3): pytest.approx(0.188),
@@ -45,13 +46,43 @@ class TestAccuracy:
         }
 
     def test_certain_single_record(self):
-        d = accuracy_distribution(batch([1], [1.0]))
+        d = accuracy_distribution(estimate_confusion(batch([1], [1.0])))
         assert d.as_dict() == {Fraction(1): 1.0}
 
     def test_expectation_matches_shortcut(self):
-        d = accuracy_distribution(EXAMPLE)
+        d = accuracy_distribution(estimate_confusion(EXAMPLE))
         assert d.expectation() == pytest.approx(0.7)
         assert shortcut_accuracy(EXAMPLE) == pytest.approx(0.7)
+
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=1),
+                st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_poisson_binomial_of_correctness(self, rows):
+        # Reference: the correct count is Poisson binomial in the per-row
+        # probabilities of being correct, rescaled by the window size.
+        predictions = np.array([p for p, _ in rows])
+        scores = np.array([s for _, s in rows])
+        n = scores.size
+        correct = np.where(predictions == 1, scores, 1.0 - scores)
+        reference = np.zeros(n + 1)
+        for count, _, p in poisson_binomial_dp(correct).ratios():
+            reference[count] = p
+        got = np.zeros(n + 1)
+        for num, den, p in accuracy_distribution(
+            estimate_confusion(batch(predictions, scores))
+        ).ratios():
+            assert (num * n) % den == 0
+            got[num * n // den] = p
+        assert np.max(np.abs(got - reference)) <= 1e-12
 
 
 class TestPrecision:
@@ -167,7 +198,7 @@ class TestShortcuts:
     def test_accuracy_and_precision_shortcuts_are_identities(self, rows):
         b = batch([p for p, _ in rows], [s for _, s in rows])
         assert shortcut_accuracy(b) == pytest.approx(
-            accuracy_distribution(b).expectation(), abs=1e-9
+            accuracy_distribution(estimate_confusion(b)).expectation(), abs=1e-9
         )
         est = estimate_confusion(b)
         d = precision_distribution(est)
@@ -211,7 +242,7 @@ class TestOracleEquivalence:
                 [int(p) for p in predictions], [float(s) for s in scores]
             )
             derived = {
-                "accuracy": accuracy_distribution(b),
+                "accuracy": accuracy_distribution(est),
                 "precision": precision_distribution(est),
                 "recall": recall_distribution(est),
                 "f1": f1_distribution(est),
@@ -262,6 +293,10 @@ class TestEstimateAll:
     def test_rejects_unknown_metric(self):
         with pytest.raises(ValueError, match="unknown"):
             estimate_all(EXAMPLE, metrics=("accuracy", "specificity"))
+
+    def test_shortcut_rejects_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            estimate_all(EXAMPLE, method="shortcut", alpha=0.05)
 
     def test_rejects_bad_method(self):
         with pytest.raises(ValueError, match="method"):
