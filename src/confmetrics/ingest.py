@@ -2,10 +2,12 @@
 
 Two input formats carry the same three fields: ``prediction`` (0/1),
 ``score`` (a decimal in [0, 1]) and an optional ``label`` (0/1).  CSV files
-need a header row; JSONL files hold one object per line.  Unknown columns
-or keys are ignored with a warning.  Malformed content is rejected with the
-1-based line number of the offending row.  Files are read as UTF-8; a
-leading byte-order mark is skipped.
+need a header row and their fields are parsed from text.  JSONL files hold
+one object per line with typed values: each field must be a JSON number,
+never a string or a boolean, and an absent or null label means unlabelled.
+Unknown columns or keys are ignored with a warning.  Malformed content is
+rejected with the 1-based line number of the offending row.  Files are read
+as UTF-8; a leading byte-order mark is skipped.
 """
 
 from __future__ import annotations
@@ -50,6 +52,31 @@ def _parse_row(prediction, score, label, line: int) -> tuple[int, float, int | N
     if label is not None and str(label).strip() != "":
         true_label = _parse_binary(label, "label", line)
     return _parse_binary(prediction, "prediction", line), _parse_score(score, line), true_label
+
+
+def _is_json_number(raw) -> bool:
+    # json.loads yields bool for true/false, and bool is an int subclass.
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _json_binary(raw, field: str, line: int) -> int:
+    if not _is_json_number(raw) or raw not in (0, 1):
+        raise ValueError(f"line {line}: {field} must be 0 or 1, got {raw!r}")
+    return int(raw)
+
+
+def _json_row(obj: dict, line: int) -> tuple[int, float, int | None]:
+    score = obj["score"]
+    if not _is_json_number(score):
+        raise ValueError(f"line {line}: score must be a decimal, got {score!r}")
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"line {line}: score must lie in [0, 1], got {score!r}")
+    label = obj.get("label")
+    return (
+        _json_binary(obj["prediction"], "prediction", line),
+        float(score),
+        None if label is None else _json_binary(label, "label", line),
+    )
 
 
 def _warn_unknown(names, source: str) -> None:
@@ -98,9 +125,7 @@ def _parse_jsonl(path: Path) -> list[tuple[int, float, int | None]]:
             if missing:
                 raise ValueError(f"line {line_num}: missing keys: {', '.join(missing)}")
             unknown_keys.update(set(obj) - set(_KNOWN))
-            rows.append(
-                _parse_row(obj["prediction"], obj["score"], obj.get("label"), line_num)
-            )
+            rows.append(_json_row(obj, line_num))
     _warn_unknown(unknown_keys, "JSONL keys")
     return rows
 

@@ -2,9 +2,19 @@
 
 The interval is narrowed greedily from both ends of the sorted support:
 whichever endpoint carries less probability is dropped, as long as the mass
-dropped so far stays below alpha.  On a probability tie the upper endpoint
-is dropped.  The surviving endpoints bound an interval holding at least
-(1 - alpha) of the mass.
+dropped so far plus that endpoint's stays below alpha.  On a probability tie
+the upper endpoint is dropped, and the last remaining point is never
+dropped.  The surviving endpoints bound an interval holding at least
+(1 - alpha) of the mass whenever the probabilities sum to at least
+1 - alpha.
+
+The greedy walk is a merge of two sequences, the probabilities read upwards
+from the lower end and downwards from the upper end, that always takes the
+smaller head.  Such a merge of unsorted sequences takes a point from one
+side before a point from the other exactly when the running maximum up to
+the first is below the running maximum up to the second, so the drop order
+is a stable sort of the running maxima; :func:`hdi` computes it that way
+instead of stepping the two pointers one point at a time.
 
 For strongly multimodal distributions a union of disjoint intervals could be
 shorter than the single contiguous interval returned here; this module
@@ -14,6 +24,8 @@ always returns one interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .distribution import DiscreteDistribution
 
@@ -33,34 +45,48 @@ class HdiInterval:
         return self.lower <= value <= self.upper
 
 
-def hdi(d: DiscreteDistribution, alpha: float) -> HdiInterval:
-    """Greedy two-pointer highest-density interval of a finite distribution.
+def _reachable(probs: np.ndarray, alpha: float) -> np.ndarray:
+    """The leading run of ``probs`` that greedy dropping from that end can
+    reach: up to and including the first point at which the run's own
+    running sum reaches alpha.
 
-    The covered mass is always at least 1 - alpha because an endpoint is
-    only dropped while the discarded tails stay strictly below alpha.
+    Dropping from both ends only adds non-negative terms to the dropped
+    mass, and rounded addition is monotone, so the dropped mass on reaching
+    that point is at least the run's own sum there and the point stays.
+    """
+    return probs[: int(np.searchsorted(np.cumsum(probs), alpha)) + 1]
+
+
+def hdi(d: DiscreteDistribution, alpha: float) -> HdiInterval:
+    """Greedy highest-density interval of a finite distribution.
+
+    Endpoints are dropped lighter first, the upper one on a tie, while the
+    dropped mass stays strictly below alpha, and never the last point, so
+    ``lower <= upper`` and the covered mass is positive.  The covered mass
+    is at least 1 - alpha unless the probabilities themselves sum to less.
+
+    The drop order is a stable sort of the running maxima of both ends
+    (see the module docstring), upper end first so that it wins ties.  The
+    dropped mass is the cumulative sum along that order, added in the same
+    sequence as one point at a time, so the result matches the two-pointer
+    walk bit for bit.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     values = d.float_values
     probs = d.probabilities
-    lo = 0
-    hi = len(probs) - 1
-    tail = 0.0
-    while True:
-        p_lo = probs[lo]
-        p_hi = probs[hi]
-        if p_lo < p_hi:
-            if tail + p_lo < alpha:
-                tail += p_lo
-                lo += 1
-            else:
-                break
-        else:
-            if tail + p_hi < alpha:
-                tail += p_hi
-                hi -= 1
-            else:
-                break
+    low = _reachable(probs, alpha)
+    high = _reachable(probs[::-1], alpha)
+    order = np.argsort(
+        np.concatenate([np.maximum.accumulate(high), np.maximum.accumulate(low)]),
+        kind="stable",
+    )
+    dropped_mass = np.cumsum(np.concatenate([high, low])[order])
+    # Within the first len(probs) - 1 merged points the two ends have not
+    # met, so no point appears twice among those dropped.
+    n_dropped = min(int(np.searchsorted(dropped_mass, alpha)), probs.size - 1)
+    lo = int(np.count_nonzero(order[:n_dropped] >= high.size))
+    hi = probs.size - 1 - (n_dropped - lo)
     covered = float(probs[lo : hi + 1].sum())
     return HdiInterval(
         lower=float(values[lo]),

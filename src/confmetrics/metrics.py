@@ -9,9 +9,8 @@ correct predictions, TP + TN, whose distribution is the convolution of the
 two count PMFs.  Recall and F1 need the joint of the true positive and false
 negative counts; by independence the joint is the product of the marginals,
 and the derivation walks all count pairs, accumulating probability on the
-reduced fraction each pair maps to.  That walk is O(n^2) pairs; the
-accumulation is order-independent, so the result does not depend on
-iteration order.
+fraction each pair maps to.  That walk is O(n^2) pairs, grouped by one sort
+of their float values; each group's masses are summed in pair order.
 
 Point estimates are distribution means.  The shortcut estimators compute the
 mean without materialising a distribution: exactly for accuracy and
@@ -85,36 +84,57 @@ def _scaled_counts(pmf: np.ndarray, denominator: int) -> DiscreteDistribution:
     return DiscreteDistribution._from_ratio_arrays(nums // g, denominator // g, pmf)
 
 
+# Float grouping bound.  Two distinct ratios a/b != c/d in [0, 1] differ by
+# |ad - bc| / (bd) >= 1 / (bd), which exceeds 2**-52 when b, d < 2**26.
+# Rounding a quotient in [0, 1] to the nearest double moves it by at most
+# half an ulp, 2**-54, so distinct ratios stay at least 2**-53 apart and
+# round to distinct doubles.  Equal ratios round to the same double, because
+# the int64 operands (below 2**53) convert exactly and division is correctly
+# rounded.
+_RATIO_DEN_BOUND = 2**26
+
+
 def _aggregate_ratio_masses(
     nums: np.ndarray,
     dens: np.ndarray,
     masses: np.ndarray,
     extras: list[tuple[int, int, float]],
 ) -> DiscreteDistribution:
-    """Sum probability masses that land on the same reduced fraction.
+    """Sum probability masses that land on the same fraction.
 
-    ``nums``/``dens``/``masses`` are flat arrays of unreduced ratios with
-    their probabilities; ``extras`` are additional exact (num, den, mass)
-    entries merged through the same reduction.
+    ``nums``/``dens``/``masses`` are flat arrays of unreduced ratios in
+    [0, 1] with their probabilities; ``extras`` are additional exact
+    (num, den, mass) entries appended to them.  Ratios are grouped by their
+    float value, which identifies the fraction exactly while every
+    denominator stays below ``_RATIO_DEN_BOUND``: one sort of the values
+    yields the groups in ascending order, ``bincount`` sums each group's
+    masses in input order, and only one representative per group is reduced
+    to lowest terms.  Raises ValueError for a denominator at or above the
+    bound.
     """
     if extras:
         nums = np.concatenate([nums, np.array([e[0] for e in extras], dtype=np.int64)])
         dens = np.concatenate([dens, np.array([e[1] for e in extras], dtype=np.int64)])
         masses = np.concatenate([masses, np.array([e[2] for e in extras])])
-    g = np.gcd(nums, dens)
-    nums = nums // g
-    dens = dens // g
-    # Reduced denominators are bounded, so a linear code uniquely keys a pair.
-    width = int(dens.max()) + 1
-    codes = nums * width + dens
-    unique_codes, inverse = np.unique(codes, return_inverse=True)
-    probs = np.bincount(inverse, weights=masses, minlength=unique_codes.size)
-    u_nums = unique_codes // width
-    u_dens = unique_codes % width
-    order = np.argsort(u_nums / u_dens, kind="stable")
-    return DiscreteDistribution._from_ratio_arrays(
-        u_nums[order], u_dens[order], probs[order]
-    )
+    if dens.max() >= _RATIO_DEN_BOUND:
+        raise ValueError(
+            f"ratio denominator {int(dens.max())} is not below {_RATIO_DEN_BOUND}; "
+            "float grouping could merge distinct fractions"
+        )
+    values = nums / dens
+    order = np.argsort(values)
+    sorted_values = values[order]
+    new_group = np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
+    del values, sorted_values
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new_group) - 1
+    first = order[new_group]
+    del order, new_group
+    probs = np.bincount(group, weights=masses)
+    u_nums = nums[first]
+    u_dens = dens[first]
+    g = np.gcd(u_nums, u_dens)
+    return DiscreteDistribution._from_ratio_arrays(u_nums // g, u_dens // g, probs)
 
 
 def accuracy_distribution(est: ConfusionEstimate) -> DiscreteDistribution:

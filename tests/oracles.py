@@ -1,7 +1,11 @@
-"""Independent brute-force reference implementations used across tests.
+"""Independent reference implementations used across tests.
 
-Everything here enumerates outcomes directly instead of reusing any library
-code path, so agreement between the two is meaningful evidence.
+The brute-force oracles enumerate outcomes directly instead of reusing any
+library code path, so agreement between the two is meaningful evidence.  The
+loop references (:func:`greedy_hdi_reference`,
+:func:`aggregate_ratio_masses_reference`) keep the straightforward former
+implementations of two vectorised library routines, which must agree with
+them bit for bit.
 """
 
 import itertools
@@ -87,3 +91,53 @@ def random_small_batch(rng, max_n=12):
     predictions = rng.integers(0, 2, size=n)
     scores = rng.random(n)
     return predictions, scores
+
+
+def greedy_hdi_reference(probs, alpha):
+    """Two-pointer greedy HDI: (lo, hi) index bounds and covered mass.
+
+    Drops the lighter endpoint (the upper one on a tie) while the dropped
+    mass stays below alpha.  When alpha exceeds the total mass it drops every
+    point and crosses, returning lo > hi.
+    """
+    lo = 0
+    hi = len(probs) - 1
+    tail = 0.0
+    while True:
+        p_lo = probs[lo]
+        p_hi = probs[hi]
+        if p_lo < p_hi:
+            if tail + p_lo < alpha:
+                tail += p_lo
+                lo += 1
+            else:
+                break
+        else:
+            if tail + p_hi < alpha:
+                tail += p_hi
+                hi -= 1
+            else:
+                break
+    covered = float(probs[lo : hi + 1].sum())
+    return lo, hi, covered
+
+
+def aggregate_ratio_masses_reference(nums, dens, masses, extras):
+    """Reduced (nums, dens, probs) arrays, ascending by value, of unreduced
+    ratio masses grouped by their gcd-reduced integer code."""
+    if extras:
+        nums = np.concatenate([nums, np.array([e[0] for e in extras], dtype=np.int64)])
+        dens = np.concatenate([dens, np.array([e[1] for e in extras], dtype=np.int64)])
+        masses = np.concatenate([masses, np.array([e[2] for e in extras])])
+    g = np.gcd(nums, dens)
+    nums = nums // g
+    dens = dens // g
+    # Reduced denominators are bounded, so a linear code uniquely keys a pair.
+    width = int(dens.max()) + 1
+    codes = nums * width + dens
+    unique_codes, inverse = np.unique(codes, return_inverse=True)
+    probs = np.bincount(inverse, weights=masses, minlength=unique_codes.size)
+    u_nums = unique_codes // width
+    u_dens = unique_codes % width
+    order = np.argsort(u_nums / u_dens, kind="stable")
+    return u_nums[order], u_dens[order], probs[order]

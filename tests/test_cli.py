@@ -75,6 +75,13 @@ class TestEstimate:
         assert out == ""
         assert "line 2" in err
 
+    def test_jsonl_string_field_fails(self, tmp_path, capsys):
+        path = tmp_path / "typed.jsonl"
+        path.write_text('{"prediction": "1", "score": 0.8}\n', encoding="utf-8")
+        code, out, err = run(capsys, "estimate", "--input", path, "--format", "jsonl")
+        assert code == 1 and out == ""
+        assert "error: line 1: prediction" in err
+
     def test_alpha_with_shortcut_fails(self, labelled_csv, capsys):
         code, out, err = run(
             capsys, "estimate", "--input", labelled_csv,

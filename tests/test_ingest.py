@@ -114,6 +114,35 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 1"):
             parse_input(path, "jsonl")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"prediction": "1", "score": 0.8}',
+            '{"prediction": 1, "score": "0.8"}',
+            '{"prediction": 1, "score": 0.8, "label": " 0 "}',
+            '{"prediction": 1, "score": 0.8, "label": ""}',
+            '{"prediction": true, "score": 0.8}',
+            '{"prediction": 1, "score": true}',
+            '{"prediction": 1, "score": 0.8, "label": false}',
+            '{"prediction": 0.5, "score": 0.8}',
+        ],
+    )
+    def test_rejects_strings_and_bools(self, tmp_path, line):
+        path = write(tmp_path, "a.jsonl", '{"prediction": 0, "score": 0.1}\n' + line + "\n")
+        with pytest.raises(ValueError, match="line 2: (prediction|score|label) must"):
+            parse_input(path, "jsonl")
+
+    def test_null_label_means_unlabelled(self, tmp_path):
+        path = write(
+            tmp_path,
+            "a.jsonl",
+            '{"prediction": 1, "score": 0.8, "label": null}\n'
+            '{"prediction": 0, "score": 0.3, "label": 0}\n',
+        )
+        batch = parse_input(path, "jsonl")
+        assert batch.labels is None
+        assert batch.predictions.tolist() == [1, 0]
+
     def test_unknown_keys_warn(self, tmp_path):
         path = write(
             tmp_path, "a.jsonl", '{"prediction": 1, "score": 0.8, "source": "x"}\n'

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from confmetrics.distribution import DiscreteDistribution
 from confmetrics.intervals import hdi
-from oracles import contiguous_spans
+from oracles import contiguous_spans, greedy_hdi_reference
 
 
 def make(values, probs):
@@ -39,6 +41,21 @@ class TestExamples:
         assert interval.lower == 0.0
         assert interval.upper == pytest.approx(2 / 3)
         assert interval.covered_mass == pytest.approx(0.75)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.3, 0.4, 0.3 - 5e-10],
+            [1.0 - 8e-10],
+            [0.5 - 4e-10, 1e-20, 0.5 - 4e-10],
+            [0.25] * 3 + [0.25 - 9e-10],
+        ],
+    )
+    def test_alpha_above_total_mass_keeps_one_point(self, probs):
+        d = make([Fraction(i, len(probs)) for i in range(len(probs))], probs)
+        interval = hdi(d, 0.9999999999)
+        assert interval.lower <= interval.upper
+        assert interval.covered_mass > 0.0
 
     def test_rejects_alpha_out_of_range(self):
         d = make([0, 1], [0.5, 0.5])
@@ -97,3 +114,37 @@ class TestAgainstBruteForce:
             assert interval.upper == d.float_values[hi]
             checked += 1
         assert checked > 50  # enough unique-optimum cases to be meaningful
+
+
+# Probability weights before normalising: small integers make exact ties,
+# the tiny floats make dust-heavy tails.
+weights = st.lists(
+    st.one_of(
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=1e-22, max_value=1e-14),
+        st.floats(min_value=1e-3, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=60,
+)
+alphas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+class TestAgainstLoop:
+    @settings(deadline=None, max_examples=300)
+    @given(weights, alphas)
+    def test_matches_two_pointer_walk_bit_for_bit(self, raw, alpha):
+        w = np.array(raw, dtype=np.float64)
+        probs = w / w.sum()
+        # The walk crosses once alpha exceeds the total mass (covered by
+        # test_alpha_above_total_mass_keeps_one_point).
+        assume(alpha < float(probs.sum()) - 1e-12)
+        d = make([Fraction(i, probs.size) for i in range(probs.size)], probs)
+        lo, hi, covered = greedy_hdi_reference(d.probabilities, alpha)
+        interval = hdi(d, alpha)
+        values = d.float_values
+        assert (interval.lower, interval.upper, interval.covered_mass) == (
+            float(values[lo]),
+            float(values[hi]),
+            covered,
+        )

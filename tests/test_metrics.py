@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confmetrics import metrics
 from confmetrics.confusion import PredictionBatch, estimate_confusion
-from confmetrics.distribution import poisson_binomial_dp
+from confmetrics.distribution import DiscreteDistribution, poisson_binomial_dp
 from confmetrics.metrics import (
     METRICS,
     accuracy_distribution,
@@ -21,7 +22,12 @@ from confmetrics.metrics import (
     shortcut_precision,
     shortcut_recall,
 )
-from oracles import enumerate_metric_distributions, random_small_batch, tv_distance
+from oracles import (
+    aggregate_ratio_masses_reference,
+    enumerate_metric_distributions,
+    random_small_batch,
+    tv_distance,
+)
 
 
 def batch(predictions, scores):
@@ -263,6 +269,54 @@ class TestOracleEquivalence:
                 assert abs(dist.probabilities.sum() - 1.0) <= 1e-9
                 assert dist.float_values.min() >= 0.0
                 assert dist.float_values.max() <= 1.0
+
+    def test_recall_and_f1_equal_gcd_keyed_aggregation(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        windows = []
+        for _ in range(40):
+            n = int(rng.integers(1, 301))
+            scores = rng.random(n)
+            if rng.random() < 0.3:
+                scores = np.round(scores, 1)  # repeated scores, tied masses
+            predictions = (
+                rng.integers(0, 2, size=n) if rng.random() < 0.5 else (scores >= 0.5)
+            )
+            windows.append(estimate_confusion(batch(predictions.astype(int), scores)))
+        new = [(recall_distribution(e), f1_distribution(e)) for e in windows]
+
+        def reference(*args, **kwargs):
+            return DiscreteDistribution._from_ratio_arrays(
+                *aggregate_ratio_masses_reference(*args, **kwargs)
+            )
+
+        monkeypatch.setattr(metrics, "_aggregate_ratio_masses", reference)
+        old = [(recall_distribution(e), f1_distribution(e)) for e in windows]
+        assert new == old
+
+
+class TestRatioGrouping:
+    BOUND = 2**26
+
+    def test_rejects_denominator_at_bound(self):
+        for den in (self.BOUND, self.BOUND + 5):
+            with pytest.raises(ValueError, match="denominator"):
+                metrics._aggregate_ratio_masses(
+                    np.array([1, 1]), np.array([2, den]), np.array([0.5, 0.5]), []
+                )
+
+    def test_separates_nearest_fractions_below_bound(self):
+        # (b-1)/b and (b-2)/(b-1) are adjacent fractions 1/(b(b-1)) apart,
+        # the closest two ratios with denominators below the bound can be.
+        b = self.BOUND - 1
+        k = (self.BOUND - 1) // 2
+        d = metrics._aggregate_ratio_masses(
+            np.array([b - 1, b - 2, k, 1]),
+            np.array([b, b - 1, 2 * k, 2]),
+            np.array([0.25, 0.25, 0.25, 0.25]),
+            [],
+        )
+        assert d.support == (Fraction(1, 2), Fraction(b - 2, b - 1), Fraction(b - 1, b))
+        assert d.probabilities.tolist() == [0.5, 0.25, 0.25]
 
 
 class TestEstimateAll:
