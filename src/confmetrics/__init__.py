@@ -24,7 +24,6 @@ from .confusion import (
 from .distribution import (
     PROB_SUM_TOL,
     DiscreteDistribution,
-    complement_count,
     poisson_binomial_cf,
     poisson_binomial_dp,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "DiscreteDistribution",
     "poisson_binomial_dp",
     "poisson_binomial_cf",
-    "complement_count",
     "PredictionBatch",
     "ConfusionEstimate",
     "FrequencyEstimates",

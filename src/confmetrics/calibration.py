@@ -52,10 +52,12 @@ def ace(batch: PredictionBatch, num_bins: int = DEFAULT_NUM_BINS) -> Calibration
     bin.  The reported error is the mean absolute per-bin gap between mean
     score and empirical positive rate.
     """
+    n = batch.n
+    if n == 0:
+        raise ValueError("calibration error needs a nonempty batch")
     labels = batch.labels
     if labels is None:
         raise ValueError("calibration error needs a true label on every record")
-    n = batch.n
     if not 1 <= num_bins <= n:
         raise ValueError(f"num_bins must lie in [1, {n}], got {num_bins!r}")
     order = np.argsort(batch.scores, kind="stable")

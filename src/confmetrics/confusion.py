@@ -4,8 +4,10 @@ Given predicted labels and calibrated confidence scores, the number of true
 positives among the positive predictions is a Poisson binomial variable with
 the positive-prediction scores as parameters, and the number of true
 negatives among the negative predictions is Poisson binomial in the score
-complements.  False positives and false negatives follow as count
-complements.  All operations are pure and deterministic.
+complements.  False positives and false negatives are their count
+complements.  Each count PMF is a read-only float64 array indexed by count,
+and a complement is the reversed view of its array.  All operations are pure
+and deterministic.
 
 A batch may contain rows with the same score but different predicted
 labels; such batches are accepted as-is, even though the theoretical
@@ -19,12 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import (
-    DiscreteDistribution,
-    complement_count,
-    poisson_binomial_dp,
-    unit_interval_array,
-)
+from .distribution import poisson_binomial_dp, unit_interval_array
 
 __all__ = [
     "PredictionBatch",
@@ -143,26 +140,35 @@ class PredictionBatch:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionEstimate:
-    """Count distributions and point estimates for the four confusion cells.
+    """Count PMFs and point estimates for the four confusion cells.
 
-    ``dist_fp`` is the count complement of ``dist_tp`` over the positive
-    predictions, and ``dist_fn`` the complement of ``dist_tn`` over the
-    negative ones.  Point estimates are the distribution means: sums of
-    scores or score complements over the matching prediction side.
+    ``pmf_tp[k]`` is the probability of k true positives among the
+    ``n_pos`` positive predictions, and ``pmf_tn[k]`` that of k true
+    negatives among the ``n_neg`` negative ones.  False positives are
+    ``n_pos - TP`` and false negatives ``n_neg - TN``, so ``pmf_fp`` and
+    ``pmf_fn`` are reversed views, not copies.  Point estimates are the PMF
+    means: sums of scores or score complements over the matching prediction
+    side.
     """
 
-    dist_tp: DiscreteDistribution
-    dist_fp: DiscreteDistribution
-    dist_tn: DiscreteDistribution
-    dist_fn: DiscreteDistribution
+    pmf_tp: np.ndarray
+    pmf_tn: np.ndarray
     e_tp: float
     e_fp: float
     e_tn: float
     e_fn: float
     n_pos: int
     n_neg: int
+
+    @property
+    def pmf_fp(self) -> np.ndarray:
+        return self.pmf_tp[::-1]
+
+    @property
+    def pmf_fn(self) -> np.ndarray:
+        return self.pmf_tn[::-1]
 
 
 @dataclass(frozen=True)
@@ -186,24 +192,21 @@ def _require_nonempty(batch: PredictionBatch) -> None:
 
 
 def estimate_confusion(batch: PredictionBatch) -> ConfusionEstimate:
-    """Estimate the confusion-count distributions for one window.
+    """Estimate the confusion-count PMFs for one window.
 
-    A side with no predictions yields point masses at zero for its counts.
+    A side with no predictions yields ``[1.0]``, a point mass at zero, for
+    its counts.
     """
     _require_nonempty(batch)
     pos = batch.positive_scores
     neg = batch.negative_scores
     n_pos = pos.size
     n_neg = neg.size
-    dist_tp = poisson_binomial_dp(pos)
-    dist_tn = poisson_binomial_dp(1.0 - neg)
     e_tp = float(pos.sum())
     e_fn = float(neg.sum())
     return ConfusionEstimate(
-        dist_tp=dist_tp,
-        dist_fp=complement_count(dist_tp, n_pos),
-        dist_tn=dist_tn,
-        dist_fn=complement_count(dist_tn, n_neg),
+        pmf_tp=poisson_binomial_dp(pos),
+        pmf_tn=poisson_binomial_dp(1.0 - neg),
         e_tp=e_tp,
         e_fp=n_pos - e_tp,
         e_tn=n_neg - e_fn,

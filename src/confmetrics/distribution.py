@@ -9,9 +9,12 @@ correct.  `fractions.Fraction` values appear only at the edges: the mapping
 constructor takes them, and ``support``, ``items`` and ``as_dict`` return
 them.
 
-Poisson binomial PMFs can be built by two independent routes: iterative
-convolution (:func:`poisson_binomial_dp`, the reference method) and the
-discrete characteristic function (:func:`poisson_binomial_cf`).  The two are
+A count PMF has one form: a read-only float64 array indexed by count, zeros
+kept, so ``pmf[k]`` is the probability of exactly k successes.  The count
+complement m - X of a PMF over 0..m is its reversal ``pmf[::-1]``.  Poisson
+binomial PMFs can be built by two independent routes: iterative convolution
+(:func:`poisson_binomial_dp`, the reference method) and the discrete
+characteristic function (:func:`poisson_binomial_cf`).  The two are
 deliberately separate implementations so each can serve as a cross-check of
 the other.
 
@@ -21,6 +24,7 @@ construction and are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -31,7 +35,6 @@ __all__ = [
     "DiscreteDistribution",
     "poisson_binomial_dp",
     "poisson_binomial_cf",
-    "complement_count",
 ]
 
 # Single library-wide tolerance for "probabilities sum to one" checks.
@@ -56,6 +59,8 @@ def _as_fraction(value: object) -> Fraction:
         raise TypeError("bool is not a valid support value")
     if not isinstance(value, (int, float, Fraction)):
         raise TypeError(f"unsupported support value type: {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"support value {value!r} is not finite")
     frac = Fraction(value)
     if abs(frac.numerator) > _INT64_MAX or frac.denominator > _INT64_MAX:
         raise ValueError(
@@ -91,7 +96,7 @@ class DiscreteDistribution:
 
     def _init_validated(self, nums, dens, float_vals, probs) -> None:
         total = float(probs.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN probability fails too
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         keep = probs > 0.0
         if not keep.all():
@@ -212,29 +217,25 @@ def _check_bernoulli_params(params: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.sort(arr)
 
 
-def _counts_distribution(pmf: np.ndarray) -> DiscreteDistribution:
-    nums = np.arange(pmf.size, dtype=np.int64)
-    dens = np.ones(pmf.size, dtype=np.int64)
-    return DiscreteDistribution._from_ratio_arrays(nums, dens, pmf)
-
-
-def poisson_binomial_dp(params: Sequence[float] | np.ndarray) -> DiscreteDistribution:
-    """PMF of a sum of independent Bernoulli variables, by direct convolution.
+def poisson_binomial_dp(params: Sequence[float] | np.ndarray) -> np.ndarray:
+    """PMF of a sum of n independent Bernoulli variables, by direct
+    convolution, as a read-only count PMF of length n + 1.
 
     This is the reference method: O(n^2) work, no roundoff artifacts beyond
-    ordinary float accumulation.  An empty parameter list yields a point mass
-    at zero.
+    ordinary float accumulation.  An empty parameter list yields ``[1.0]``,
+    a point mass at zero.
     """
-    arr = _check_bernoulli_params(params)
     pmf = np.array([1.0])
-    for p in arr:
+    for p in _check_bernoulli_params(params):
         pmf = np.convolve(pmf, (1.0 - p, p))
-    return _counts_distribution(pmf)
+    pmf.flags.writeable = False
+    return pmf
 
 
-def poisson_binomial_cf(params: Sequence[float] | np.ndarray) -> DiscreteDistribution:
-    """PMF of a sum of independent Bernoulli variables, via the
-    characteristic function evaluated on the discrete Fourier grid.
+def poisson_binomial_cf(params: Sequence[float] | np.ndarray) -> np.ndarray:
+    """PMF of a sum of n independent Bernoulli variables, via the
+    characteristic function evaluated on the discrete Fourier grid, as a
+    read-only count PMF of length n + 1.
 
     Independent of :func:`poisson_binomial_dp`; the two agree within 1e-9 per
     entry.  The transform can leave tiny negative values, which are clamped
@@ -243,10 +244,7 @@ def poisson_binomial_cf(params: Sequence[float] | np.ndarray) -> DiscreteDistrib
     function costs O(n^2); the final transform is O(n log n).
     """
     arr = _check_bernoulli_params(params)
-    n = arr.size
-    if n == 0:
-        return DiscreteDistribution.point_mass(0)
-    m = n + 1
+    m = arr.size + 1
     phase = np.exp(2j * np.pi * np.arange(m) / m)
     phi = np.ones(m, dtype=np.complex128)
     for p in arr:
@@ -259,36 +257,6 @@ def poisson_binomial_cf(params: Sequence[float] | np.ndarray) -> DiscreteDistrib
             f"characteristic-function PMF lost {abs(total - 1.0):.3g} mass; "
             "refusing to renormalise"
         )
-    return _counts_distribution(clamped / total)
-
-
-def _integer_support(d: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Return (values, probabilities) for an integer-supported distribution."""
-    if np.any(d._dens != 1):
-        raise ValueError("distribution support is not integer-valued")
-    return d._nums, d._probs
-
-
-def dense_count_probabilities(d: DiscreteDistribution, max_count: int) -> np.ndarray:
-    """Probabilities of an integer count distribution as a dense array
-    indexed 0..max_count."""
-    values, probs = _integer_support(d)
-    if values.size and (values.min() < 0 or values.max() > max_count):
-        raise ValueError(f"support exceeds the count range 0..{max_count}")
-    dense = np.zeros(max_count + 1, dtype=np.float64)
-    dense[values] = probs
-    return dense
-
-
-def complement_count(d: DiscreteDistribution, m: int) -> DiscreteDistribution:
-    """Distribution of m - X for a count distribution X over 0..m.
-
-    Probabilities are carried over unchanged, so applying the complement
-    twice restores the original distribution exactly.
-    """
-    values, probs = _integer_support(d)
-    if values.size and (values.min() < 0 or values.max() > m):
-        raise ValueError(f"support exceeds the count range 0..{m}")
-    nums = (m - values)[::-1]
-    dens = np.ones(nums.size, dtype=np.int64)
-    return DiscreteDistribution._from_ratio_arrays(nums, dens, probs[::-1])
+    pmf = clamped / total
+    pmf.flags.writeable = False
+    return pmf

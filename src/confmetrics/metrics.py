@@ -1,16 +1,18 @@
 """Metric distributions and point estimates derived from confusion counts.
 
 Each metric (accuracy, precision, recall, F1) becomes a finite distribution
-over exact rational values by pushing the confusion-count distributions
-through the metric formula.  The true-positive and true-negative counts are
+over exact rational values by pushing the confusion-count PMFs through the
+metric formula.  Those PMFs are the dense arrays a :class:`ConfusionEstimate`
+holds, read here directly.  The true-positive and true-negative counts are
 independent, and every metric is a function of the two.  Precision is a
 plain rescaling of the true-positive count.  Accuracy rescales the number of
-correct predictions, TP + TN, whose distribution is the convolution of the
-two count PMFs.  Recall and F1 need the joint of the true positive and false
-negative counts; by independence the joint is the product of the marginals,
-and the derivation walks all count pairs, accumulating probability on the
-fraction each pair maps to.  That walk is O(n^2) pairs, grouped by one sort
-of their float values; each group's masses are summed in pair order.
+correct predictions, TP + TN, whose PMF is the convolution of the two count
+PMFs.  Recall and F1 need the joint of the true positive and false negative
+counts, where the false-negative PMF is the reversed true-negative one; by
+independence the joint is the product of the marginals, and the derivation
+walks all count pairs, accumulating probability on the fraction each pair
+maps to.  That walk is O(n^2) pairs, grouped by one sort of their float
+values; each group's masses are summed in pair order.
 
 Point estimates are distribution means.  The shortcut estimators compute the
 mean without materialising a distribution: exactly for accuracy and
@@ -37,7 +39,7 @@ from .confusion import (
     _require_nonempty,
     estimate_confusion,
 )
-from .distribution import DiscreteDistribution, dense_count_probabilities
+from .distribution import DiscreteDistribution
 from .intervals import HdiInterval, hdi
 
 __all__ = [
@@ -144,11 +146,7 @@ def accuracy_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
     independent, so its PMF is the convolution of their PMFs; dividing by
     the window size gives accuracy.
     """
-    correct = np.convolve(
-        dense_count_probabilities(est.dist_tp, est.n_pos),
-        dense_count_probabilities(est.dist_tn, est.n_neg),
-    )
-    return _scaled_counts(correct, est.n_pos + est.n_neg)
+    return _scaled_counts(np.convolve(est.pmf_tp, est.pmf_tn), est.n_pos + est.n_neg)
 
 
 def precision_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
@@ -156,7 +154,7 @@ def precision_distribution(est: ConfusionEstimate) -> DiscreteDistribution | Non
     predictions; None when the window has no positive predictions."""
     if est.n_pos == 0:
         return None
-    return _scaled_counts(dense_count_probabilities(est.dist_tp, est.n_pos), est.n_pos)
+    return _scaled_counts(est.pmf_tp, est.n_pos)
 
 
 def recall_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
@@ -167,8 +165,8 @@ def recall_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
     at least one true positive lands on recall = 1.  Every remaining count
     pair (i, j) contributes its joint probability to the value i / (i + j).
     """
-    p_tp = dense_count_probabilities(est.dist_tp, est.n_pos)
-    p_fn = dense_count_probabilities(est.dist_fn, est.n_neg)
+    p_tp = est.pmf_tp
+    p_fn = est.pmf_fn
     mass_at_zero = float(p_tp[0])
     mass_at_one = float(p_fn[0] * (1.0 - p_tp[0]))
     i = np.arange(1, est.n_pos + 1, dtype=np.int64)
@@ -190,8 +188,8 @@ def f1_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
     """
     if est.n_pos == 0:
         return None
-    p_tp = dense_count_probabilities(est.dist_tp, est.n_pos)
-    p_fn = dense_count_probabilities(est.dist_fn, est.n_neg)
+    p_tp = est.pmf_tp
+    p_fn = est.pmf_fn
     mass_at_zero = float(p_tp[0])
     i = np.arange(1, est.n_pos + 1, dtype=np.int64)
     j = np.arange(0, est.n_neg + 1, dtype=np.int64)

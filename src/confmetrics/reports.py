@@ -73,10 +73,10 @@ def windowed_estimates(
     batch: PredictionBatch, window_size: int, config: EstimateConfig = EstimateConfig()
 ) -> list[MonitoringReport]:
     """Split a batch into consecutive windows and estimate each one."""
-    if window_size < 1:
-        raise ValueError(f"window_size must be at least 1, got {window_size!r}")
     if batch.n == 0:
         raise ValueError("estimation needs a nonempty batch")
+    if window_size < 1:
+        raise ValueError(f"window_size must be at least 1, got {window_size!r}")
     reports = []
     for index, start in enumerate(range(0, batch.n, window_size)):
         window = batch[start : start + window_size]

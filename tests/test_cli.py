@@ -98,6 +98,15 @@ class TestEstimate:
         estimates = {e["metric"]: e for e in json.loads(out)["windows"][0]["estimates"]}
         assert estimates["precision"]["point"] == pytest.approx(0.7)
 
+    @pytest.mark.parametrize("window", [(), ("--window-size", "3")])
+    def test_header_only_file_reports_empty_input(self, tmp_path, capsys, window):
+        path = tmp_path / "empty.csv"
+        path.write_text("prediction,score\n", encoding="utf-8")
+        code, out, err = run(capsys, "estimate", "--input", path, *window)
+        assert code == 1 and out == ""
+        assert "nonempty batch" in err
+        assert "window_size" not in err
+
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(capsys, "estimate", "--input", tmp_path / "nope.csv")
         assert code == 1 and "error:" in err
@@ -117,6 +126,15 @@ class TestLabelledCommands:
         doc = json.loads(out)
         assert doc["ace"] >= 0.0
         assert len(doc["bins"]) == 2
+
+    @pytest.mark.parametrize("command", ["true-metrics", "ace"])
+    def test_header_only_labelled_file_reports_empty_input(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.csv"
+        path.write_text("prediction,score,label\n", encoding="utf-8")
+        code, out, err = run(capsys, command, "--input", path)
+        assert code == 1 and out == ""
+        assert "nonempty batch" in err
+        assert "true label" not in err
 
     def test_unlabelled_input_fails(self, tmp_path, capsys):
         path = tmp_path / "plain.csv"

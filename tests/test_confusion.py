@@ -16,8 +16,8 @@ def batch(predictions, scores, labels=None):
     return PredictionBatch.from_arrays(predictions, scores, labels)
 
 
-def as_ints(dist):
-    return {int(k): p for k, p in dist.items()}
+def mean(pmf):
+    return np.arange(pmf.size) @ pmf
 
 
 class TestRecords:
@@ -124,20 +124,34 @@ class TestEstimateConfusion:
         assert (est.e_tp, est.e_fp, est.e_fn, est.e_tn) == pytest.approx(
             (1.4, 0.6, 0.3, 0.7)
         )
-        assert as_ints(est.dist_tp) == pytest.approx({0: 0.08, 1: 0.44, 2: 0.48})
-        assert as_ints(est.dist_fn) == pytest.approx({0: 0.7, 1: 0.3})
+        assert est.pmf_tp == pytest.approx([0.08, 0.44, 0.48])
+        assert est.pmf_fp == pytest.approx([0.48, 0.44, 0.08])
+        assert est.pmf_tn == pytest.approx([0.3, 0.7])
+        assert est.pmf_fn == pytest.approx([0.7, 0.3])
 
     def test_all_positive_certain(self):
         est = estimate_confusion(batch([1, 1, 1, 1], [1.0] * 4))
         assert est.e_tp == 4
-        assert as_ints(est.dist_tp) == {4: 1.0}
-        assert as_ints(est.dist_tn) == {0: 1.0}
+        assert est.pmf_tp.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert est.pmf_tn.tolist() == [1.0]
+        assert est.pmf_fn.tolist() == [1.0]
 
     def test_single_negative_record(self):
         est = estimate_confusion(batch([0], [0.25]))
         assert est.e_tn == pytest.approx(0.75)
         assert est.e_fn == pytest.approx(0.25)
-        assert as_ints(est.dist_tn) == pytest.approx({0: 0.25, 1: 0.75})
+        assert est.pmf_tn == pytest.approx([0.25, 0.75])
+        assert est.pmf_tp.tolist() == [1.0]
+
+    def test_complements_are_read_only_reversed_views(self):
+        est = estimate_confusion(batch([1, 1, 0, 0, 0], [0.9, 0.4, 0.3, 0.2, 0.6]))
+        assert est.pmf_fp.base is est.pmf_tp
+        assert est.pmf_fn.base is est.pmf_tn
+        assert est.pmf_fp.tolist() == est.pmf_tp.tolist()[::-1]
+        assert est.pmf_fn.tolist() == est.pmf_tn.tolist()[::-1]
+        for pmf in (est.pmf_tp, est.pmf_fp, est.pmf_tn, est.pmf_fn):
+            with pytest.raises(ValueError):
+                pmf[0] = 0.5
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -148,22 +162,22 @@ class TestEstimateConfusion:
         for _ in range(20):
             n = int(rng.integers(1, 40))
             est = estimate_confusion(batch(rng.integers(0, 2, n), rng.random(n)))
-            assert est.dist_tp.expectation() + est.dist_fp.expectation() == pytest.approx(
-                est.n_pos, abs=1e-9
-            )
-            assert est.dist_tn.expectation() + est.dist_fn.expectation() == pytest.approx(
-                est.n_neg, abs=1e-9
-            )
+            assert est.pmf_tp.size == est.n_pos + 1
+            assert est.pmf_tn.size == est.n_neg + 1
+            assert est.pmf_tp.sum() == pytest.approx(1.0, abs=1e-9)
+            assert est.pmf_tn.sum() == pytest.approx(1.0, abs=1e-9)
+            assert mean(est.pmf_tp) + mean(est.pmf_fp) == pytest.approx(est.n_pos, abs=1e-9)
+            assert mean(est.pmf_tn) + mean(est.pmf_fn) == pytest.approx(est.n_neg, abs=1e-9)
             assert est.e_tp + est.e_fp == pytest.approx(est.n_pos, abs=1e-9)
             assert est.e_tn + est.e_fn == pytest.approx(est.n_neg, abs=1e-9)
 
     def test_point_estimates_are_distribution_means(self):
         rng = np.random.default_rng(6)
         est = estimate_confusion(batch(rng.integers(0, 2, 30), rng.random(30)))
-        assert est.dist_tp.expectation() == pytest.approx(est.e_tp, abs=1e-9)
-        assert est.dist_fp.expectation() == pytest.approx(est.e_fp, abs=1e-9)
-        assert est.dist_tn.expectation() == pytest.approx(est.e_tn, abs=1e-9)
-        assert est.dist_fn.expectation() == pytest.approx(est.e_fn, abs=1e-9)
+        assert mean(est.pmf_tp) == pytest.approx(est.e_tp, abs=1e-9)
+        assert mean(est.pmf_fp) == pytest.approx(est.e_fp, abs=1e-9)
+        assert mean(est.pmf_tn) == pytest.approx(est.e_tn, abs=1e-9)
+        assert mean(est.pmf_fn) == pytest.approx(est.e_fn, abs=1e-9)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -172,8 +186,8 @@ class TestEstimateConfusion:
         order = rng.permutation(25)
         a = estimate_confusion(batch(predictions, scores))
         b = estimate_confusion(batch(predictions[order], scores[order]))
-        assert a.dist_tp == b.dist_tp
-        assert a.dist_fn == b.dist_fn
+        assert np.array_equal(a.pmf_tp, b.pmf_tp)
+        assert np.array_equal(a.pmf_tn, b.pmf_tn)
         assert a.e_tp == pytest.approx(b.e_tp, abs=1e-12)
         assert a.e_tn == pytest.approx(b.e_tn, abs=1e-12)
 
@@ -183,7 +197,9 @@ class TestEstimateConfusion:
         for _ in range(10):
             n = int(rng.integers(2, 60))
             est = estimate_confusion(batch(np.ones(n, dtype=int), rng.random(n)))
-            assert est.dist_tp.variance() / est.n_pos**2 <= 1 / (4 * est.n_pos) + 1e-12
+            k = np.arange(est.n_pos + 1)
+            variance = (k * k) @ est.pmf_tp - mean(est.pmf_tp) ** 2
+            assert variance / est.n_pos**2 <= 1 / (4 * est.n_pos) + 1e-12
 
 
 class TestFrequencies:

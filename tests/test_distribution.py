@@ -1,6 +1,7 @@
 """Tests for the exact discrete distribution type and Poisson binomial
 constructors."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from confmetrics.distribution import (
     PROB_SUM_TOL,
     DiscreteDistribution,
-    complement_count,
     poisson_binomial_cf,
     poisson_binomial_dp,
 )
@@ -22,8 +22,8 @@ params_lists = st.lists(
 )
 
 
-def entries(dist):
-    return {int(k): p for k, p in dist.items()}
+def counts(pmf):
+    return np.arange(pmf.size)
 
 
 class TestConstruction:
@@ -64,6 +64,23 @@ class TestConstruction:
         assert d.support == (Fraction(-(2**63 - 1), 2**63 - 2), Fraction(0.1))
         assert d.support[1].denominator == 2**55
 
+    @pytest.mark.parametrize("pmf", [{0: math.nan, 1: 1.0}, {0: math.nan}])
+    def test_rejects_nan_probability(self, pmf):
+        with pytest.raises(ValueError):
+            DiscreteDistribution(pmf)
+
+    def test_derived_distribution_rejects_nan_probability(self):
+        one = np.ones(2, dtype=np.int64)
+        with pytest.raises(ValueError):
+            DiscreteDistribution._from_ratio_arrays(
+                np.array([0, 1]), one, np.array([math.nan, 1.0])
+            )
+
+    @pytest.mark.parametrize("key", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_key(self, key):
+        with pytest.raises(ValueError, match="finite|NaN"):
+            DiscreteDistribution({key: 1.0})
+
     def test_probabilities_are_read_only(self):
         d = DiscreteDistribution({0: 0.5, 1: 0.5})
         with pytest.raises(ValueError):
@@ -72,29 +89,27 @@ class TestConstruction:
 
 class TestPoissonBinomial:
     def test_dp_hand_convolution(self):
-        d = poisson_binomial_dp([0.8, 0.6])
-        assert entries(d) == pytest.approx({0: 0.08, 1: 0.44, 2: 0.48})
+        assert poisson_binomial_dp([0.8, 0.6]) == pytest.approx([0.08, 0.44, 0.48])
 
     def test_dp_empty_is_point_mass_at_zero(self):
-        assert entries(poisson_binomial_dp([])) == {0: 1.0}
+        assert poisson_binomial_dp([]).tolist() == [1.0]
 
     def test_dp_certain_successes(self):
-        assert entries(poisson_binomial_dp([1.0, 1.0, 1.0])) == {3: 1.0}
+        assert poisson_binomial_dp([1.0, 1.0, 1.0]).tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_cf_matches_dp_small(self):
-        d = poisson_binomial_dp([0.8, 0.6]).as_dict()
-        c = poisson_binomial_cf([0.8, 0.6]).as_dict()
-        for k in set(d) | set(c):
-            assert c.get(k, 0.0) == pytest.approx(d.get(k, 0.0), abs=1e-9)
+        d = poisson_binomial_dp([0.8, 0.6])
+        c = poisson_binomial_cf([0.8, 0.6])
+        assert c == pytest.approx(d, abs=1e-9)
 
     def test_cf_binomial_special_case(self):
         # Equal parameters collapse to a binomial; mass at 8 out of 16 fair
         # trials is exactly 12870/65536.
         d = poisson_binomial_cf([0.5] * 16)
-        assert entries(d)[8] == pytest.approx(12870 / 65536, abs=1e-9)
+        assert d[8] == pytest.approx(12870 / 65536, abs=1e-9)
 
     def test_cf_single_impossible_success(self):
-        assert entries(poisson_binomial_cf([0.0])) == {0: 1.0}
+        assert poisson_binomial_cf([0.0]).tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("builder", [poisson_binomial_dp, poisson_binomial_cf])
     def test_rejects_out_of_range_parameter_naming_index(self, builder):
@@ -105,40 +120,49 @@ class TestPoissonBinomial:
     def test_matches_exhaustive_enumeration(self, builder):
         rng = np.random.default_rng(1234)
         for _ in range(25):
-            params = rng.random(int(rng.integers(0, 13)))
+            n = int(rng.integers(0, 13))
+            params = rng.random(n)
             reference = enumerate_poisson_binomial(list(params))
-            got = entries(builder(params))
-            for k in set(reference) | set(got):
-                assert got.get(k, 0.0) == pytest.approx(
-                    reference.get(k, 0.0), abs=1e-12
-                )
+            want = [reference.get(k, 0.0) for k in range(n + 1)]
+            assert builder(params) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("builder", [poisson_binomial_dp, poisson_binomial_cf])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_returns_read_only_count_array(self, builder, n):
+        pmf = builder(np.full(n, 0.5))
+        assert isinstance(pmf, np.ndarray)
+        assert pmf.dtype == np.float64 and pmf.shape == (n + 1,)
+        with pytest.raises(ValueError):
+            pmf[0] = 0.5
 
     def test_order_of_parameters_is_irrelevant(self):
         rng = np.random.default_rng(7)
         params = rng.random(40)
         shuffled = params.copy()
         rng.shuffle(shuffled)
-        assert poisson_binomial_dp(params) == poisson_binomial_dp(shuffled)
+        assert np.array_equal(poisson_binomial_dp(params), poisson_binomial_dp(shuffled))
 
     @settings(deadline=None)
     @given(params_lists)
     def test_expectation_is_sum_of_params(self, params):
         d = poisson_binomial_dp(params)
-        assert d.expectation() == pytest.approx(sum(params), abs=1e-9)
+        assert counts(d) @ d == pytest.approx(sum(params), abs=1e-9)
 
     @settings(deadline=None)
     @given(params_lists)
     def test_variance_is_sum_of_bernoulli_variances(self, params):
         d = poisson_binomial_dp(params)
+        k = counts(d)
+        variance = (k * k) @ d - (k @ d) ** 2
         expected = sum(p * (1 - p) for p in params)
-        assert d.variance() == pytest.approx(expected, abs=1e-9)
+        assert variance == pytest.approx(expected, abs=1e-9)
 
     @settings(deadline=None)
     @given(params_lists)
     def test_mass_sums_to_one(self, params):
         for d in (poisson_binomial_dp(params), poisson_binomial_cf(params)):
-            assert abs(d.probabilities.sum() - 1.0) <= PROB_SUM_TOL
-            assert (d.probabilities >= 0).all()
+            assert abs(d.sum() - 1.0) <= PROB_SUM_TOL
+            assert (d >= 0).all()
 
 
 class TestMoments:
@@ -163,51 +187,18 @@ class TestMoments:
         assert d.variance() == pytest.approx(0.4)
 
 
-class TestComplement:
-    def test_reflection(self):
-        d = DiscreteDistribution({0: 0.08, 1: 0.44, 2: 0.48})
-        assert entries(complement_count(d, 2)) == pytest.approx(
-            {0: 0.48, 1: 0.44, 2: 0.08}
-        )
-
-    def test_point_mass_moves_to_m(self):
-        d = DiscreteDistribution({0: 1.0})
-        assert entries(complement_count(d, 5)) == {5: 1.0}
-
-    def test_symmetric_binomial_is_fixed_point(self):
-        d = poisson_binomial_dp([0.5, 0.5, 0.5])
-        assert complement_count(d, 3) == d
-
-    @settings(deadline=None)
-    @given(params_lists)
-    def test_involution(self, params):
-        d = poisson_binomial_dp(params)
-        m = len(params)
-        assert complement_count(complement_count(d, m), m) == d
-
-    def test_rejects_support_above_m(self):
-        d = DiscreteDistribution({0: 0.5, 3: 0.5})
-        with pytest.raises(ValueError, match="support"):
-            complement_count(d, 2)
-
-    def test_rejects_non_integer_support(self):
-        d = DiscreteDistribution({Fraction(1, 2): 1.0})
-        with pytest.raises(ValueError, match="integer"):
-            complement_count(d, 1)
-
-
 def test_cross_method_agreement_medium_sizes():
     rng = np.random.default_rng(99)
     for n in (1, 17, 128):
         params = rng.random(n)
-        dp = poisson_binomial_dp(params).as_dict()
-        cf = poisson_binomial_cf(params).as_dict()
-        for k in set(dp) | set(cf):
-            assert abs(dp.get(k, 0.0) - cf.get(k, 0.0)) <= 1e-9
+        dp = poisson_binomial_dp(params)
+        cf = poisson_binomial_cf(params)
+        assert np.max(np.abs(dp - cf)) <= 1e-9
 
 
 def test_expectation_variance_match_math_for_known_binomial():
     n, p = 30, 0.3
     d = poisson_binomial_dp([p] * n)
-    assert d.expectation() == pytest.approx(n * p, abs=1e-9)
-    assert d.variance() == pytest.approx(n * p * (1 - p), abs=1e-9)
+    k = counts(d)
+    assert k @ d == pytest.approx(n * p, abs=1e-9)
+    assert (k * k) @ d - (k @ d) ** 2 == pytest.approx(n * p * (1 - p), abs=1e-9)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from confmetrics import metrics
 from confmetrics.confusion import PredictionBatch, estimate_confusion
-from confmetrics.distribution import DiscreteDistribution, poisson_binomial_dp
+from confmetrics.distribution import PROB_SUM_TOL, DiscreteDistribution, poisson_binomial_dp
 from confmetrics.metrics import (
     METRICS,
     accuracy_distribution,
@@ -79,9 +79,7 @@ class TestAccuracy:
         scores = np.array([s for _, s in rows])
         n = scores.size
         correct = np.where(predictions == 1, scores, 1.0 - scores)
-        reference = np.zeros(n + 1)
-        for count, _, p in poisson_binomial_dp(correct).ratios():
-            reference[count] = p
+        reference = poisson_binomial_dp(correct)
         got = np.zeros(n + 1)
         for num, den, p in accuracy_distribution(
             estimate_confusion(batch(predictions, scores))
@@ -140,8 +138,8 @@ class TestRecall:
             b = batch(rng.integers(0, 2, n), rng.random(n))
             est = estimate_confusion(b)
             d = recall_distribution(est).as_dict()
-            p_tp0 = est.dist_tp.as_dict().get(Fraction(0), 0.0)
-            p_fn0 = est.dist_fn.as_dict().get(Fraction(0), 0.0)
+            p_tp0 = est.pmf_tp[0]
+            p_fn0 = est.pmf_fn[0]
             assert d.get(Fraction(0), 0.0) == pytest.approx(p_tp0, abs=1e-12)
             assert d.get(Fraction(1), 0.0) == pytest.approx(
                 p_fn0 * (1 - p_tp0), abs=1e-12
@@ -355,3 +353,44 @@ class TestEstimateAll:
     def test_rejects_bad_method(self):
         with pytest.raises(ValueError, match="method"):
             estimate_all(EXAMPLE, method="fast")
+
+
+@st.composite
+def exact_windows(draw):
+    """(predictions, scores, row permutation, alpha) for a window of 1-12
+    rows; scores all certain (0 or 1) or anywhere in [0, 1], predictions
+    mixed, all positive or all negative."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        score = st.sampled_from([0.0, 1.0])
+    else:
+        score = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    scores = draw(st.lists(score, min_size=n, max_size=n))
+    prediction = draw(st.sampled_from([st.integers(0, 1), st.just(0), st.just(1)]))
+    predictions = draw(st.lists(prediction, min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    alpha = draw(st.floats(min_value=0.001, max_value=0.999))
+    return np.array(predictions), np.array(scores), np.array(order), alpha
+
+
+class TestEstimateAllProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(exact_windows())
+    def test_invariants(self, window):
+        predictions, scores, order, alpha = window
+        estimates = estimate_all(batch(predictions, scores), alpha=alpha)
+        permuted = estimate_all(batch(predictions[order], scores[order]), alpha=alpha)
+        n_pos = int(predictions.sum())
+        for e, p in zip(estimates, permuted):
+            assert e.undefined == (e.metric in ("precision", "f1") and n_pos == 0)
+            assert p.point == e.point
+            assert p.distribution == e.distribution
+            assert p.hdi == e.hdi
+            if e.undefined:
+                assert e.distribution is None and e.hdi is None
+                continue
+            d = e.distribution
+            assert abs(float(d.probabilities.sum()) - 1.0) <= PROB_SUM_TOL
+            assert e.point == d.expectation()
+            assert e.hdi.lower <= e.hdi.upper
+            assert e.hdi.covered_mass >= 1.0 - alpha
