@@ -32,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "PROB_SUM_TOL",
+    "TRIM_TOL",
     "DiscreteDistribution",
     "poisson_binomial_dp",
     "poisson_binomial_cf",
@@ -39,6 +40,10 @@ __all__ = [
 
 # Single library-wide tolerance for "probabilities sum to one" checks.
 PROB_SUM_TOL = 1e-9
+
+# Bound on the total probability a derived distribution may leave out by
+# trimming the tails of the count PMFs it pairs over (see ``metrics``).
+TRIM_TOL = 1e-15
 
 # Renormalising the characteristic-function PMF may move at most this much
 # total mass; anything larger indicates a numerically broken transform.
@@ -72,12 +77,14 @@ def _as_fraction(value: object) -> Fraction:
 class DiscreteDistribution:
     """A finite PMF over exact rational support points.
 
-    Probabilities are floats that must be non-negative and sum to one within
-    :data:`PROB_SUM_TOL`.  Entries with zero probability are dropped, so the
-    support carries only points with mass.
+    Probabilities are floats that must be non-negative and, together with
+    ``trimmed_mass``, sum to one within :data:`PROB_SUM_TOL`.  Entries with
+    zero probability are dropped, so the support carries only points with
+    mass.  ``trimmed_mass`` is the probability a derivation left out of the
+    support on purpose; it is 0.0 unless a metric derivation trimmed tails.
     """
 
-    __slots__ = ("_nums", "_dens", "_float_vals", "_probs")
+    __slots__ = ("_nums", "_dens", "_float_vals", "_probs", "_trimmed")
 
     def __init__(self, pmf: Mapping[object, float]):
         if not pmf:
@@ -94,8 +101,10 @@ class DiscreteDistribution:
             probs=probs,
         )
 
-    def _init_validated(self, nums, dens, float_vals, probs) -> None:
-        total = float(probs.sum())
+    def _init_validated(self, nums, dens, float_vals, probs, trimmed_mass=0.0) -> None:
+        if trimmed_mass < 0.0:
+            raise ValueError(f"negative trimmed mass {trimmed_mass!r}")
+        total = float(probs.sum()) + trimmed_mass
         if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN probability fails too
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         keep = probs > 0.0
@@ -110,12 +119,18 @@ class DiscreteDistribution:
         self._dens = dens
         self._float_vals = float_vals
         self._probs = probs
+        self._trimmed = trimmed_mass
 
     @classmethod
     def _from_ratio_arrays(
-        cls, nums: np.ndarray, dens: np.ndarray, probs: np.ndarray
+        cls,
+        nums: np.ndarray,
+        dens: np.ndarray,
+        probs: np.ndarray,
+        trimmed_mass: float = 0.0,
     ) -> "DiscreteDistribution":
-        """Internal fast path: reduced num/den pairs already sorted by value."""
+        """Internal fast path: reduced num/den pairs already sorted by value,
+        and the probability left out of them."""
         self = object.__new__(cls)
         nums = np.ascontiguousarray(nums, dtype=np.int64)
         dens = np.ascontiguousarray(dens, dtype=np.int64)
@@ -127,6 +142,7 @@ class DiscreteDistribution:
             dens=dens,
             float_vals=nums / dens,
             probs=probs,
+            trimmed_mass=trimmed_mass,
         )
         return self
 
@@ -154,6 +170,12 @@ class DiscreteDistribution:
         """Probabilities (read-only), aligned with the support."""
         return self._probs
 
+    @property
+    def trimmed_mass(self) -> float:
+        """Probability left out of the support by tail trimming; 0.0 for a
+        distribution that holds all of its mass."""
+        return self._trimmed
+
     def items(self) -> Iterator[tuple[Fraction, float]]:
         return zip(self.support, self._probs.tolist())
 
@@ -174,6 +196,7 @@ class DiscreteDistribution:
             np.array_equal(self._nums, other._nums)
             and np.array_equal(self._dens, other._dens)
             and np.array_equal(self._probs, other._probs)
+            and self._trimmed == other._trimmed
         )
 
     __hash__ = None  # mutable-by-content comparisons; not hashable
@@ -186,7 +209,8 @@ class DiscreteDistribution:
     # ---- moments ----
 
     def expectation(self) -> float:
-        """Mean of the distribution, evaluated in float arithmetic."""
+        """Mean of the distribution, evaluated in float arithmetic; trimmed
+        mass contributes nothing."""
         return float(self._float_vals @ self._probs)
 
     def variance(self) -> float:

@@ -4,9 +4,10 @@ The interval is narrowed greedily from both ends of the sorted support:
 whichever endpoint carries less probability is dropped, as long as the mass
 dropped so far plus that endpoint's stays below alpha.  On a probability tie
 the upper endpoint is dropped, and the last remaining point is never
-dropped.  The surviving endpoints bound an interval holding at least
-(1 - alpha) of the mass whenever the probabilities sum to at least
-1 - alpha.
+dropped.  Mass a derivation trimmed from the distribution
+(``trimmed_mass``) counts as dropped before the first endpoint.  The
+surviving endpoints bound an interval holding at least (1 - alpha) of the
+mass whenever the probabilities and the trimmed mass sum to at least one.
 
 The greedy walk is a merge of two sequences, the probabilities read upwards
 from the lower end and downwards from the upper end, that always takes the
@@ -45,16 +46,16 @@ class HdiInterval:
         return self.lower <= value <= self.upper
 
 
-def _reachable(probs: np.ndarray, alpha: float) -> np.ndarray:
+def _reachable(probs: np.ndarray, alpha: float, start: np.ndarray) -> np.ndarray:
     """The leading run of ``probs`` that greedy dropping from that end can
     reach: up to and including the first point at which the run's own
-    running sum reaches alpha.
+    running sum, begun at the one-element ``start``, reaches alpha.
 
     Dropping from both ends only adds non-negative terms to the dropped
     mass, and rounded addition is monotone, so the dropped mass on reaching
     that point is at least the run's own sum there and the point stays.
     """
-    return probs[: int(np.searchsorted(np.cumsum(probs), alpha)) + 1]
+    return probs[: int(np.searchsorted(np.cumsum(np.concatenate([start, probs])), alpha))]
 
 
 def hdi(d: DiscreteDistribution, alpha: float) -> HdiInterval:
@@ -62,26 +63,29 @@ def hdi(d: DiscreteDistribution, alpha: float) -> HdiInterval:
 
     Endpoints are dropped lighter first, the upper one on a tie, while the
     dropped mass stays strictly below alpha, and never the last point, so
-    ``lower <= upper`` and the covered mass is positive.  The covered mass
-    is at least 1 - alpha unless the probabilities themselves sum to less.
+    ``lower <= upper`` and the covered mass is positive.  The dropped mass
+    starts at ``d.trimmed_mass``, so the covered mass is at least 1 - alpha
+    unless the probabilities and the trimmed mass themselves sum to less.
 
     The drop order is a stable sort of the running maxima of both ends
     (see the module docstring), upper end first so that it wins ties.  The
     dropped mass is the cumulative sum along that order, added in the same
     sequence as one point at a time, so the result matches the two-pointer
-    walk bit for bit.
+    walk bit for bit; with no trimmed mass the sum starts at 0.0, which
+    adds exactly.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     values = d.float_values
     probs = d.probabilities
-    low = _reachable(probs, alpha)
-    high = _reachable(probs[::-1], alpha)
+    start = np.array([d.trimmed_mass])
+    low = _reachable(probs, alpha, start)
+    high = _reachable(probs[::-1], alpha, start)
     order = np.argsort(
         np.concatenate([np.maximum.accumulate(high), np.maximum.accumulate(low)]),
         kind="stable",
     )
-    dropped_mass = np.cumsum(np.concatenate([high, low])[order])
+    dropped_mass = np.cumsum(np.concatenate([start, np.concatenate([high, low])[order]]))[1:]
     # Within the first len(probs) - 1 merged points the two ends have not
     # met, so no point appears twice among those dropped.
     n_dropped = min(int(np.searchsorted(dropped_mass, alpha)), probs.size - 1)

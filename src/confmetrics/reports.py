@@ -4,8 +4,9 @@ A monitoring stream is cut into consecutive windows of a fixed size; each
 window gets one report holding the requested metric estimates.  A final
 window shorter than the configured size is still processed and flagged as
 partial.  Reports serialize to a single JSON document per run; metric
-distributions are included only on request since their size grows
-quadratically with the window.
+distributions are included only on request, since the recall and F1
+distributions each hold about 25 support points per window record (about
+25 000 at a window of 1000, 100 000 at 4000).
 """
 
 from __future__ import annotations

@@ -5,13 +5,18 @@ library code path, so agreement between the two is meaningful evidence.  The
 loop references (:func:`greedy_hdi_reference`,
 :func:`aggregate_ratio_masses_reference`) keep the straightforward former
 implementations of two vectorised library routines, which must agree with
-them bit for bit.
+them bit for bit.  The untrimmed derivations
+(:func:`recall_distribution_untrimmed`, :func:`f1_distribution_untrimmed`)
+pair every count, as the library did before it trimmed the count PMFs'
+tails; the trimmed results must stay within the trimming bound of them.
 """
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from confmetrics import metrics
 
 
 def enumerate_poisson_binomial(params):
@@ -93,16 +98,17 @@ def random_small_batch(rng, max_n=12):
     return predictions, scores
 
 
-def greedy_hdi_reference(probs, alpha):
+def greedy_hdi_reference(probs, alpha, trimmed_mass=0.0):
     """Two-pointer greedy HDI: (lo, hi) index bounds and covered mass.
 
     Drops the lighter endpoint (the upper one on a tie) while the dropped
-    mass stays below alpha.  When alpha exceeds the total mass it drops every
-    point and crosses, returning lo > hi.
+    mass, which starts at ``trimmed_mass``, stays below alpha.  When alpha
+    exceeds the total mass it drops every point and crosses, returning
+    lo > hi.
     """
     lo = 0
     hi = len(probs) - 1
-    tail = 0.0
+    tail = trimmed_mass
     while True:
         p_lo = probs[lo]
         p_hi = probs[hi]
@@ -141,3 +147,42 @@ def aggregate_ratio_masses_reference(nums, dens, masses, extras):
     u_dens = unique_codes % width
     order = np.argsort(u_nums / u_dens, kind="stable")
     return u_nums[order], u_dens[order], probs[order]
+
+
+def recall_distribution_untrimmed(est):
+    """Recall over every count pair (i >= 1, j >= 1), no tail trimmed."""
+    p_tp = est.pmf_tp
+    p_fn = est.pmf_fn
+    i = np.arange(1, est.n_pos + 1, dtype=np.int64)
+    j = np.arange(1, est.n_neg + 1, dtype=np.int64)
+    nums = np.broadcast_to(i[:, None], (i.size, j.size)).ravel()
+    dens = (i[:, None] + j[None, :]).ravel()
+    masses = np.outer(p_tp[1:], p_fn[1:]).ravel()
+    return metrics._aggregate_ratio_masses(
+        nums, dens, masses, float(p_tp[0]), float(p_fn[0] * (1.0 - p_tp[0]))
+    )
+
+
+def f1_distribution_untrimmed(est):
+    """F1 over every count pair (i >= 1, j >= 0), no tail trimmed; None
+    without positive predictions."""
+    if est.n_pos == 0:
+        return None
+    p_tp = est.pmf_tp
+    i = np.arange(1, est.n_pos + 1, dtype=np.int64)
+    j = np.arange(0, est.n_neg + 1, dtype=np.int64)
+    nums = np.broadcast_to(2 * i[:, None], (i.size, j.size)).ravel()
+    dens = (i[:, None] + j[None, :] + est.n_pos).ravel()
+    masses = np.outer(p_tp[1:], est.pmf_fn).ravel()
+    return metrics._aggregate_ratio_masses(nums, dens, masses, float(p_tp[0]))
+
+
+def tv_distance_between(a, b):
+    """Total variation distance between two DiscreteDistributions, matching
+    support points by float value (exact for denominators below 2**26)."""
+    keys = np.union1d(a.float_values, b.float_values)
+    pa = np.zeros(keys.size)
+    pb = np.zeros(keys.size)
+    pa[np.searchsorted(keys, a.float_values)] = a.probabilities
+    pb[np.searchsorted(keys, b.float_values)] = b.probabilities
+    return 0.5 * float(np.abs(pa - pb).sum())

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from confmetrics import metrics
 from confmetrics.cli import main
+from oracles import f1_distribution_untrimmed, recall_distribution_untrimmed
 
 LABELLED = "prediction,score,label\n1,0.8,1\n1,0.6,1\n0,0.3,0\n0,0.2,1\n"
 
@@ -106,6 +108,40 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert "nonempty batch" in err
         assert "window_size" not in err
+
+    def test_trimmed_report_matches_untrimmed_derivation(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "sphere.csv"
+        code, _, _ = run(
+            capsys,
+            "--seed", "7",
+            "generate", "hypersphere",
+            "--dims", "5",
+            "--points", "1200",
+            "--shifted",
+            "--output", data,
+        )
+        assert code == 0
+        args = (
+            "estimate", "--input", data,
+            "--method", "exact", "--alpha", "0.05", "--window-size", "300",
+        )
+        code, trimmed, _ = run(capsys, *args)
+        assert code == 0
+        monkeypatch.setattr(metrics, "recall_distribution", recall_distribution_untrimmed)
+        monkeypatch.setattr(metrics, "f1_distribution", f1_distribution_untrimmed)
+        code, untrimmed, _ = run(capsys, *args)
+        assert code == 0
+        got = json.loads(trimmed)["windows"]
+        want = json.loads(untrimmed)["windows"]
+        assert len(got) == len(want) == 4
+        for window, reference in zip(got, want):
+            for e, r in zip(window["estimates"], reference["estimates"]):
+                assert e["metric"] == r["metric"]
+                assert e["hdi"] == r["hdi"]
+                if e["metric"] in ("accuracy", "precision"):
+                    assert e["point"] == r["point"]
+                else:
+                    assert abs(e["point"] - r["point"]) <= 2e-15
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(capsys, "estimate", "--input", tmp_path / "nope.csv")

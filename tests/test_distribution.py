@@ -81,6 +81,36 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite|NaN"):
             DiscreteDistribution({key: 1.0})
 
+    def test_trimmed_mass_defaults_to_zero(self):
+        assert DiscreteDistribution({0: 0.5, 1: 0.5}).trimmed_mass == 0.0
+        one = np.ones(2, dtype=np.int64)
+        d = DiscreteDistribution._from_ratio_arrays(np.array([0, 1]), one, np.array([0.5, 0.5]))
+        assert d.trimmed_mass == 0.0
+
+    def test_trimmed_mass_counts_toward_the_sum(self):
+        one = np.ones(2, dtype=np.int64)
+        probs = np.array([0.5, 0.4])
+        d = DiscreteDistribution._from_ratio_arrays(np.array([0, 1]), one, probs, 0.1)
+        assert d.trimmed_mass == 0.1
+        with pytest.raises(ValueError, match="sum"):
+            DiscreteDistribution._from_ratio_arrays(np.array([0, 1]), one, probs)
+        with pytest.raises(ValueError, match="trimmed"):
+            DiscreteDistribution._from_ratio_arrays(
+                np.array([0, 1]), one, np.array([0.5, 0.6]), -0.1
+            )
+
+    def test_equality_compares_trimmed_mass(self):
+        one = np.ones(2, dtype=np.int64)
+        probs = np.array([0.5, 0.5 - 1e-15])
+
+        def make(trimmed):
+            return DiscreteDistribution._from_ratio_arrays(
+                np.array([0, 1]), one, probs, trimmed
+            )
+
+        assert make(1e-15) == make(1e-15)
+        assert make(1e-15) != make(0.0)
+
     def test_probabilities_are_read_only(self):
         d = DiscreteDistribution({0: 0.5, 1: 0.5})
         with pytest.raises(ValueError):

@@ -57,6 +57,37 @@ class TestExamples:
         assert interval.lower <= interval.upper
         assert interval.covered_mass > 0.0
 
+    def test_trimmed_mass_counts_as_dropped(self):
+        # Dropping 0.01 and then 0.03 stays below alpha = 0.045 from zero,
+        # but not on top of 0.01 already trimmed, so the lower point stays.
+        def ratios(probs, trimmed_mass):
+            return DiscreteDistribution._from_ratio_arrays(
+                np.array([0, 1, 1]), np.array([1, 2, 1]), np.array(probs), trimmed_mass
+            )
+
+        untrimmed = hdi(ratios([0.03, 0.96, 0.01], 0.0), 0.045)
+        assert (untrimmed.lower, untrimmed.upper) == (0.5, 0.5)
+        d = ratios([0.03, 0.95, 0.01], 0.01)
+        interval = hdi(d, 0.045)
+        assert (interval.lower, interval.upper) == (0.0, 0.5)
+        assert interval.covered_mass >= 1 - 0.045
+        lo, hi, covered = greedy_hdi_reference(d.probabilities, 0.045, 0.01)
+        assert (lo, hi, covered) == (0, 1, interval.covered_mass)
+
+    def test_zero_trimmed_mass_matches_loop_bit_for_bit(self):
+        probs = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
+        d = DiscreteDistribution._from_ratio_arrays(
+            np.arange(5), np.full(5, 4), probs, trimmed_mass=0.0
+        )
+        for alpha in (0.05, 0.1, 0.25, 0.4):
+            lo, hi, covered = greedy_hdi_reference(probs, alpha)
+            interval = hdi(d, alpha)
+            assert (interval.lower, interval.upper, interval.covered_mass) == (
+                lo / 4,
+                hi / 4,
+                covered,
+            )
+
     def test_rejects_alpha_out_of_range(self):
         d = make([0, 1], [0.5, 0.5])
         for alpha in (0.0, 1.0, -0.2, 1.7):
@@ -141,6 +172,29 @@ class TestAgainstLoop:
         assume(alpha < float(probs.sum()) - 1e-12)
         d = make([Fraction(i, probs.size) for i in range(probs.size)], probs)
         lo, hi, covered = greedy_hdi_reference(d.probabilities, alpha)
+        interval = hdi(d, alpha)
+        values = d.float_values
+        assert (interval.lower, interval.upper, interval.covered_mass) == (
+            float(values[lo]),
+            float(values[hi]),
+            covered,
+        )
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        weights,
+        alphas,
+        st.one_of(st.just(0.0), st.floats(min_value=1e-18, max_value=0.2)),
+    )
+    def test_trimmed_mass_matches_walk_started_at_it(self, raw, alpha, trimmed):
+        w = np.array(raw, dtype=np.float64)
+        probs = w / w.sum() * (1.0 - trimmed)
+        assume(alpha < 1.0 - 1e-12)
+        assume(alpha < float(probs.sum()) + trimmed - 1e-12)
+        d = DiscreteDistribution._from_ratio_arrays(
+            np.arange(probs.size), np.full(probs.size, probs.size), probs, trimmed
+        )
+        lo, hi, covered = greedy_hdi_reference(d.probabilities, alpha, trimmed)
         interval = hdi(d, alpha)
         values = d.float_values
         assert (interval.lower, interval.upper, interval.covered_mass) == (

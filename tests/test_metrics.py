@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from confmetrics import metrics
 from confmetrics.confusion import PredictionBatch, estimate_confusion
-from confmetrics.distribution import PROB_SUM_TOL, DiscreteDistribution, poisson_binomial_dp
+from confmetrics.distribution import (
+    PROB_SUM_TOL,
+    TRIM_TOL,
+    DiscreteDistribution,
+    poisson_binomial_dp,
+)
+from confmetrics.intervals import hdi
 from confmetrics.metrics import (
     METRICS,
     accuracy_distribution,
@@ -22,11 +28,15 @@ from confmetrics.metrics import (
     shortcut_precision,
     shortcut_recall,
 )
+from confmetrics.synthesis import HypersphereConfig, shift_dataset
 from oracles import (
     aggregate_ratio_masses_reference,
     enumerate_metric_distributions,
+    f1_distribution_untrimmed,
     random_small_batch,
+    recall_distribution_untrimmed,
     tv_distance,
+    tv_distance_between,
 )
 
 
@@ -282,14 +292,78 @@ class TestOracleEquivalence:
             windows.append(estimate_confusion(batch(predictions.astype(int), scores)))
         new = [(recall_distribution(e), f1_distribution(e)) for e in windows]
 
-        def reference(*args, **kwargs):
+        def reference(nums, dens, masses, mass_at_zero, mass_at_one=None, trimmed_mass=0.0):
+            extras = [(0, 1, mass_at_zero)]
+            if mass_at_one is not None:
+                extras.append((1, 1, mass_at_one))
             return DiscreteDistribution._from_ratio_arrays(
-                *aggregate_ratio_masses_reference(*args, **kwargs)
+                *aggregate_ratio_masses_reference(nums, dens, masses, extras),
+                trimmed_mass,
             )
 
         monkeypatch.setattr(metrics, "_aggregate_ratio_masses", reference)
         old = [(recall_distribution(e), f1_distribution(e)) for e in windows]
         assert new == old
+
+
+def trimming_window(kind, n):
+    """A seeded window for the trimming tests: calibrated hypersphere
+    scores, uniform scores, or a certain or one-sided degenerate window."""
+    if kind == "hypersphere":
+        return shift_dataset(HypersphereConfig(n_dims=5, n_points=n, seed=n)).batch
+    scores = np.random.default_rng(n).random(n)
+    predictions = (scores >= 0.5).astype(int)
+    if kind == "certain":
+        scores = np.round(scores)
+    elif kind == "all-zero":
+        scores = np.zeros(n)
+    elif kind == "all-one":
+        scores = np.ones(n)
+    elif kind == "no-positive":
+        predictions = np.zeros(n, dtype=int)
+    elif kind == "no-negative":
+        predictions = np.ones(n, dtype=int)
+    return batch(predictions, scores)
+
+
+TRIMMING_WINDOWS = [
+    (kind, n) for kind in ("hypersphere", "uniform") for n in (50, 300, 1000, 4000)
+] + [
+    (kind, n)
+    for kind in ("certain", "all-zero", "all-one", "no-positive", "no-negative")
+    for n in (1, 40)
+]
+
+
+class TestTrimming:
+    @pytest.mark.parametrize("kind,n", TRIMMING_WINDOWS)
+    def test_within_bound_of_untrimmed_derivation(self, kind, n):
+        est = estimate_confusion(trimming_window(kind, n))
+        pairs = (
+            (recall_distribution(est), recall_distribution_untrimmed(est)),
+            (f1_distribution(est), f1_distribution_untrimmed(est)),
+        )
+        for trimmed, full in pairs:
+            if full is None:
+                assert trimmed is None
+                continue
+            assert 0.0 <= trimmed.trimmed_mass <= TRIM_TOL
+            assert full.trimmed_mass == 0.0
+            assert tv_distance_between(trimmed, full) <= 1e-15
+            assert abs(trimmed.expectation() - full.expectation()) <= 2e-15
+            if trimmed.trimmed_mass == 0.0:
+                assert trimmed == full
+            for alpha in (0.05, 0.1, 0.2):
+                got = hdi(trimmed, alpha)
+                want = hdi(full, alpha)
+                assert (got.lower, got.upper) == (want.lower, want.upper)
+
+    def test_support_grows_linearly_not_quadratically(self):
+        # At n = 4000 untrimmed recall and F1 have about 1.2M and 1.5M
+        # support points; trimmed, about 0.1M each.
+        est = estimate_confusion(trimming_window("hypersphere", 4000))
+        assert len(recall_distribution(est)) < 150_000
+        assert len(f1_distribution(est)) < 150_000
 
 
 class TestRatioGrouping:
@@ -299,7 +373,7 @@ class TestRatioGrouping:
         for den in (self.BOUND, self.BOUND + 5):
             with pytest.raises(ValueError, match="denominator"):
                 metrics._aggregate_ratio_masses(
-                    np.array([1, 1]), np.array([2, den]), np.array([0.5, 0.5]), []
+                    np.array([1, 1]), np.array([2, den]), np.array([0.5, 0.5]), 0.0
                 )
 
     def test_separates_nearest_fractions_below_bound(self):
@@ -311,7 +385,7 @@ class TestRatioGrouping:
             np.array([b - 1, b - 2, k, 1]),
             np.array([b, b - 1, 2 * k, 2]),
             np.array([0.25, 0.25, 0.25, 0.25]),
-            [],
+            0.0,
         )
         assert d.support == (Fraction(1, 2), Fraction(b - 2, b - 1), Fraction(b - 1, b))
         assert d.probabilities.tolist() == [0.5, 0.25, 0.25]
