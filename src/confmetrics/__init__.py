@@ -16,10 +16,8 @@ from .calibration import (
 )
 from .confusion import (
     ConfusionEstimate,
-    FrequencyEstimates,
     PredictionBatch,
     estimate_confusion,
-    frequency_estimates,
 )
 from .distribution import (
     PROB_SUM_TOL,
@@ -56,7 +54,6 @@ from .reports import (
     run_to_json,
     true_metrics,
     windowed_estimates,
-    write_report,
 )
 from .synthesis import (
     BetaParams,
@@ -79,9 +76,7 @@ __all__ = [
     "poisson_binomial_cf",
     "PredictionBatch",
     "ConfusionEstimate",
-    "FrequencyEstimates",
     "estimate_confusion",
-    "frequency_estimates",
     "MetricEstimate",
     "accuracy_distribution",
     "precision_distribution",
@@ -115,7 +110,6 @@ __all__ = [
     "true_metrics",
     "run_to_json",
     "render_report",
-    "write_report",
     "ConvergenceRow",
     "CoverageRow",
     "run_convergence_experiment",

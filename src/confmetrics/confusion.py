@@ -26,9 +26,7 @@ from .distribution import poisson_binomial_dp, unit_interval_array
 __all__ = [
     "PredictionBatch",
     "ConfusionEstimate",
-    "FrequencyEstimates",
     "estimate_confusion",
-    "frequency_estimates",
 ]
 
 
@@ -171,21 +169,6 @@ class ConfusionEstimate:
         return self.pmf_tn[::-1]
 
 
-@dataclass(frozen=True)
-class FrequencyEstimates:
-    """Relative-frequency estimates for the confusion cells.
-
-    ``tpf``/``fpf`` are None when the window has no positive predictions and
-    ``fnf``/``tnf`` when it has no negative ones; the split of a prediction
-    side into frequencies is undefined on an empty side.
-    """
-
-    tpf: float | None
-    fpf: float | None
-    fnf: float | None
-    tnf: float | None
-
-
 def _require_nonempty(batch: PredictionBatch) -> None:
     if batch.n == 0:
         raise ValueError("estimation needs a nonempty batch")
@@ -213,19 +196,4 @@ def estimate_confusion(batch: PredictionBatch) -> ConfusionEstimate:
         e_fn=e_fn,
         n_pos=n_pos,
         n_neg=n_neg,
-    )
-
-
-def frequency_estimates(batch: PredictionBatch) -> FrequencyEstimates:
-    """Mean-score frequency estimates for the confusion cells."""
-    _require_nonempty(batch)
-    pos = batch.positive_scores
-    neg = batch.negative_scores
-    s_pos = float(pos.mean()) if pos.size else None
-    s_neg = float(neg.mean()) if neg.size else None
-    return FrequencyEstimates(
-        tpf=s_pos,
-        fpf=None if s_pos is None else 1.0 - s_pos,
-        fnf=s_neg,
-        tnf=None if s_neg is None else 1.0 - s_neg,
     )

@@ -128,9 +128,16 @@ class DiscreteDistribution:
         dens: np.ndarray,
         probs: np.ndarray,
         trimmed_mass: float = 0.0,
+        float_vals: np.ndarray | None = None,
     ) -> "DiscreteDistribution":
         """Internal fast path: reduced num/den pairs already sorted by value,
-        and the probability left out of them."""
+        and the probability left out of them.
+
+        ``float_vals``, when given, are the support points as floats, each
+        the quotient of some num/den pair equal to the reduced one; that
+        quotient is the same double, since int64 operands below 2**53
+        convert exactly and division is correctly rounded.
+        """
         self = object.__new__(cls)
         nums = np.ascontiguousarray(nums, dtype=np.int64)
         dens = np.ascontiguousarray(dens, dtype=np.int64)
@@ -140,7 +147,7 @@ class DiscreteDistribution:
         self._init_validated(
             nums=nums,
             dens=dens,
-            float_vals=nums / dens,
+            float_vals=nums / dens if float_vals is None else float_vals,
             probs=probs,
             trimmed_mass=trimmed_mass,
         )

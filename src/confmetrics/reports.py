@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "true_metrics",
     "run_to_json",
     "render_report",
-    "write_report",
 ]
 
 
@@ -164,14 +162,3 @@ def render_report(
     bytes."""
     document = run_to_json(reports, config, emit_distributions)
     return json.dumps(document, indent=2, sort_keys=True)
-
-
-def write_report(
-    reports: list[MonitoringReport],
-    config: EstimateConfig,
-    path: str | Path,
-    emit_distributions: bool = False,
-) -> None:
-    Path(path).write_text(
-        render_report(reports, config, emit_distributions) + "\n", encoding="utf-8"
-    )

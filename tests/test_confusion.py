@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmetrics.confusion import (
-    PredictionBatch,
-    estimate_confusion,
-    frequency_estimates,
-)
+from confmetrics.confusion import PredictionBatch, estimate_confusion
 
 
 def batch(predictions, scores, labels=None):
@@ -200,21 +196,6 @@ class TestEstimateConfusion:
             k = np.arange(est.n_pos + 1)
             variance = (k * k) @ est.pmf_tp - mean(est.pmf_tp) ** 2
             assert variance / est.n_pos**2 <= 1 / (4 * est.n_pos) + 1e-12
-
-
-class TestFrequencies:
-    def test_three_record_example(self):
-        f = frequency_estimates(batch([1, 1, 0], [0.8, 0.6, 0.3]))
-        assert (f.tpf, f.fpf, f.fnf, f.tnf) == pytest.approx((0.7, 0.3, 0.3, 0.7))
-
-    def test_all_negative_batch_has_no_positive_side(self):
-        f = frequency_estimates(batch([0, 0], [0.2, 0.4]))
-        assert f.tpf is None and f.fpf is None
-        assert f.fnf == pytest.approx(0.3)
-
-    def test_balanced_half_scores(self):
-        f = frequency_estimates(batch([1, 0], [0.5, 0.5]))
-        assert (f.tpf, f.fpf, f.fnf, f.tnf) == pytest.approx((0.5, 0.5, 0.5, 0.5))
 
 
 def test_tp_fraction_estimator_is_unbiased_under_faithful_labels():

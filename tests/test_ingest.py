@@ -1,7 +1,14 @@
 """Tests for CSV and JSONL ingestion."""
 
-import pytest
+import warnings
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from confmetrics import ingest
+from confmetrics.cli import main
+from confmetrics.confusion import PredictionBatch
 from confmetrics.ingest import parse_input
 
 
@@ -52,6 +59,14 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 1"):
             parse_input(path)
 
+    @pytest.mark.parametrize(
+        "header", ["prediction,score,prediction", '"prediction","score","prediction"']
+    )
+    def test_duplicate_known_columns_rejected(self, tmp_path, header):
+        path = write(tmp_path, "a.csv", f"{header}\n1,0.8,0\n0,0.3,1\n")
+        with pytest.raises(ValueError, match="^line 1: duplicate CSV columns: prediction$"):
+            parse_input(path)
+
     def test_unknown_columns_warn_and_are_ignored(self, tmp_path):
         path = write(
             tmp_path, "a.csv", "prediction,score,model_id\n1,0.8,m1\n0,0.3,m1\n"
@@ -59,6 +74,144 @@ class TestCsv:
         with pytest.warns(UserWarning, match="model_id"):
             batch = parse_input(path)
         assert batch.n == 2
+
+
+# Tokens a plain file holds, per column; ``model`` stands for any column the
+# parser ignores.
+PLAIN_TOKENS = {
+    "prediction": st.sampled_from(["0", "1"]),
+    "label": st.sampled_from(["0", "1"]),
+    "score": st.one_of(
+        st.floats(0.0, 1.0).map(repr),
+        st.sampled_from(["1", "0", "01", "1.0", ".5", "5e-1", "1e-3", "1E-3", "+.5", "-0.0"]),
+    ),
+    "model": st.sampled_from(["m1", "", "a b", "0.9", "#x", "x\ty", "1e"]),
+}
+# Tokens outside the plain grammar; the row parser accepts some of them.
+ODD_TOKENS = {
+    "prediction": [" 1", "+1", "01", "1.0", "", "2", "-0", '"1"', "1 ", "\u00e9"],
+    "label": [" 0", "+1", "00", "1.0", "", "2", '"0"', "0\t"],
+    "score": [
+        "0.0_1", "nan", "inf", "-inf", " 0.25", "0.25 ", "1.0000000000000002", "1e",
+        "", "x", "1..5", "--1", "0x1", '"0.5"', '"0,5"', "0.5\u00e9", "5.", "1e1", "-1e-3",
+    ],
+    "model": ['"q,uoted"', '"line\nbreak"', "\u00e9", "\x00", 'say "hi"', "\r"],
+}
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text near the plain grammar: a plain file with up to three
+    mutations that may or may not take it outside that grammar."""
+    names = draw(st.permutations(["prediction", "score", "label", "model"]))
+    names = [n for n in names if n in ("prediction", "score") or draw(st.booleans())]
+    rows = [
+        [draw(PLAIN_TOKENS[n]) for n in names]
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    header = list(names)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["token", "token", "extra", "short", "blank", "header"]))
+        if kind == "header":
+            i = draw(st.integers(0, len(header) - 1))
+            header[i] = draw(st.sampled_from(["prediction", "score", "label", " score", ""]))
+        elif rows and kind == "token":
+            row = draw(st.sampled_from(rows))
+            i = draw(st.integers(0, len(names) - 1))
+            if i < len(row):
+                row[i] = draw(st.sampled_from(ODD_TOKENS[names[i]]))
+        elif rows and kind == "extra":
+            draw(st.sampled_from(rows)).append("1")
+        elif rows and kind == "short":
+            del draw(st.sampled_from(rows))[-1:]
+        elif kind == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(",".join(fields) for fields in [header, *rows])
+    if draw(st.booleans()):
+        text += newline
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+def outcome(parse, path):
+    """What parsing ``path`` gives: the batch arrays' dtypes and bytes, or
+    the exception's type and message; and the warning messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            batch = parse(path)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+        else:
+            arrays = (batch.predictions, batch.scores, batch.labels)
+            result = tuple(None if a is None else (a.dtype, a.tobytes()) for a in arrays)
+    return result, [str(w.message) for w in caught]
+
+
+class TestPlainRoute:
+    """``parse_input`` against the row parser it falls back to."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(text=csv_texts())
+    @example(text="prediction,score,model\n1,0.5,a\x00b\n")
+    @example(text="prediction,score,model\n1,0.5,a\rb\n")
+    @example(text='prediction,score,model\n1,0.5,"a,b"\n')
+    @example(text="score,prediction\n0.5,1,0.5\n1\n")
+    @example(text="prediction,score\n1,0.25\n0,\n")
+    @example(text="prediction,score,model\n1,0.5,\udcff\n")
+    @example(text="prediction,score,m\u00e9\n1,0.5,x\n")
+    @example(text="prediction,score,model\n1,0.5," + "x" * 131073 + "\n")
+    def test_matches_row_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        rows = outcome(lambda p: PredictionBatch.from_arrays(*ingest._parse_csv_rows(p)), path)
+        assert outcome(parse_input, path) == rows
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            lambda text: text,
+            lambda text: "\ufeff" + text,
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.rstrip("\n"),
+            lambda text: text.replace("\n", ",m 1\n").replace("label,m 1", "label,model", 1),
+            lambda text: "\n".join(",".join(line.split(",")[::-1]) for line in text.split("\n")),
+        ],
+        ids=["generated", "bom", "crlf", "no-final-newline", "extra-column", "reordered"],
+    )
+    def test_plain_file_skips_row_parser(self, tmp_path, monkeypatch, variant):
+        generated = tmp_path / "sphere.csv"
+        assert main(["--seed", "3", "generate", "hypersphere", "--dims", "4",
+                     "--points", "300", "--output", str(generated)]) == 0
+        text = generated.read_text(encoding="utf-8")
+        assert text.startswith("prediction,score,label\n")
+        path = write(tmp_path, "variant.csv", variant(text))
+
+        def refuse(path):
+            raise AssertionError("the row parser ran on a plain file")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = PredictionBatch.from_arrays(*ingest._parse_csv_rows(path))
+            monkeypatch.setattr(ingest, "_parse_csv_rows", refuse)
+            got = parse_input(path)
+        assert got.predictions.tobytes() == want.predictions.tobytes()
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+
+    def test_unknown_column_warning_is_the_same_on_both_routes(self, tmp_path):
+        plain = write(tmp_path, "plain.csv", "prediction,score,model\n1,0.8,m1\n")
+        quoted = write(tmp_path, "quoted.csv", 'prediction,score,model\n1,0.8,"m1"\n')
+        seen = []
+        for path in (plain, quoted):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                parse_input(path)
+            seen.append([(str(w.message), w.filename, w.lineno) for w in caught])
+        assert seen[0] == seen[1] and len(seen[0]) == 1
 
 
 class TestJsonl:

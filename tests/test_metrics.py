@@ -278,6 +278,23 @@ class TestOracleEquivalence:
                 assert dist.float_values.min() >= 0.0
                 assert dist.float_values.max() <= 1.0
 
+    def test_float_values_are_quotients_of_reduced_fractions(self):
+        rng = np.random.default_rng(16)
+        for n in (1, 7, 120, 600):
+            scores = rng.random(n)
+            est = estimate_confusion(batch((scores >= 0.5).astype(int), scores))
+            for derive in (
+                accuracy_distribution,
+                precision_distribution,
+                recall_distribution,
+                f1_distribution,
+            ):
+                dist = derive(est)
+                if dist is None:
+                    continue
+                quotients = np.array([num / den for num, den, _ in dist.ratios()])
+                assert dist.float_values.tobytes() == quotients.tobytes()
+
     def test_recall_and_f1_equal_gcd_keyed_aggregation(self, monkeypatch):
         rng = np.random.default_rng(31)
         windows = []
