@@ -21,9 +21,10 @@ from .confusion import (
 )
 from .distribution import (
     PROB_SUM_TOL,
+    CountPMF,
     DiscreteDistribution,
     poisson_binomial_cf,
-    poisson_binomial_dp,
+    poisson_binomial_tree,
 )
 from .experiments import (
     ConvergenceRow,
@@ -71,8 +72,9 @@ __version__ = "0.1.0"
 __all__ = [
     "PROB_SUM_TOL",
     "METRICS",
+    "CountPMF",
     "DiscreteDistribution",
-    "poisson_binomial_dp",
+    "poisson_binomial_tree",
     "poisson_binomial_cf",
     "PredictionBatch",
     "ConfusionEstimate",

@@ -5,9 +5,11 @@ positives among the positive predictions is a Poisson binomial variable with
 the positive-prediction scores as parameters, and the number of true
 negatives among the negative predictions is Poisson binomial in the score
 complements.  False positives and false negatives are their count
-complements.  Each count PMF is a read-only float64 array indexed by count,
-and a complement is the reversed view of its array.  All operations are pure
-and deterministic.
+complements.  Each count PMF is a :class:`~confmetrics.distribution.CountPMF`
+built by the Poisson binomial product tree: a read-only array over the
+count range that holds the mass, its offset, and the mass trimmed from its
+tails.  A complement is the reversed view of its array.  All operations are
+pure and deterministic.
 
 A batch may contain rows with the same score but different predicted
 labels; such batches are accepted as-is, even though the theoretical
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import poisson_binomial_dp, unit_interval_array
+from .distribution import CountPMF, poisson_binomial_tree, unit_interval_array
 
 __all__ = [
     "PredictionBatch",
@@ -142,17 +144,17 @@ class PredictionBatch:
 class ConfusionEstimate:
     """Count PMFs and point estimates for the four confusion cells.
 
-    ``pmf_tp[k]`` is the probability of k true positives among the
-    ``n_pos`` positive predictions, and ``pmf_tn[k]`` that of k true
-    negatives among the ``n_neg`` negative ones.  False positives are
-    ``n_pos - TP`` and false negatives ``n_neg - TN``, so ``pmf_fp`` and
-    ``pmf_fn`` are reversed views, not copies.  Point estimates are the PMF
+    ``tp`` is the PMF of the number of true positives among the ``n_pos``
+    positive predictions, and ``tn`` that of the true negatives among the
+    ``n_neg`` negative ones.  False positives are ``n_pos - TP`` and false
+    negatives ``n_neg - TN``, so ``fp`` and ``fn`` are complements whose
+    arrays are reversed views, not copies.  Point estimates are the PMF
     means: sums of scores or score complements over the matching prediction
     side.
     """
 
-    pmf_tp: np.ndarray
-    pmf_tn: np.ndarray
+    tp: CountPMF
+    tn: CountPMF
     e_tp: float
     e_fp: float
     e_tn: float
@@ -161,12 +163,12 @@ class ConfusionEstimate:
     n_neg: int
 
     @property
-    def pmf_fp(self) -> np.ndarray:
-        return self.pmf_tp[::-1]
+    def fp(self) -> CountPMF:
+        return self.tp.complement(self.n_pos)
 
     @property
-    def pmf_fn(self) -> np.ndarray:
-        return self.pmf_tn[::-1]
+    def fn(self) -> CountPMF:
+        return self.tn.complement(self.n_neg)
 
 
 def _require_nonempty(batch: PredictionBatch) -> None:
@@ -177,8 +179,7 @@ def _require_nonempty(batch: PredictionBatch) -> None:
 def estimate_confusion(batch: PredictionBatch) -> ConfusionEstimate:
     """Estimate the confusion-count PMFs for one window.
 
-    A side with no predictions yields ``[1.0]``, a point mass at zero, for
-    its counts.
+    A side with no predictions yields a point mass at zero for its counts.
     """
     _require_nonempty(batch)
     pos = batch.positive_scores
@@ -188,8 +189,8 @@ def estimate_confusion(batch: PredictionBatch) -> ConfusionEstimate:
     e_tp = float(pos.sum())
     e_fn = float(neg.sum())
     return ConfusionEstimate(
-        pmf_tp=poisson_binomial_dp(pos),
-        pmf_tn=poisson_binomial_dp(1.0 - neg),
+        tp=poisson_binomial_tree(pos),
+        tn=poisson_binomial_tree(1.0 - neg),
         e_tp=e_tp,
         e_fp=n_pos - e_tp,
         e_tn=n_neg - e_fn,

@@ -1,22 +1,22 @@
 """Exact finite discrete distributions with rational support.
 
 A :class:`DiscreteDistribution` is an immutable PMF held as three aligned
-arrays: int64 numerators and denominators of its support points in lowest
-terms, sorted ascending by value, and float64 probabilities.  Reduced
-fractions make numerically equal keys (1/2 arising as 2/4) merge instead of
-colliding, which is what makes probability aggregation over count ratios
-correct.  `fractions.Fraction` values appear only at the edges: the mapping
-constructor takes them, and ``support``, ``items`` and ``as_dict`` return
-them.
+arrays: int64 numerators and denominators of its support points, sorted
+ascending by value, and float64 probabilities.  The fractions are stored as
+they were derived, not necessarily in lowest terms; each support point
+appears once, as one representative fraction, and ``support``, ``ratios``
+and equality reduce them when asked.  `fractions.Fraction` values appear
+only at the edges: the mapping constructor takes them, and ``support``,
+``items`` and ``as_dict`` return them.
 
-A count PMF has one form: a read-only float64 array indexed by count, zeros
-kept, so ``pmf[k]`` is the probability of exactly k successes.  The count
-complement m - X of a PMF over 0..m is its reversal ``pmf[::-1]``.  Poisson
-binomial PMFs can be built by two independent routes: iterative convolution
-(:func:`poisson_binomial_dp`, the reference method) and the discrete
-characteristic function (:func:`poisson_binomial_cf`).  The two are
-deliberately separate implementations so each can serve as a cross-check of
-the other.
+A count PMF is a :class:`CountPMF`: a read-only float64 array ``pmf`` whose
+entry k is the probability of exactly ``offset + k`` successes, and the mass
+``trimmed`` that was cut from its tails and lies outside that range.  The
+count complement m - X of a PMF over 0..m is its reversal.
+:func:`poisson_binomial_tree` builds Poisson binomial PMFs in this form by
+a product tree of trimmed nodes.  The discrete characteristic function
+(:func:`poisson_binomial_cf`) builds a full-length one by an independent
+route, as a cross-check.
 
 Everything here is pure and deterministic; instances never mutate after
 construction and are safe to share across threads.
@@ -26,24 +26,34 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "PROB_SUM_TOL",
     "TRIM_TOL",
+    "CountPMF",
     "DiscreteDistribution",
-    "poisson_binomial_dp",
+    "poisson_binomial_tree",
     "poisson_binomial_cf",
 ]
 
 # Single library-wide tolerance for "probabilities sum to one" checks.
 PROB_SUM_TOL = 1e-9
 
-# Bound on the total probability a derived distribution may leave out by
-# trimming the tails of the count PMFs it pairs over (see ``metrics``).
+# Bound on the total probability a derived distribution may leave out
+# because the count PMFs it combines were trimmed; each Poisson binomial PMF
+# leaves out at most half of it.
 TRIM_TOL = 1e-15
+
+# Parameters per leaf block of the Poisson binomial product tree.  Blocks of
+# 16 beat the per-score convolution from about 250 parameters on; blocks of
+# 64 were slower than it there.
+_BLOCK = 16
+
+# Mass a product-tree node below the root may cut from each of its ends.
+_NODE_TOL = 1e-24
 
 # Renormalising the characteristic-function PMF may move at most this much
 # total mass; anything larger indicates a numerically broken transform.
@@ -72,6 +82,30 @@ def _as_fraction(value: object) -> Fraction:
             f"support value {value!r} needs more than 64 bits as a reduced fraction"
         )
     return frac
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class CountPMF(NamedTuple):
+    """Probability mass function of a count, held over the range where its
+    mass lies.
+
+    ``pmf[k]`` is the probability that the count equals ``offset + k``.
+    The counts outside that range together hold ``trimmed`` of the mass,
+    cut from the tails on purpose, so ``pmf`` sums to one minus
+    ``trimmed`` up to rounding.
+    """
+
+    offset: int
+    pmf: np.ndarray
+    trimmed: float
+
+    def complement(self, n: int) -> "CountPMF":
+        """PMF of n - X for this count X over 0..n: a reversed view."""
+        return CountPMF(n - self.offset - self.pmf.size + 1, self.pmf[::-1], self.trimmed)
 
 
 class DiscreteDistribution:
@@ -130,11 +164,12 @@ class DiscreteDistribution:
         trimmed_mass: float = 0.0,
         float_vals: np.ndarray | None = None,
     ) -> "DiscreteDistribution":
-        """Internal fast path: reduced num/den pairs already sorted by value,
-        and the probability left out of them.
+        """Internal fast path: num/den pairs of distinct values, not
+        necessarily reduced, already sorted by value, and the probability
+        left out of them.
 
         ``float_vals``, when given, are the support points as floats, each
-        the quotient of some num/den pair equal to the reduced one; that
+        the quotient of some num/den pair equal to the stored one; that
         quotient is the same double, since int64 operands below 2**53
         convert exactly and division is correctly rounded.
         """
@@ -189,9 +224,16 @@ class DiscreteDistribution:
     def as_dict(self) -> dict[Fraction, float]:
         return dict(self.items())
 
+    def _reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numerators and denominators in lowest terms."""
+        g = np.gcd(self._nums, self._dens)
+        return self._nums // g, self._dens // g
+
     def ratios(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (numerator, denominator, probability) triples."""
-        return zip(self._nums.tolist(), self._dens.tolist(), self._probs.tolist())
+        """Yield (numerator, denominator, probability) triples, each
+        fraction in lowest terms."""
+        nums, dens = self._reduced()
+        return zip(nums.tolist(), dens.tolist(), self._probs.tolist())
 
     def __len__(self) -> int:
         return len(self._probs)
@@ -200,10 +242,9 @@ class DiscreteDistribution:
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented
         return (
-            np.array_equal(self._nums, other._nums)
-            and np.array_equal(self._dens, other._dens)
-            and np.array_equal(self._probs, other._probs)
+            np.array_equal(self._probs, other._probs)
             and self._trimmed == other._trimmed
+            and all(map(np.array_equal, self._reduced(), other._reduced()))
         )
 
     __hash__ = None  # mutable-by-content comparisons; not hashable
@@ -248,19 +289,74 @@ def _check_bernoulli_params(params: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.sort(arr)
 
 
-def poisson_binomial_dp(params: Sequence[float] | np.ndarray) -> np.ndarray:
-    """PMF of a sum of n independent Bernoulli variables, by direct
-    convolution, as a read-only count PMF of length n + 1.
+def _trim(pmf: np.ndarray, tol: float) -> tuple[int, int, float]:
+    """Bounds ``lo, hi`` of the shortest ``pmf[lo:hi]`` outside which each
+    end holds at most ``tol`` of the mass, and the mass outside it.  Each
+    end's mass is summed from its own side, so no tiny tail is taken as the
+    difference of two large sums."""
+    if pmf[0] > tol and pmf[-1] > tol:
+        return 0, pmf.size, 0.0
+    low = pmf.cumsum()
+    high = pmf[::-1].cumsum()
+    lo = int(low.searchsorted(tol, side="right"))
+    cut_high = int(high.searchsorted(tol, side="right"))
+    cut = (low[lo - 1] if lo else 0.0) + (high[cut_high - 1] if cut_high else 0.0)
+    return lo, pmf.size - cut_high, float(cut)
 
-    This is the reference method: O(n^2) work, no roundoff artifacts beyond
-    ordinary float accumulation.  An empty parameter list yields ``[1.0]``,
-    a point mass at zero.
+
+def poisson_binomial_tree(params: Sequence[float] | np.ndarray) -> CountPMF:
+    """PMF of a sum of n independent Bernoulli variables as a
+    :class:`CountPMF` with a read-only ``pmf``, built by a product tree.
+
+    One vectorised convolution pass builds the PMFs of blocks of
+    ``_BLOCK`` sorted parameters.  They are merged pairwise, level by level,
+    by direct ``np.convolve`` (an FFT's roundoff would swamp the small tail
+    masses), and each product is cut to its :func:`_trim` range at
+    ``_NODE_TOL`` per end, less than n * 1.25e-25 + 2e-24 in all.  The root
+    is then cut so that at most ``TRIM_TOL / 2`` is left out (for fewer than
+    10**9 parameters).  A count of variance at most n/4 holds its mass
+    within a few standard deviations of its mean, so the result has
+    O(sqrt(n)) entries and the trimmed merges stay short.
+
+    Rounding in the many short block passes drifts the total mass by about
+    2e-15 at 2000 parameters, so the root is rescaled to hold exactly one
+    minus the trimmed mass; against an extended-precision convolution the
+    result is then as close as one convolution per parameter is, about
+    2.5e-16 in total variation at 2000 parameters.  Sorting first makes the
+    result independent of input order, bit for bit.  An empty parameter
+    list yields a point mass at zero.
     """
-    pmf = np.array([1.0])
-    for p in _check_bernoulli_params(params):
-        pmf = np.convolve(pmf, (1.0 - p, p))
-    pmf.flags.writeable = False
-    return pmf
+    p = _check_bernoulli_params(params)
+    n = p.size
+    if n == 0:
+        return CountPMF(0, _read_only(np.ones(1)), 0.0)
+    blocks = -(-n // _BLOCK)
+    width = min(n, _BLOCK)
+    # Padding with zero parameters adds certain failures, which change
+    # nothing: (1, 0) is the identity of convolution.
+    p = np.concatenate([p, np.zeros(blocks * _BLOCK - n)]).reshape(blocks, _BLOCK)
+    q = 1.0 - p
+    leaves = np.zeros((blocks, width + 1))
+    leaves[:, 0] = 1.0
+    for k in range(width):
+        moved = leaves[:, : k + 1] * p[:, k, None]
+        leaves[:, : k + 1] *= q[:, k, None]
+        leaves[:, 1 : k + 2] += moved
+    nodes = [(0, leaf) for leaf in leaves]
+    cut = 0.0
+    while len(nodes) > 1:
+        merged = []
+        for (offset_a, a), (offset_b, b) in zip(nodes[::2], nodes[1::2]):
+            product = np.convolve(a, b)
+            start, stop, node_cut = _trim(product, _NODE_TOL)
+            cut += node_cut
+            merged.append((offset_a + offset_b + start, product[start:stop]))
+        nodes = merged + nodes[2 * len(merged) :]
+    offset, pmf = nodes[0]
+    start, stop, root_cut = _trim(pmf, (TRIM_TOL / 2 - cut) / 2)
+    trimmed = cut + root_cut
+    pmf = pmf[start:stop] * ((1.0 - trimmed) / pmf[start:stop].sum())
+    return CountPMF(offset + start, _read_only(pmf), trimmed)
 
 
 def poisson_binomial_cf(params: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -268,8 +364,8 @@ def poisson_binomial_cf(params: Sequence[float] | np.ndarray) -> np.ndarray:
     characteristic function evaluated on the discrete Fourier grid, as a
     read-only count PMF of length n + 1.
 
-    Independent of :func:`poisson_binomial_dp`; the two agree within 1e-9 per
-    entry.  The transform can leave tiny negative values, which are clamped
+    Independent of :func:`poisson_binomial_tree`; the two agree within 1e-9
+    per entry.  The transform can leave tiny negative values, which are clamped
     to zero before renormalising; a normalisation shift beyond 1e-8 total
     mass is rejected as a numerical failure.  Evaluating the characteristic
     function costs O(n^2); the final transform is O(n log n).
@@ -288,6 +384,4 @@ def poisson_binomial_cf(params: Sequence[float] | np.ndarray) -> np.ndarray:
             f"characteristic-function PMF lost {abs(total - 1.0):.3g} mass; "
             "refusing to renormalise"
         )
-    pmf = clamped / total
-    pmf.flags.writeable = False
-    return pmf
+    return _read_only(clamped / total)

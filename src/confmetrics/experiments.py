@@ -25,7 +25,7 @@ import numpy as np
 from .calibration import reverse_sample_labels, threshold_predictions
 from .confusion import PredictionBatch
 from .intervals import hdi
-from .metrics import METRICS, estimate_all, shortcut_f1, shortcut_recall
+from .metrics import METRICS, _require_distinct, estimate_all, shortcut_f1, shortcut_recall
 from .reports import true_metrics
 from .synthesis import random_beta_params, sample_beta_scores
 
@@ -118,10 +118,12 @@ def run_convergence_experiment(
     """Approximation error of the shortcut recall and F1 estimators.
 
     Trials where a metric is undefined on both routes (a window with no
-    positive predictions) are skipped for that metric.
+    positive predictions) are skipped for that metric.  Raises ValueError
+    for a window size given twice.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials!r}")
+    _require_distinct(window_sizes, "window sizes")
     rows = []
     for window in window_sizes:
         errors: dict[str, list[float]] = {"recall": [], "f1": [], "control": []}
@@ -156,10 +158,13 @@ def run_coverage_experiment(
     A trial contributes to a (metric, alpha) cell only when both the
     realized metric and the estimated distribution exist; with no positive
     predictions there is no precision estimate, and with no positive labels
-    there is no realized recall.
+    there is no realized recall.  Raises ValueError for a window size or
+    alpha given twice, which would count each trial more than once.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials!r}")
+    _require_distinct(window_sizes, "window sizes")
+    _require_distinct(alphas, "alphas")
     rows = []
     for window in window_sizes:
         hits = {(m, a): 0 for m in METRICS for a in alphas}

@@ -2,40 +2,44 @@
 
 Each metric (accuracy, precision, recall, F1) becomes a finite distribution
 over exact rational values by pushing the confusion-count PMFs through the
-metric formula.  Those PMFs are the dense arrays a :class:`ConfusionEstimate`
-holds, read here directly.  The true-positive and true-negative counts are
+metric formula.  Those PMFs are the :class:`~confmetrics.distribution.CountPMF`
+triples a :class:`ConfusionEstimate` holds: an array over the count range
+that holds the mass, the offset of its first count, and the mass trimmed
+from its tails.  The true-positive and true-negative counts are
 independent, and every metric is a function of the two.  Precision is a
 plain rescaling of the true-positive count.  Accuracy rescales the number of
 correct predictions, TP + TN, whose PMF is the convolution of the two count
-PMFs.  Recall and F1 need the joint of the true positive and false negative
-counts, where the false-negative PMF is the reversed true-negative one; by
-independence the joint is the product of the marginals, and the derivation
-accumulates each count pair's probability on the fraction the pair maps to.
-The pairs are grouped by one sort of their float values, and each group's
-masses are summed in pair order.
+arrays, offset by the sum of their offsets.  Recall and F1 need the joint
+of the true positive and false negative counts, where the false-negative
+PMF is the reversed true-negative one; by independence the joint is the
+product of the marginals, and the derivation accumulates each count pair's
+probability on the fraction the pair maps to.  The pairs are grouped by one
+sort of their float values, and each group's masses are summed in pair
+order.
 
-Only the pairs of a trimmed grid are formed.  Each of the two paired count
-PMFs is cut to the smallest index range outside which each end holds at
-most ``TRIM_TOL / 4`` of the mass, with ``TRIM_TOL`` = 1e-15.  A Poisson
-binomial count has variance at most n/4, so its mass sits within a few
-standard deviations of its mean, and the grid has O(sigma_TP * sigma_FN)
-pairs, which is O(n), instead of O(n_pos * n_neg).  The joint mass of the
-pairs left out, at most ``TRIM_TOL``, is carried as the distribution's
-``trimmed_mass``, and :func:`~confmetrics.intervals.hdi` counts it as
-already dropped.  The masses at 0 and 1 are read from the full PMFs.
-Against the derivation over all pairs, which the tests keep as the
-reference, the total variation distance is about half the trimmed mass,
-and on seeded windows of up to 4000 records the means agree within 2e-15
-and the interval endpoints are identical.
+The count PMFs arrive trimmed.  The Poisson binomial product tree keeps
+each of them to a count range outside which at most ``TRIM_TOL / 2`` of its
+mass lies, with ``TRIM_TOL`` = 1e-15.  A Poisson binomial count has variance
+at most n/4, so its mass sits within a few standard deviations of its mean:
+the ranges hold O(sqrt(n)) counts, and the recall and F1 grids have
+O(sigma_TP * sigma_FN) pairs, which is O(n), instead of O(n_pos * n_neg).
+Each derived distribution carries the mass its PMFs left out, at most
+``TRIM_TOL``, as its ``trimmed_mass``, and
+:func:`~confmetrics.intervals.hdi` counts it as already dropped.  The tests
+keep a reference that builds full-length PMFs by one convolution per score
+and pairs every count.  Against it, on seeded windows of up to 4000
+records, the total variation distance stays below 1e-15, the means agree
+within 2e-15 and the interval endpoints are identical.
 
 Point estimates are distribution means.  The shortcut estimators compute the
 mean without materialising a distribution: exactly for accuracy and
 precision, and with an O(1/sqrt(n)) approximation error for recall and F1.
 Measured on one core of a 2-vCPU machine with hypersphere scores, all four
-exact distributions with 95% intervals take about 2.6 ms for a window of
-300 records, 9.5 ms at 1000, 72 ms at 4000, 0.37 s at 10 000 and 1.5 s at
-20 000; from about 10 000 records on, most of it is the O(n^2) Poisson
-binomial construction.  Shortcuts are O(n) and give points only.
+exact distributions with 95% intervals take about 2.5 ms for a window of
+300 records, 8 ms at 1000, 30 ms at 4000, 0.09 s at 10 000, 0.17 s at
+20 000 and 1 s at 100 000; from a few thousand records on, most of it is
+the recall and F1 pair grids, which grow as n.  Shortcuts are O(n) and give
+points only.
 
 Undefined metrics (precision and F1 of a window with no positive
 predictions, the recall shortcut when every score is zero) are returned as
@@ -56,7 +60,7 @@ from .confusion import (
     _require_nonempty,
     estimate_confusion,
 )
-from .distribution import TRIM_TOL, DiscreteDistribution
+from .distribution import CountPMF, DiscreteDistribution
 from .intervals import HdiInterval, hdi
 
 __all__ = [
@@ -95,13 +99,16 @@ class MetricEstimate:
         return self.point is None
 
 
-def _scaled_counts(pmf: np.ndarray, denominator: int) -> DiscreteDistribution:
-    """Divide a dense count PMF over 0..len(pmf)-1 by a fixed positive
-    denominator."""
-    nums = np.arange(pmf.size, dtype=np.int64)
-    g = np.gcd(nums, denominator)
+def _scaled_counts(counts: CountPMF, denominator: int) -> DiscreteDistribution:
+    """Divide a count by a fixed positive denominator; the mass trimmed from
+    the count stays left out."""
+    nums = np.arange(counts.offset, counts.offset + counts.pmf.size, dtype=np.int64)
     return DiscreteDistribution._from_ratio_arrays(
-        nums // g, denominator // g, pmf, float_vals=nums / denominator
+        nums,
+        np.full(nums.size, denominator, dtype=np.int64),
+        counts.pmf,
+        counts.trimmed,
+        float_vals=nums / denominator,
     )
 
 
@@ -130,11 +137,12 @@ def _aggregate_ratio_masses(
     value, which identifies the fraction exactly while every denominator
     stays below ``_RATIO_DEN_BOUND``: one sort of the values yields the
     groups in ascending order, ``bincount`` sums each group's masses in
-    input order, and only one representative per group is reduced to lowest
-    terms.  ``mass_at_zero`` becomes the point 0 in front of the groups and
-    ``mass_at_one``, when given, the point 1 after them; the caller
-    guarantees that no ratio equals 1 in that case.  Raises ValueError for a
-    denominator at or above the bound.
+    input order, and each group keeps its first ratio, unreduced, as its
+    representative.  ``mass_at_zero`` becomes the point 0 in front of the
+    groups and ``mass_at_one``, when given, the point 1 after them, each
+    only when positive; the caller guarantees that no ratio equals 1 when
+    ``mass_at_one`` is given.  Raises ValueError for a denominator at or
+    above the bound.
     """
     if dens.size and dens.max() >= _RATIO_DEN_BOUND:
         raise ValueError(
@@ -152,64 +160,52 @@ def _aggregate_ratio_masses(
     first = order[new_group]
     del order, new_group
     probs = np.bincount(group, weights=masses)
-    u_nums = nums[first]
-    u_dens = dens[first]
-    del group, first
-    g = np.gcd(u_nums, u_dens)
-    one = np.array([] if mass_at_one is None else [1], dtype=np.int64)
+    del group
+    # A point of zero mass would make the result copy every array to drop it.
+    zero = np.array([0] if mass_at_zero > 0.0 else [], dtype=np.int64)
+    one = np.array([1] if mass_at_one else [], dtype=np.int64)
     return DiscreteDistribution._from_ratio_arrays(
-        np.concatenate(([0], u_nums // g, one)),
-        np.concatenate(([1], u_dens // g, one)),
-        np.concatenate(([mass_at_zero], probs, [] if mass_at_one is None else [mass_at_one])),
+        np.concatenate((zero, nums[first], one)),
+        np.concatenate((zero + 1, dens[first], one)),
+        np.concatenate((zero.size * [mass_at_zero], probs, one.size * [mass_at_one])),
         trimmed_mass,
-        float_vals=np.concatenate(([0.0], u_values, one)),
+        float_vals=np.concatenate((zero, u_values, one)),
     )
 
 
-def _mass_range(pmf: np.ndarray) -> tuple[int, int, float]:
-    """Bounds ``lo, hi`` of the smallest index range ``pmf[lo:hi]`` outside
-    which each end holds at most ``TRIM_TOL / 4`` of the mass, and the mass
-    outside it."""
-    quarter = TRIM_TOL / 4
-    lo = int(np.searchsorted(np.cumsum(pmf), quarter, side="right"))
-    cut_high = int(np.searchsorted(np.cumsum(pmf[::-1]), quarter, side="right"))
-    hi = max(lo, pmf.size - cut_high)
-    return lo, hi, float(pmf[:lo].sum() + pmf[hi:].sum())
-
-
 def _count_pair_distribution(
-    est: ConfusionEstimate,
-    fn_start: int,
-    scale: int,
-    offset: int,
-    mass_at_one: float | None,
+    est: ConfusionEstimate, fn_start: int, scale: int, offset: int
 ) -> DiscreteDistribution:
     """Distribution of ``scale * i / (i + j + offset)`` over the pairs of
     i >= 1 true positives and j >= ``fn_start`` false negatives, with the
-    mass of zero true positives on the value 0 and ``mass_at_one``, when
-    given, on the value 1.
+    mass of zero true positives on the value 0 and, when ``fn_start`` is 1,
+    the mass of zero false negatives with i >= 1 on the value 1.
 
-    Both paired count PMFs are trimmed to their :func:`_mass_range`, and
-    pairs are formed only inside those ranges.  The joint mass of the pairs
-    left out is carried as the result's ``trimmed_mass``; it is at most
-    ``TRIM_TOL``, since each PMF loses at most ``TRIM_TOL / 2``.
+    Pairs are formed only inside the count ranges the two PMFs hold.  The
+    mass their trimming left out of the joint distribution, at most
+    ``TRIM_TOL``, is carried as the result's ``trimmed_mass``.
     """
-    p_tp = est.pmf_tp[1:]
-    p_fn = est.pmf_fn[fn_start:]
-    tp_lo, tp_hi, tp_cut = _mass_range(p_tp)
-    fn_lo, fn_hi, fn_cut = _mass_range(p_fn)
-    kept_tp = p_tp[tp_lo:tp_hi]
-    kept_fn = p_fn[fn_lo:fn_hi]
-    i = np.arange(tp_lo + 1, tp_hi + 1, dtype=np.int64)
-    j = np.arange(fn_lo + fn_start, fn_hi + fn_start, dtype=np.int64)
+    tp, fn = est.tp, est.fn
+    # Entries before these indices, at most one each, are zero true
+    # positives and, for recall, zero false negatives.
+    tp_skip = max(1 - tp.offset, 0)
+    fn_skip = max(fn_start - fn.offset, 0)
+    kept_tp = tp.pmf[tp_skip:]
+    kept_fn = fn.pmf[fn_skip:]
+    i = np.arange(tp.offset + tp_skip, tp.offset + tp.pmf.size, dtype=np.int64)
+    j = np.arange(fn.offset + fn_skip, fn.offset + fn.pmf.size, dtype=np.int64)
     nums = np.broadcast_to(scale * i[:, None], (i.size, j.size)).ravel()
     dens = (i[:, None] + (j + offset)[None, :]).ravel()
     masses = np.outer(kept_tp, kept_fn).ravel()
-    # Full minus kept pair mass, expanded so that no tiny mass is taken as
-    # the difference of two large ones.
-    trimmed = tp_cut * (float(kept_fn.sum()) + fn_cut) + float(kept_tp.sum()) * fn_cut
+    kept_tp_mass = float(kept_tp.sum())
+    mass_at_one = None
+    if fn_start:
+        mass_at_one = float(fn.pmf[:fn_skip].sum()) * kept_tp_mass
+    # Zero true positives keep all their mass; every other kept count of
+    # true positives loses the false negatives' trimmed mass.
+    trimmed = tp.trimmed + kept_tp_mass * fn.trimmed
     return _aggregate_ratio_masses(
-        nums, dens, masses, float(est.pmf_tp[0]), mass_at_one, trimmed
+        nums, dens, masses, float(tp.pmf[:tp_skip].sum()), mass_at_one, trimmed
     )
 
 
@@ -217,10 +213,17 @@ def accuracy_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
     """Distribution of the fraction of correct predictions in the window.
 
     The number of correct predictions is TP + TN.  The two counts are
-    independent, so its PMF is the convolution of their PMFs; dividing by
-    the window size gives accuracy.
+    independent, so its PMF is the convolution of their PMFs, and it leaves
+    out the mass either of them left out; dividing by the window size gives
+    accuracy.
     """
-    return _scaled_counts(np.convolve(est.pmf_tp, est.pmf_tn), est.n_pos + est.n_neg)
+    tp, tn = est.tp, est.tn
+    correct = CountPMF(
+        tp.offset + tn.offset,
+        np.convolve(tp.pmf, tn.pmf),
+        tp.trimmed + tn.trimmed - tp.trimmed * tn.trimmed,
+    )
+    return _scaled_counts(correct, est.n_pos + est.n_neg)
 
 
 def precision_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
@@ -228,7 +231,7 @@ def precision_distribution(est: ConfusionEstimate) -> DiscreteDistribution | Non
     predictions; None when the window has no positive predictions."""
     if est.n_pos == 0:
         return None
-    return _scaled_counts(est.pmf_tp, est.n_pos)
+    return _scaled_counts(est.tp, est.n_pos)
 
 
 def recall_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
@@ -240,10 +243,7 @@ def recall_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
     pair (i, j) inside the trimmed ranges contributes its joint probability
     to the value i / (i + j).
     """
-    mass_at_one = float(est.pmf_fn[0] * (1.0 - est.pmf_tp[0]))
-    return _count_pair_distribution(
-        est, fn_start=1, scale=1, offset=0, mass_at_one=mass_at_one
-    )
+    return _count_pair_distribution(est, fn_start=1, scale=1, offset=0)
 
 
 def f1_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
@@ -256,9 +256,7 @@ def f1_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
     """
     if est.n_pos == 0:
         return None
-    return _count_pair_distribution(
-        est, fn_start=0, scale=2, offset=est.n_pos, mass_at_one=None
-    )
+    return _count_pair_distribution(est, fn_start=0, scale=2, offset=est.n_pos)
 
 
 def shortcut_accuracy(batch: PredictionBatch) -> float:
@@ -306,6 +304,14 @@ def shortcut_f1(batch: PredictionBatch) -> float | None:
     return 2.0 * float(batch.positive_scores.sum()) / (float(batch.scores.sum()) + n_pos)
 
 
+def _require_distinct(values, name: str) -> None:
+    """Raise ValueError naming the entries that the sequence ``values``
+    repeats."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{name} requested more than once: {repeated}")
+
+
 def _exact_estimate(
     metric: str, est: ConfusionEstimate, alpha: float | None
 ) -> MetricEstimate:
@@ -349,7 +355,8 @@ def estimate_all(
     The exact method attaches full distributions, and highest-density
     intervals when ``alpha`` is given; the shortcut method attaches points
     only and rejects ``alpha``.  Undefined metrics come back as estimates
-    with ``point=None`` rather than aborting the window.
+    with ``point=None`` rather than aborting the window.  A metric requested
+    twice is rejected with ValueError.
     """
     _require_nonempty(batch)
     if method not in ("exact", "shortcut"):
@@ -357,6 +364,7 @@ def estimate_all(
     unknown = [m for m in metrics if m not in METRICS]
     if unknown:
         raise ValueError(f"unknown metrics requested: {unknown}")
+    _require_distinct(metrics, "metrics")
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     if method == "shortcut":

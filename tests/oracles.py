@@ -5,18 +5,58 @@ library code path, so agreement between the two is meaningful evidence.  The
 loop references (:func:`greedy_hdi_reference`,
 :func:`aggregate_ratio_masses_reference`) keep the straightforward former
 implementations of two vectorised library routines, which must agree with
-them bit for bit.  The untrimmed derivations
-(:func:`recall_distribution_untrimmed`, :func:`f1_distribution_untrimmed`)
-pair every count, as the library did before it trimmed the count PMFs'
-tails; the trimmed results must stay within the trimming bound of them.
+them bit for bit.  :func:`poisson_binomial_dp` is the former Poisson
+binomial constructor, one convolution per parameter over the full count
+range; :func:`estimate_confusion_dp` builds a window's count PMFs with it,
+untrimmed.  The untrimmed derivations (:func:`recall_distribution_untrimmed`,
+:func:`f1_distribution_untrimmed`) pair every count, as the library did
+before it trimmed the count PMFs' tails; the library's trimmed results must
+stay within the trimming bound of these references.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from confmetrics import metrics
+from confmetrics.confusion import estimate_confusion
+from confmetrics.distribution import CountPMF, unit_interval_array
+
+
+def poisson_binomial_dp(params):
+    """PMF of a sum of n independent Bernoulli variables, by one direct
+    convolution per parameter, as a read-only array of length n + 1 indexed
+    by count.  O(n^2) work; an empty parameter list yields ``[1.0]``."""
+    pmf = np.array([1.0])
+    for p in np.sort(unit_interval_array(params, "Bernoulli parameter")):
+        pmf = np.convolve(pmf, (1.0 - p, p))
+    pmf.flags.writeable = False
+    return pmf
+
+
+def expand(counts, n):
+    """A CountPMF over 0..n as a full-length array, zeros outside its range."""
+    full = np.zeros(n + 1)
+    full[counts.offset : counts.offset + counts.pmf.size] = counts.pmf
+    return full
+
+
+def poisson_binomial_dp_counts(params):
+    """The :func:`poisson_binomial_dp` PMF as a full-length, untrimmed
+    CountPMF."""
+    return CountPMF(0, poisson_binomial_dp(params), 0.0)
+
+
+def estimate_confusion_dp(batch):
+    """The window's confusion estimate with full-length, untrimmed count
+    PMFs built by :func:`poisson_binomial_dp`."""
+    return dataclasses.replace(
+        estimate_confusion(batch),
+        tp=poisson_binomial_dp_counts(batch.positive_scores),
+        tn=poisson_binomial_dp_counts(1.0 - batch.negative_scores),
+    )
 
 
 def enumerate_poisson_binomial(params):
@@ -150,9 +190,10 @@ def aggregate_ratio_masses_reference(nums, dens, masses, extras):
 
 
 def recall_distribution_untrimmed(est):
-    """Recall over every count pair (i >= 1, j >= 1), no tail trimmed."""
-    p_tp = est.pmf_tp
-    p_fn = est.pmf_fn
+    """Recall over every count pair (i >= 1, j >= 1) of the estimate's PMFs
+    expanded to full length."""
+    p_tp = expand(est.tp, est.n_pos)
+    p_fn = expand(est.fn, est.n_neg)
     i = np.arange(1, est.n_pos + 1, dtype=np.int64)
     j = np.arange(1, est.n_neg + 1, dtype=np.int64)
     nums = np.broadcast_to(i[:, None], (i.size, j.size)).ravel()
@@ -164,16 +205,16 @@ def recall_distribution_untrimmed(est):
 
 
 def f1_distribution_untrimmed(est):
-    """F1 over every count pair (i >= 1, j >= 0), no tail trimmed; None
-    without positive predictions."""
+    """F1 over every count pair (i >= 1, j >= 0) of the estimate's PMFs
+    expanded to full length; None without positive predictions."""
     if est.n_pos == 0:
         return None
-    p_tp = est.pmf_tp
+    p_tp = expand(est.tp, est.n_pos)
     i = np.arange(1, est.n_pos + 1, dtype=np.int64)
     j = np.arange(0, est.n_neg + 1, dtype=np.int64)
     nums = np.broadcast_to(2 * i[:, None], (i.size, j.size)).ravel()
     dens = (i[:, None] + j[None, :] + est.n_pos).ravel()
-    masses = np.outer(p_tp[1:], est.pmf_fn).ravel()
+    masses = np.outer(p_tp[1:], expand(est.fn, est.n_neg)).ravel()
     return metrics._aggregate_ratio_masses(nums, dens, masses, float(p_tp[0]))
 
 

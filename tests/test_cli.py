@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import pytest
 
-from confmetrics import metrics
+from confmetrics import confusion, metrics
 from confmetrics.cli import main
-from oracles import f1_distribution_untrimmed, recall_distribution_untrimmed
+from oracles import (
+    f1_distribution_untrimmed,
+    poisson_binomial_dp_counts,
+    recall_distribution_untrimmed,
+)
 
 LABELLED = "prediction,score,label\n1,0.8,1\n1,0.6,1\n0,0.3,0\n0,0.2,1\n"
 
@@ -68,6 +73,9 @@ class TestEstimate:
         doc = json.loads(out)
         entry = doc["windows"][0]["estimates"][0]
         assert entry["distribution"] is not None
+        # Fractions are stored unreduced and reduced when emitted.
+        for e in doc["windows"][0]["estimates"]:
+            assert all(math.gcd(num, den) == 1 for num, den, _ in e["distribution"])
 
     def test_bad_file_reports_line_and_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -127,6 +135,9 @@ class TestEstimate:
         )
         code, trimmed, _ = run(capsys, *args)
         assert code == 0
+        # The reference report pairs every count of full-length count PMFs
+        # built by one convolution per score.
+        monkeypatch.setattr(confusion, "poisson_binomial_tree", poisson_binomial_dp_counts)
         monkeypatch.setattr(metrics, "recall_distribution", recall_distribution_untrimmed)
         monkeypatch.setattr(metrics, "f1_distribution", f1_distribution_untrimmed)
         code, untrimmed, _ = run(capsys, *args)
@@ -138,10 +149,7 @@ class TestEstimate:
             for e, r in zip(window["estimates"], reference["estimates"]):
                 assert e["metric"] == r["metric"]
                 assert e["hdi"] == r["hdi"]
-                if e["metric"] in ("accuracy", "precision"):
-                    assert e["point"] == r["point"]
-                else:
-                    assert abs(e["point"] - r["point"]) <= 2e-15
+                assert abs(e["point"] - r["point"]) <= 2e-15
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(capsys, "estimate", "--input", tmp_path / "nope.csv")
@@ -239,3 +247,23 @@ class TestGenerate:
         scores = [float(line.split(",")[1]) for line in lines]
         hard = sum(0.4 <= s <= 0.6 for s in scores) / len(scores)
         assert hard > 0.6  # shifted split is mostly hard-pool points
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (("estimate", "--input", "{csv}", "--metrics", "recall,recall"), "metrics"),
+        (("simulate", "coverage", "--windows", "10", "--trials", "2",
+          "--alphas", "0.05,0.05"), "alphas"),
+        (("simulate", "coverage", "--windows", "10,10", "--trials", "2"), "window sizes"),
+        (("simulate", "convergence", "--windows", "10,10", "--trials", "2"), "window sizes"),
+    ],
+    ids=["estimate-metrics", "coverage-alphas", "coverage-windows", "convergence-windows"],
+)
+def test_repeated_list_entries_fail(labelled_csv, capsys, argv, name):
+    # A repeat would be run again: a repeated alpha would count every
+    # coverage trial twice.
+    argv = [str(labelled_csv) if a == "{csv}" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"error: {name} requested more than once" in err

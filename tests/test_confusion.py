@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confmetrics.confusion import PredictionBatch, estimate_confusion
+from oracles import expand
 
 
 def batch(predictions, scores, labels=None):
@@ -120,34 +121,37 @@ class TestEstimateConfusion:
         assert (est.e_tp, est.e_fp, est.e_fn, est.e_tn) == pytest.approx(
             (1.4, 0.6, 0.3, 0.7)
         )
-        assert est.pmf_tp == pytest.approx([0.08, 0.44, 0.48])
-        assert est.pmf_fp == pytest.approx([0.48, 0.44, 0.08])
-        assert est.pmf_tn == pytest.approx([0.3, 0.7])
-        assert est.pmf_fn == pytest.approx([0.7, 0.3])
+        assert expand(est.tp, 2) == pytest.approx([0.08, 0.44, 0.48])
+        assert expand(est.fp, 2) == pytest.approx([0.48, 0.44, 0.08])
+        assert expand(est.tn, 1) == pytest.approx([0.3, 0.7])
+        assert expand(est.fn, 1) == pytest.approx([0.7, 0.3])
 
     def test_all_positive_certain(self):
         est = estimate_confusion(batch([1, 1, 1, 1], [1.0] * 4))
         assert est.e_tp == 4
-        assert est.pmf_tp.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
-        assert est.pmf_tn.tolist() == [1.0]
-        assert est.pmf_fn.tolist() == [1.0]
+        assert (est.tp.offset, est.tp.pmf.tolist(), est.tp.trimmed) == (4, [1.0], 0.0)
+        assert expand(est.tp, 4).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert expand(est.tn, 0).tolist() == [1.0]
+        assert expand(est.fn, 0).tolist() == [1.0]
 
     def test_single_negative_record(self):
         est = estimate_confusion(batch([0], [0.25]))
         assert est.e_tn == pytest.approx(0.75)
         assert est.e_fn == pytest.approx(0.25)
-        assert est.pmf_tn == pytest.approx([0.25, 0.75])
-        assert est.pmf_tp.tolist() == [1.0]
+        assert expand(est.tn, 1) == pytest.approx([0.25, 0.75])
+        assert expand(est.tp, 0).tolist() == [1.0]
 
     def test_complements_are_read_only_reversed_views(self):
         est = estimate_confusion(batch([1, 1, 0, 0, 0], [0.9, 0.4, 0.3, 0.2, 0.6]))
-        assert est.pmf_fp.base is est.pmf_tp
-        assert est.pmf_fn.base is est.pmf_tn
-        assert est.pmf_fp.tolist() == est.pmf_tp.tolist()[::-1]
-        assert est.pmf_fn.tolist() == est.pmf_tn.tolist()[::-1]
-        for pmf in (est.pmf_tp, est.pmf_fp, est.pmf_tn, est.pmf_fn):
-            with pytest.raises(ValueError):
-                pmf[0] = 0.5
+        for side, flipped, n in ((est.tp, est.fp, 2), (est.tn, est.fn, 3)):
+            assert np.shares_memory(flipped.pmf, side.pmf)
+            assert flipped.pmf.tolist() == side.pmf.tolist()[::-1]
+            assert flipped.offset == n - side.offset - side.pmf.size + 1
+            assert flipped.trimmed == side.trimmed
+            assert expand(flipped, n).tolist() == expand(side, n).tolist()[::-1]
+            for pmf in (side.pmf, flipped.pmf):
+                with pytest.raises(ValueError):
+                    pmf[0] = 0.5
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -158,22 +162,23 @@ class TestEstimateConfusion:
         for _ in range(20):
             n = int(rng.integers(1, 40))
             est = estimate_confusion(batch(rng.integers(0, 2, n), rng.random(n)))
-            assert est.pmf_tp.size == est.n_pos + 1
-            assert est.pmf_tn.size == est.n_neg + 1
-            assert est.pmf_tp.sum() == pytest.approx(1.0, abs=1e-9)
-            assert est.pmf_tn.sum() == pytest.approx(1.0, abs=1e-9)
-            assert mean(est.pmf_tp) + mean(est.pmf_fp) == pytest.approx(est.n_pos, abs=1e-9)
-            assert mean(est.pmf_tn) + mean(est.pmf_fn) == pytest.approx(est.n_neg, abs=1e-9)
+            for side, n in ((est.tp, est.n_pos), (est.tn, est.n_neg)):
+                assert 0 <= side.offset and side.offset + side.pmf.size <= n + 1
+                assert side.pmf.sum() + side.trimmed == pytest.approx(1.0, abs=1e-9)
+            tp, fp = expand(est.tp, est.n_pos), expand(est.fp, est.n_pos)
+            tn, fn = expand(est.tn, est.n_neg), expand(est.fn, est.n_neg)
+            assert mean(tp) + mean(fp) == pytest.approx(est.n_pos, abs=1e-9)
+            assert mean(tn) + mean(fn) == pytest.approx(est.n_neg, abs=1e-9)
             assert est.e_tp + est.e_fp == pytest.approx(est.n_pos, abs=1e-9)
             assert est.e_tn + est.e_fn == pytest.approx(est.n_neg, abs=1e-9)
 
     def test_point_estimates_are_distribution_means(self):
         rng = np.random.default_rng(6)
         est = estimate_confusion(batch(rng.integers(0, 2, 30), rng.random(30)))
-        assert mean(est.pmf_tp) == pytest.approx(est.e_tp, abs=1e-9)
-        assert mean(est.pmf_fp) == pytest.approx(est.e_fp, abs=1e-9)
-        assert mean(est.pmf_tn) == pytest.approx(est.e_tn, abs=1e-9)
-        assert mean(est.pmf_fn) == pytest.approx(est.e_fn, abs=1e-9)
+        assert mean(expand(est.tp, est.n_pos)) == pytest.approx(est.e_tp, abs=1e-9)
+        assert mean(expand(est.fp, est.n_pos)) == pytest.approx(est.e_fp, abs=1e-9)
+        assert mean(expand(est.tn, est.n_neg)) == pytest.approx(est.e_tn, abs=1e-9)
+        assert mean(expand(est.fn, est.n_neg)) == pytest.approx(est.e_fn, abs=1e-9)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -182,8 +187,9 @@ class TestEstimateConfusion:
         order = rng.permutation(25)
         a = estimate_confusion(batch(predictions, scores))
         b = estimate_confusion(batch(predictions[order], scores[order]))
-        assert np.array_equal(a.pmf_tp, b.pmf_tp)
-        assert np.array_equal(a.pmf_tn, b.pmf_tn)
+        for x, y in ((a.tp, b.tp), (a.tn, b.tn)):
+            assert (x.offset, x.trimmed) == (y.offset, y.trimmed)
+            assert np.array_equal(x.pmf, y.pmf)
         assert a.e_tp == pytest.approx(b.e_tp, abs=1e-12)
         assert a.e_tn == pytest.approx(b.e_tn, abs=1e-12)
 
@@ -193,8 +199,9 @@ class TestEstimateConfusion:
         for _ in range(10):
             n = int(rng.integers(2, 60))
             est = estimate_confusion(batch(np.ones(n, dtype=int), rng.random(n)))
+            tp = expand(est.tp, est.n_pos)
             k = np.arange(est.n_pos + 1)
-            variance = (k * k) @ est.pmf_tp - mean(est.pmf_tp) ** 2
+            variance = (k * k) @ tp - mean(tp) ** 2
             assert variance / est.n_pos**2 <= 1 / (4 * est.n_pos) + 1e-12
 
 

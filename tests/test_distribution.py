@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from confmetrics.distribution import (
     PROB_SUM_TOL,
+    TRIM_TOL,
+    CountPMF,
     DiscreteDistribution,
     poisson_binomial_cf,
-    poisson_binomial_dp,
+    poisson_binomial_tree,
 )
-from oracles import enumerate_poisson_binomial
+from oracles import enumerate_poisson_binomial, expand, poisson_binomial_dp
 
 params_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), max_size=10
@@ -24,6 +26,11 @@ params_lists = st.lists(
 
 def counts(pmf):
     return np.arange(pmf.size)
+
+
+def poisson_binomial_tree_full(params):
+    """The product-tree PMF expanded to the full count range 0..n."""
+    return expand(poisson_binomial_tree(params), len(params))
 
 
 class TestConstruction:
@@ -141,12 +148,16 @@ class TestPoissonBinomial:
     def test_cf_single_impossible_success(self):
         assert poisson_binomial_cf([0.0]).tolist() == [1.0, 0.0]
 
-    @pytest.mark.parametrize("builder", [poisson_binomial_dp, poisson_binomial_cf])
+    @pytest.mark.parametrize(
+        "builder", [poisson_binomial_dp, poisson_binomial_cf, poisson_binomial_tree]
+    )
     def test_rejects_out_of_range_parameter_naming_index(self, builder):
         with pytest.raises(ValueError, match="index 2"):
             builder([0.5, 0.5, 1.5])
 
-    @pytest.mark.parametrize("builder", [poisson_binomial_dp, poisson_binomial_cf])
+    @pytest.mark.parametrize(
+        "builder", [poisson_binomial_dp, poisson_binomial_cf, poisson_binomial_tree_full]
+    )
     def test_matches_exhaustive_enumeration(self, builder):
         rng = np.random.default_rng(1234)
         for _ in range(25):
@@ -170,18 +181,21 @@ class TestPoissonBinomial:
         params = rng.random(40)
         shuffled = params.copy()
         rng.shuffle(shuffled)
-        assert np.array_equal(poisson_binomial_dp(params), poisson_binomial_dp(shuffled))
+        a = poisson_binomial_tree(params)
+        b = poisson_binomial_tree(shuffled)
+        assert (a.offset, a.trimmed) == (b.offset, b.trimmed)
+        assert np.array_equal(a.pmf, b.pmf)
 
     @settings(deadline=None)
     @given(params_lists)
     def test_expectation_is_sum_of_params(self, params):
-        d = poisson_binomial_dp(params)
+        d = poisson_binomial_tree_full(params)
         assert counts(d) @ d == pytest.approx(sum(params), abs=1e-9)
 
     @settings(deadline=None)
     @given(params_lists)
     def test_variance_is_sum_of_bernoulli_variances(self, params):
-        d = poisson_binomial_dp(params)
+        d = poisson_binomial_tree_full(params)
         k = counts(d)
         variance = (k * k) @ d - (k @ d) ** 2
         expected = sum(p * (1 - p) for p in params)
@@ -190,9 +204,68 @@ class TestPoissonBinomial:
     @settings(deadline=None)
     @given(params_lists)
     def test_mass_sums_to_one(self, params):
-        for d in (poisson_binomial_dp(params), poisson_binomial_cf(params)):
+        for d in (
+            poisson_binomial_dp(params),
+            poisson_binomial_cf(params),
+            poisson_binomial_tree_full(params),
+        ):
             assert abs(d.sum() - 1.0) <= PROB_SUM_TOL
             assert (d >= 0).all()
+
+
+class TestProductTree:
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17])
+    def test_block_edges_match_dp(self, n):
+        params = np.random.default_rng(n).random(n)
+        got = poisson_binomial_tree(params)
+        assert (got.offset, got.pmf.size, got.trimmed) == (0, n + 1, 0.0)
+        assert np.max(np.abs(got.pmf - poisson_binomial_dp(params))) <= 1e-15
+
+    def test_empty_is_point_mass_at_zero(self):
+        got = poisson_binomial_tree([])
+        assert (got.offset, got.pmf.tolist(), got.trimmed) == (0, [1.0], 0.0)
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 40])
+    def test_certain_parameters_give_point_masses(self, n):
+        for p, offset in ((0.0, 0), (1.0, n)):
+            got = poisson_binomial_tree(np.full(n, p))
+            assert (got.offset, got.pmf.tolist(), got.trimmed) == (offset, [1.0], 0.0)
+
+    def test_certain_parameters_shift_the_offset(self):
+        got = poisson_binomial_tree([0.0, 1.0, 1.0, 0.5, 0.25, 0.0, 1.0])
+        assert got.offset == 3
+        assert got.pmf.tolist() == [0.375, 0.5, 0.125]
+        rng = np.random.default_rng(8)
+        params = np.concatenate([np.ones(40), np.zeros(30), rng.random(20)])
+        rng.shuffle(params)
+        got = poisson_binomial_tree(params)
+        assert got.offset >= 40 and got.pmf[0] > 0.0 and got.pmf[-1] > 0.0
+        want = poisson_binomial_dp(params)
+        assert np.max(np.abs(expand(got, params.size) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [100, 1000, 5000])
+    def test_trimmed_tails_stay_within_half_the_bound(self, n):
+        params = np.random.default_rng(n).random(n)
+        got = poisson_binomial_tree(params)
+        assert isinstance(got, CountPMF)
+        assert 0.0 < got.trimmed <= TRIM_TOL / 2
+        # Sixteen standard deviations at most; the count's variance is below n/4.
+        assert got.pmf.size <= 16 * np.sqrt(n / 4)
+        # Rounding may move the total by about one ulp per parameter.
+        assert abs(got.pmf.sum() + got.trimmed - 1.0) <= n * np.finfo(float).eps
+        with pytest.raises(ValueError):
+            got.pmf[0] = 0.5
+        full = expand(got, n)
+        want = poisson_binomial_dp(params)
+        assert np.max(np.abs(full - want)) <= TRIM_TOL
+        assert abs(counts(full) @ full - counts(want) @ want) <= 1e-9
+
+    def test_complement_is_the_reversed_view(self):
+        got = poisson_binomial_tree(np.random.default_rng(4).random(300))
+        flipped = got.complement(300)
+        assert flipped.pmf.base is got.pmf
+        assert np.array_equal(expand(flipped, 300), expand(got, 300)[::-1])
+        assert flipped.trimmed == got.trimmed
 
 
 class TestMoments:
@@ -221,14 +294,14 @@ def test_cross_method_agreement_medium_sizes():
     rng = np.random.default_rng(99)
     for n in (1, 17, 128):
         params = rng.random(n)
-        dp = poisson_binomial_dp(params)
+        tree = poisson_binomial_tree_full(params)
         cf = poisson_binomial_cf(params)
-        assert np.max(np.abs(dp - cf)) <= 1e-9
+        assert np.max(np.abs(tree - cf)) <= 1e-9
 
 
 def test_expectation_variance_match_math_for_known_binomial():
     n, p = 30, 0.3
-    d = poisson_binomial_dp([p] * n)
+    d = poisson_binomial_tree_full([p] * n)
     k = counts(d)
     assert k @ d == pytest.approx(n * p, abs=1e-9)
     assert (k * k) @ d - (k @ d) ** 2 == pytest.approx(n * p * (1 - p), abs=1e-9)

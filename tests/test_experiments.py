@@ -41,6 +41,10 @@ class TestConvergence:
         with pytest.raises(ValueError):
             run_convergence_experiment((10,), trials=0)
 
+    def test_rejects_repeated_window(self):
+        with pytest.raises(ValueError, match=r"window sizes .* once: \[10\]"):
+            run_convergence_experiment((10, 20, 10), trials=2)
+
 
 class TestCoverage:
     def test_rows_cover_the_grid(self):
@@ -63,6 +67,16 @@ class TestCoverage:
         a = run_coverage_experiment((15,), trials=10, alphas=(0.2,), seed=7)
         b = run_coverage_experiment((15,), trials=10, alphas=(0.2,), seed=7)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "windows,alphas,match",
+        [((10, 10), (0.05,), r"window sizes .* once: \[10\]"),
+         ((10,), (0.05, 0.1, 0.05), r"alphas .* once: \[0\.05\]")],
+        ids=["window", "alpha"],
+    )
+    def test_rejects_repeated_window_or_alpha(self, windows, alphas, match):
+        with pytest.raises(ValueError, match=match):
+            run_coverage_experiment(windows, trials=2, alphas=alphas)
 
     def test_tiny_alpha_keeps_nearly_everything(self):
         rows = run_coverage_experiment((60,), trials=60, alphas=(0.001,), seed=8)

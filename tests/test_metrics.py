@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from confmetrics import metrics
 from confmetrics.confusion import PredictionBatch, estimate_confusion
-from confmetrics.distribution import (
-    PROB_SUM_TOL,
-    TRIM_TOL,
-    DiscreteDistribution,
-    poisson_binomial_dp,
-)
+from confmetrics.distribution import PROB_SUM_TOL, TRIM_TOL, DiscreteDistribution
 from confmetrics.intervals import hdi
 from confmetrics.metrics import (
     METRICS,
@@ -32,7 +27,10 @@ from confmetrics.synthesis import HypersphereConfig, shift_dataset
 from oracles import (
     aggregate_ratio_masses_reference,
     enumerate_metric_distributions,
+    estimate_confusion_dp,
+    expand,
     f1_distribution_untrimmed,
+    poisson_binomial_dp,
     random_small_batch,
     recall_distribution_untrimmed,
     tv_distance,
@@ -148,8 +146,8 @@ class TestRecall:
             b = batch(rng.integers(0, 2, n), rng.random(n))
             est = estimate_confusion(b)
             d = recall_distribution(est).as_dict()
-            p_tp0 = est.pmf_tp[0]
-            p_fn0 = est.pmf_fn[0]
+            p_tp0 = expand(est.tp, est.n_pos)[0]
+            p_fn0 = expand(est.fn, est.n_neg)[0]
             assert d.get(Fraction(0), 0.0) == pytest.approx(p_tp0, abs=1e-12)
             assert d.get(Fraction(1), 0.0) == pytest.approx(
                 p_fn0 * (1 - p_tp0), abs=1e-12
@@ -355,12 +353,25 @@ TRIMMING_WINDOWS = [
 class TestTrimming:
     @pytest.mark.parametrize("kind,n", TRIMMING_WINDOWS)
     def test_within_bound_of_untrimmed_derivation(self, kind, n):
-        est = estimate_confusion(trimming_window(kind, n))
-        pairs = (
-            (recall_distribution(est), recall_distribution_untrimmed(est)),
-            (f1_distribution(est), f1_distribution_untrimmed(est)),
+        # The reference pairs every count of full-length, untrimmed PMFs
+        # built by one convolution per score.
+        window = trimming_window(kind, n)
+        est = estimate_confusion(window)
+        reference = estimate_confusion_dp(window)
+        order = np.random.default_rng(n).permutation(n)
+        permuted = estimate_confusion(
+            batch(window.predictions[order], window.scores[order])
         )
-        for trimmed, full in pairs:
+        derivations = (
+            (accuracy_distribution, accuracy_distribution),
+            (precision_distribution, precision_distribution),
+            (recall_distribution, recall_distribution_untrimmed),
+            (f1_distribution, f1_distribution_untrimmed),
+        )
+        for derive, derive_reference in derivations:
+            trimmed = derive(est)
+            full = derive_reference(reference)
+            assert derive(permuted) == trimmed
             if full is None:
                 assert trimmed is None
                 continue
@@ -436,6 +447,11 @@ class TestEstimateAll:
     def test_rejects_unknown_metric(self):
         with pytest.raises(ValueError, match="unknown"):
             estimate_all(EXAMPLE, metrics=("accuracy", "specificity"))
+
+    @pytest.mark.parametrize("method", ["exact", "shortcut"])
+    def test_rejects_repeated_metric(self, method):
+        with pytest.raises(ValueError, match=r"more than once: \['recall'\]"):
+            estimate_all(EXAMPLE, metrics=("recall", "f1", "recall"), method=method)
 
     def test_shortcut_rejects_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
