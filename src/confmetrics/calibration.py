@@ -91,6 +91,9 @@ def threshold_predictions(
     scores: Sequence[float] | np.ndarray, threshold: float = 0.5
 ) -> np.ndarray:
     """Predicted labels by score thresholding; a score equal to the
-    threshold predicts positive."""
+    threshold predicts positive.  Raises ValueError for a threshold outside
+    [0, 1] or NaN."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
     arr = unit_interval_array(scores, "score")
     return (arr >= threshold).astype(np.int64)

@@ -103,10 +103,10 @@ class HypersphereConfig:
             raise ValueError("n_dims must be at least 1")
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.decay <= 0:
-            raise ValueError("decay must be positive")
+        for name in ("radius", "decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not 0.0 <= self.easy_fraction <= 1.0:
             raise ValueError("easy_fraction must lie in [0, 1]")
         # Far pool points are placed up to one radius away from the surface,

@@ -11,7 +11,11 @@ range; :func:`estimate_confusion_dp` builds a window's count PMFs with it,
 untrimmed.  The untrimmed derivations (:func:`recall_distribution_untrimmed`,
 :func:`f1_distribution_untrimmed`) pair every count, as the library did
 before it trimmed the count PMFs' tails; the library's trimmed results must
-stay within the trimming bound of these references.
+stay within the trimming bound of these references.  :func:`run_to_json_reference`
+builds a run's report document as a dict, the form the report writer's
+text is pinned to, and :func:`shortcut_points_reference` computes one
+window's shortcut points by the former per-metric reductions, which the
+one-pass shortcut windows must match bit for bit.
 """
 
 import dataclasses
@@ -227,3 +231,59 @@ def tv_distance_between(a, b):
     pa[np.searchsorted(keys, a.float_values)] = a.probabilities
     pb[np.searchsorted(keys, b.float_values)] = b.probabilities
     return 0.5 * float(np.abs(pa - pb).sum())
+
+
+def _estimate_to_json_reference(estimate, emit_distributions):
+    hdi = estimate.hdi
+    dist = estimate.distribution
+    return {
+        "metric": estimate.metric,
+        "method": estimate.method,
+        "point": estimate.point,
+        "undefined": estimate.undefined,
+        "hdi": None
+        if hdi is None
+        else {"lower": hdi.lower, "upper": hdi.upper, "alpha": hdi.alpha},
+        "distribution": None
+        if dist is None or not emit_distributions
+        else [[num, den, prob] for num, den, prob in dist.ratios()],
+    }
+
+
+def run_to_json_reference(reports, config, emit_distributions=False):
+    """The report document as the library built it before it wrote the
+    text directly; ``json.dumps(document, indent=2, sort_keys=True)`` of it
+    is the text ``render_report`` must write."""
+    return {
+        "windows": [
+            {
+                "window_index": r.window_index,
+                "window_size": r.window_size,
+                "partial": r.partial,
+                "estimates": [
+                    _estimate_to_json_reference(e, emit_distributions) for e in r.estimates
+                ],
+            }
+            for r in reports
+        ],
+        "config": {
+            "metrics": list(config.metrics),
+            "method": config.method,
+            "alpha": config.alpha,
+        },
+    }
+
+
+def shortcut_points_reference(batch):
+    """The shortcut points of one window as the library computed them
+    before it computed all windows in one pass: one numpy reduction of the
+    window's own arrays per metric."""
+    pos = batch.positive_scores
+    total = float(batch.scores.sum())
+    correct = np.where(batch.predictions == 1, batch.scores, 1.0 - batch.scores)
+    return {
+        "accuracy": float(correct.mean()),
+        "precision": float(pos.mean()) if pos.size else None,
+        "recall": float(pos.sum()) / total if total > 0.0 else None,
+        "f1": 2.0 * float(pos.sum()) / (total + pos.size) if pos.size else None,
+    }

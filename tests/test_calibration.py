@@ -115,3 +115,13 @@ class TestThresholding:
 
     def test_custom_threshold(self):
         assert threshold_predictions([0.3, 0.7], 0.7).tolist() == [0, 1]
+
+    def test_unit_interval_ends_are_valid_thresholds(self):
+        assert threshold_predictions([0.0, 1.0], 0.0).tolist() == [1, 1]
+        assert threshold_predictions([0.0, 0.99, 1.0], 1.0).tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5, float("inf")])
+    def test_rejects_nan_and_out_of_range_thresholds(self, threshold):
+        # A NaN threshold used to predict every record negative.
+        with pytest.raises(ValueError, match="threshold must lie in"):
+            threshold_predictions([0.2, 0.8], threshold)

@@ -248,6 +248,26 @@ class TestGenerate:
         hard = sum(0.4 <= s <= 0.6 for s in scores) / len(scores)
         assert hard > 0.6  # shifted split is mostly hard-pool points
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--radius", "nan", "radius must be finite and positive"),
+            ("--radius", "inf", "radius must be finite and positive"),
+            ("--decay", "nan", "decay must be finite and positive"),
+            ("--decay", "inf", "decay must be finite and positive"),
+            ("--threshold", "nan", "threshold must lie in [0, 1]"),
+            ("--threshold", "1.5", "threshold must lie in [0, 1]"),
+        ],
+        ids=["radius-nan", "radius-inf", "decay-nan", "decay-inf", "threshold-nan",
+             "threshold-above-1"],
+    )
+    def test_malformed_generator_parameters_fail_cleanly(self, capsys, flag, value, message):
+        code, out, err = run(
+            capsys, "generate", "hypersphere", "--dims", "2", "--points", "20", flag, value
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
 
 @pytest.mark.parametrize(
     "argv,name",

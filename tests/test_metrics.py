@@ -33,6 +33,7 @@ from oracles import (
     poisson_binomial_dp,
     random_small_batch,
     recall_distribution_untrimmed,
+    shortcut_points_reference,
     tv_distance,
     tv_distance_between,
 )
@@ -219,6 +220,17 @@ class TestShortcuts:
             assert s is None
         else:
             assert s == pytest.approx(d.expectation(), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 100, 129, 1000, 5000])
+    def test_points_equal_per_window_reductions(self, n):
+        # Bit identity with the former per-function reductions keeps report
+        # bytes unchanged; past 8 and 128 values numpy's pairwise summation
+        # changes its order, which a sum in another order would not match.
+        rng = np.random.default_rng(n)
+        scores = rng.random(n)
+        b = batch((scores >= 0.3).astype(int), scores)
+        got = {m: fn(b) for m, fn in metrics._SHORTCUTS.items()}
+        assert got == shortcut_points_reference(b)
 
     def test_recall_f1_shortcut_error_shrinks_with_window(self):
         # Fresh random beta shapes per trial, as in the convergence runner.

@@ -4,16 +4,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confmetrics.confusion import PredictionBatch
-from confmetrics.metrics import estimate_all
+from confmetrics.intervals import HdiInterval
+from confmetrics.metrics import METRICS, MetricEstimate, estimate_all
 from confmetrics.reports import (
     EstimateConfig,
+    MonitoringReport,
     render_report,
     run_to_json,
     true_metrics,
     windowed_estimates,
 )
+from oracles import run_to_json_reference
 
 
 def batch(predictions, scores, labels=None):
@@ -39,17 +44,42 @@ class TestWindowing:
         assert [r.partial for r in reports] == [False, False, True]
         assert [r.window_index for r in reports] == [0, 1, 2]
 
-    def test_windows_match_direct_slices(self):
+    @pytest.mark.parametrize(
+        "metrics", [METRICS, ("f1", "accuracy", "recall")], ids=["all", "f1-accuracy-recall"]
+    )
+    @pytest.mark.parametrize("window", [1, 30, 37, 90, 91])
+    @pytest.mark.parametrize("method", ["exact", "shortcut"])
+    def test_windows_match_direct_slices(self, method, window, metrics):
+        # Rows 30-59 hold no positive prediction and rows 60-89 score zero
+        # throughout, so windows there leave precision, recall and F1
+        # undefined; windows of 37 and 91 end in a partial window.
         rng = np.random.default_rng(2)
-        b = random_batch(rng, 90)
-        config = EstimateConfig(method="exact", alpha=0.1)
-        reports = windowed_estimates(b, 30, config)
+        scores = rng.random(90)
+        scores[30:60] *= 0.5
+        scores[60:] = 0.0
+        b = batch((scores >= 0.5).astype(int), scores)
+        config = EstimateConfig(metrics, method, 0.1 if method == "exact" else None)
+        reports = windowed_estimates(b, window, config)
+        assert len(reports) == -(-90 // window)
+        undefined = set()
         for index, report in enumerate(reports):
-            window = b[index * 30 : (index + 1) * 30]
-            direct = estimate_all(window, config.metrics, config.method, config.alpha)
-            for got, expected in zip(report.estimates, direct):
+            window_batch = b[index * window : (index + 1) * window]
+            direct = estimate_all(window_batch, config.metrics, config.method, config.alpha)
+            assert (report.window_index, report.window_size) == (index, window_batch.n)
+            assert report.partial == (window_batch.n < window)
+            assert [e.metric for e in report.estimates] == list(metrics)
+            for got, expected in zip(report.estimates, direct, strict=True):
+                assert (got.metric, got.method) == (expected.metric, expected.method)
                 assert got.point == expected.point
                 assert got.distribution == expected.distribution
+                assert got.hdi == expected.hdi
+            assert report.undefined_metrics == tuple(e.metric for e in direct if e.undefined)
+            undefined.update(report.undefined_metrics)
+        if window < 90:
+            # The exact recall distribution puts the mass of no true
+            # positives on 0, so it stays defined.
+            always_defined = {"accuracy"} | ({"recall"} if method == "exact" else set())
+            assert undefined == set(metrics) - always_defined
 
     def test_undefined_metrics_listed(self):
         reports = windowed_estimates(batch([0, 0], [0.2, 0.3]), 2)
@@ -142,3 +172,69 @@ class TestSerialization:
         second = render_report(windowed_estimates(b, 20, self.CONFIG), self.CONFIG)
         assert first == second
         json.loads(first)  # also valid JSON
+
+
+def _sample_distributions():
+    rng = np.random.default_rng(4)
+    dists = []
+    for n in (1, 3, 8):
+        for e in estimate_all(random_batch(rng, n), alpha=0.2):
+            if e.distribution is not None:
+                dists.append(e.distribution)
+    return dists
+
+
+_FLOATS = st.floats()
+_NUMBERS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
+_ESTIMATES = st.builds(
+    MetricEstimate,
+    metric=st.sampled_from(METRICS),
+    method=st.sampled_from(("exact", "shortcut")),
+    point=st.none() | _NUMBERS,
+    distribution=st.none() | st.sampled_from(_sample_distributions()),
+    hdi=st.none()
+    | st.builds(HdiInterval, lower=_NUMBERS, upper=_NUMBERS, alpha=_NUMBERS, covered_mass=_FLOATS),
+)
+_REPORTS = st.builds(
+    MonitoringReport,
+    window_index=st.integers(0, 10**6),
+    window_size=st.integers(1, 10**6),
+    partial=st.booleans(),
+    estimates=st.lists(_ESTIMATES, max_size=5).map(tuple),
+    undefined_metrics=st.just(()),
+)
+_CONFIGS = st.builds(
+    EstimateConfig,
+    metrics=st.permutations(METRICS).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda k: tuple(order[:k]))
+    ),
+    method=st.sampled_from(("exact", "shortcut")),
+    alpha=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+class TestWriter:
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(_REPORTS, max_size=4), _CONFIGS, st.booleans())
+    def test_writes_the_text_of_json_dumps(self, reports, config, emit_distributions):
+        document = run_to_json_reference(reports, config, emit_distributions)
+        expected = json.dumps(document, indent=2, sort_keys=True)
+        assert render_report(reports, config, emit_distributions) == expected
+
+    @pytest.mark.parametrize(
+        "config, window",
+        [
+            (EstimateConfig(method="exact", alpha=0.1), 7),
+            (EstimateConfig(("recall", "precision"), "exact"), 20),
+            (EstimateConfig(method="shortcut"), 6),
+            (EstimateConfig((), "shortcut"), 6),
+        ],
+    )
+    def test_estimated_windows_match_the_reference(self, config, window):
+        b = random_batch(np.random.default_rng(5), 20)
+        reports = windowed_estimates(b, window, config)
+        for emit in (False, True):
+            document = run_to_json_reference(reports, config, emit)
+            text = render_report(reports, config, emit)
+            assert text == json.dumps(document, indent=2, sort_keys=True)
+            assert run_to_json(reports, config, emit) == document

@@ -117,3 +117,11 @@ class TestHypersphere:
             HypersphereConfig(n_dims=2, n_points=10, seed=0, easy_fraction=1.5)
         with pytest.raises(ValueError, match="radius"):
             HypersphereConfig(n_dims=2, n_points=10, seed=0, radius=0.5)
+
+    @pytest.mark.parametrize("field", ["radius", "decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_nonfinite_or_nonpositive_radius_and_decay(self, field, value):
+        # NaN and inf used to pass a plain `<= 0` check and fail later in
+        # the sampler with an OverflowError or NaN scores.
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            HypersphereConfig(n_dims=2, n_points=10, seed=0, **{field: value})
