@@ -25,7 +25,7 @@ import numpy as np
 from .calibration import reverse_sample_labels, threshold_predictions
 from .confusion import PredictionBatch
 from .intervals import hdi
-from .metrics import METRICS, _require_distinct, estimate_all, shortcut_f1, shortcut_recall
+from .metrics import METRICS, _require_distinct, estimate_all
 from .reports import true_metrics
 from .synthesis import random_beta_params, sample_beta_scores
 
@@ -132,13 +132,13 @@ def run_convergence_experiment(
             exact_recall, exact_f1 = (
                 e.point for e in estimate_all(batch, metrics=("recall", "f1"))
             )
-
-            approx_recall = shortcut_recall(batch)
+            approx_recall, approx_f1 = (
+                e.point
+                for e in estimate_all(batch, metrics=("recall", "f1"), method="shortcut")
+            )
             if approx_recall is not None:
                 errors["recall"].append(exact_recall - approx_recall)
                 errors["control"].append(exact_recall - exact_recall)
-
-            approx_f1 = shortcut_f1(batch)
             if exact_f1 is not None and approx_f1 is not None:
                 errors["f1"].append(exact_f1 - approx_f1)
         for metric in ("recall", "f1", "control"):

@@ -2,13 +2,14 @@
 
 Two input formats carry the same three fields: ``prediction`` (0/1),
 ``score`` (a decimal in [0, 1]) and an optional ``label`` (0/1).  CSV files
-need a header row that names each of these columns at most once, and their
-fields are parsed from text.  JSONL files hold one object per line with
-typed values: each field must be a JSON number, never a string or a boolean,
-and an absent or null label means unlabelled.  Unknown columns or keys are
-ignored with a warning.  Malformed content is rejected with the 1-based line
-number of the offending row.  Files are read as UTF-8; a leading byte-order
-mark is skipped.
+need a header row that names each of these columns at most once, every row
+holds the header's field count, and fields are parsed from text.  JSONL
+files hold one object per line with typed values: no key may appear twice
+in an object, each field must be a JSON number, never a string or a
+boolean, and an absent or null label means unlabelled.  Unknown columns or
+keys are ignored with a warning.  Malformed content is rejected with the
+1-based line number of the offending row.  Files are read as UTF-8; a
+leading byte-order mark is skipped.
 
 A CSV file takes one of two routes to the same result.  A plain file is
 checked and converted by array operations over its bytes, with no per-row
@@ -98,6 +99,16 @@ def _json_binary(raw, field: str, line: int) -> int:
     return int(raw)
 
 
+def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; raises ValueError naming the keys it repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        raise ValueError(f"duplicate keys: {', '.join(repeated)}")
+    return obj
+
+
 def _json_row(obj: dict, line: int) -> tuple[int, float, int | None]:
     score = obj["score"]
     if not _is_json_number(score):
@@ -153,6 +164,8 @@ def _parse_csv_rows(path: Path) -> Columns:
             line = reader.line_num
             if row.get(None):
                 raise ValueError(f"line {line}: more fields than header columns")
+            if None in row.values():  # the value DictReader gives missing fields
+                raise ValueError(f"line {line}: fewer fields than header columns")
             rows.append(
                 _parse_row(row.get("prediction"), row.get("score"), row.get("label"), line)
             )
@@ -250,9 +263,11 @@ def _parse_jsonl(path: Path) -> Columns:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, object_pairs_hook=_distinct_keys)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {line_num}: invalid JSON: {exc.msg}") from None
+            except ValueError as exc:  # a repeated key, or an integer too long to convert
+                raise ValueError(f"line {line_num}: {exc}") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"line {line_num}: expected a JSON object")
             missing = [k for k in _REQUIRED if k not in obj]

@@ -12,10 +12,12 @@ correct predictions, TP + TN, whose PMF is the convolution of the two count
 arrays, offset by the sum of their offsets.  Recall and F1 need the joint
 of the true positive and false negative counts, where the false-negative
 PMF is the reversed true-negative one; by independence the joint is the
-product of the marginals, and the derivation accumulates each count pair's
-probability on the fraction the pair maps to.  The pairs are grouped by one
-sort of their float values, and each group's masses are summed in pair
-order.
+product of the marginals.  Both metrics are one formula,
+``scale * i / (i + j + offset)``, over every pair of i true positives and j
+false negatives inside the kept count ranges, zero counts included, and
+each pair's probability accumulates on the fraction the pair maps to.  The
+pairs are grouped by one sort of their float values, and each group's
+masses are summed in pair order.
 
 The count PMFs arrive trimmed.  The Poisson binomial product tree keeps
 each of them to a count range outside which at most ``TRIM_TOL / 2`` of its
@@ -54,8 +56,8 @@ Python per window.
 Undefined metrics (precision and F1 of a window with no positive
 predictions, the recall shortcut when every score is zero) are returned as
 None rather than raised, so report assembly never aborts.  Inside a derived
-distribution, the event "no true positives and no false negatives" puts its
-mass on recall = 0.
+distribution, recall's 0/0 (no true positives and no false negatives) is
+read as 0.
 """
 
 from __future__ import annotations
@@ -133,26 +135,18 @@ _RATIO_DEN_BOUND = 2**26
 
 
 def _aggregate_ratio_masses(
-    nums: np.ndarray,
-    dens: np.ndarray,
-    masses: np.ndarray,
-    mass_at_zero: float,
-    mass_at_one: float | None = None,
-    trimmed_mass: float = 0.0,
+    nums: np.ndarray, dens: np.ndarray, masses: np.ndarray, trimmed_mass: float = 0.0
 ) -> DiscreteDistribution:
     """Sum probability masses that land on the same fraction.
 
     ``nums``/``dens``/``masses`` are flat arrays of unreduced ratios in
-    (0, 1] with their probabilities.  Ratios are grouped by their float
+    [0, 1] with their probabilities.  Ratios are grouped by their float
     value, which identifies the fraction exactly while every denominator
     stays below ``_RATIO_DEN_BOUND``: one sort of the values yields the
     groups in ascending order, ``bincount`` sums each group's masses in
     input order, and each group keeps its first ratio, unreduced, as its
-    representative.  ``mass_at_zero`` becomes the point 0 in front of the
-    groups and ``mass_at_one``, when given, the point 1 after them, each
-    only when positive; the caller guarantees that no ratio equals 1 when
-    ``mass_at_one`` is given.  Raises ValueError for a denominator at or
-    above the bound.
+    representative.  Raises ValueError for a denominator at or above the
+    bound.
     """
     if dens.size and dens.max() >= _RATIO_DEN_BOUND:
         raise ValueError(
@@ -171,52 +165,33 @@ def _aggregate_ratio_masses(
     del order, new_group
     probs = np.bincount(group, weights=masses)
     del group
-    # A point of zero mass would make the result copy every array to drop it.
-    zero = np.array([0] if mass_at_zero > 0.0 else [], dtype=np.int64)
-    one = np.array([1] if mass_at_one else [], dtype=np.int64)
     return DiscreteDistribution._from_ratio_arrays(
-        np.concatenate((zero, nums[first], one)),
-        np.concatenate((zero + 1, dens[first], one)),
-        np.concatenate((zero.size * [mass_at_zero], probs, one.size * [mass_at_one])),
-        trimmed_mass,
-        float_vals=np.concatenate((zero, u_values, one)),
+        nums[first], dens[first], probs, trimmed_mass, float_vals=u_values
     )
 
 
 def _count_pair_distribution(
-    est: ConfusionEstimate, fn_start: int, scale: int, offset: int
+    est: ConfusionEstimate, scale: int, offset: int
 ) -> DiscreteDistribution:
-    """Distribution of ``scale * i / (i + j + offset)`` over the pairs of
-    i >= 1 true positives and j >= ``fn_start`` false negatives, with the
-    mass of zero true positives on the value 0 and, when ``fn_start`` is 1,
-    the mass of zero false negatives with i >= 1 on the value 1.
+    """Distribution of ``scale * i / (i + j + offset)`` over the pairs of i
+    true positives and j false negatives, zero counts included, with 0/0
+    read as 0.
 
     Pairs are formed only inside the count ranges the two PMFs hold.  The
     mass their trimming left out of the joint distribution, at most
     ``TRIM_TOL``, is carried as the result's ``trimmed_mass``.
     """
     tp, fn = est.tp, est.fn
-    # Entries before these indices, at most one each, are zero true
-    # positives and, for recall, zero false negatives.
-    tp_skip = max(1 - tp.offset, 0)
-    fn_skip = max(fn_start - fn.offset, 0)
-    kept_tp = tp.pmf[tp_skip:]
-    kept_fn = fn.pmf[fn_skip:]
-    i = np.arange(tp.offset + tp_skip, tp.offset + tp.pmf.size, dtype=np.int64)
-    j = np.arange(fn.offset + fn_skip, fn.offset + fn.pmf.size, dtype=np.int64)
+    i = np.arange(tp.offset, tp.offset + tp.pmf.size, dtype=np.int64)
+    j = np.arange(fn.offset, fn.offset + fn.pmf.size, dtype=np.int64)
     nums = np.broadcast_to(scale * i[:, None], (i.size, j.size)).ravel()
     dens = (i[:, None] + (j + offset)[None, :]).ravel()
-    masses = np.outer(kept_tp, kept_fn).ravel()
-    kept_tp_mass = float(kept_tp.sum())
-    mass_at_one = None
-    if fn_start:
-        mass_at_one = float(fn.pmf[:fn_skip].sum()) * kept_tp_mass
-    # Zero true positives keep all their mass; every other kept count of
-    # true positives loses the false negatives' trimmed mass.
-    trimmed = tp.trimmed + kept_tp_mass * fn.trimmed
-    return _aggregate_ratio_masses(
-        nums, dens, masses, float(tp.pmf[:tp_skip].sum()), mass_at_one, trimmed
-    )
+    # Only the pair (0, 0) of recall has a zero denominator, and both ranges
+    # ascend, so it can only be the first pair.
+    dens[0] = max(dens[0], 1)
+    masses = np.outer(tp.pmf, fn.pmf).ravel()
+    trimmed = tp.trimmed + fn.trimmed - tp.trimmed * fn.trimmed
+    return _aggregate_ratio_masses(nums, dens, masses, trimmed)
 
 
 def accuracy_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
@@ -247,26 +222,25 @@ def precision_distribution(est: ConfusionEstimate) -> DiscreteDistribution | Non
 def recall_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
     """Distribution of TP / (TP + FN) over the joint count distribution.
 
-    All mass with zero true positives lands on recall = 0, including the
-    corner where false negatives are also zero.  Zero false negatives with
-    at least one true positive lands on recall = 1.  Every remaining count
-    pair (i, j) inside the trimmed ranges contributes its joint probability
-    to the value i / (i + j).
+    Every count pair (i, j) inside the trimmed ranges contributes its joint
+    probability to the value i / (i + j), so zero true positives land on 0
+    and zero false negatives with at least one true positive on 1; the
+    pair (0, 0), whose ratio is 0/0, lands on 0.
     """
-    return _count_pair_distribution(est, fn_start=1, scale=1, offset=0)
+    return _count_pair_distribution(est, scale=1, offset=0)
 
 
 def f1_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
     """Distribution of 2*TP / (TP + FN + n_pos); None without positive
     predictions.
 
-    Zero true positives put their whole mass on F1 = 0; every count pair
-    (i >= 1, j >= 0) inside the trimmed ranges contributes to the value
-    2i / (i + j + n_pos).
+    Every count pair (i, j) inside the trimmed ranges contributes its joint
+    probability to the value 2i / (i + j + n_pos), so zero true positives
+    land on 0.
     """
     if est.n_pos == 0:
         return None
-    return _count_pair_distribution(est, fn_start=0, scale=2, offset=est.n_pos)
+    return _count_pair_distribution(est, scale=2, offset=est.n_pos)
 
 
 def _shortcut_windows(

@@ -9,9 +9,11 @@ them bit for bit.  :func:`poisson_binomial_dp` is the former Poisson
 binomial constructor, one convolution per parameter over the full count
 range; :func:`estimate_confusion_dp` builds a window's count PMFs with it,
 untrimmed.  The untrimmed derivations (:func:`recall_distribution_untrimmed`,
-:func:`f1_distribution_untrimmed`) pair every count, as the library did
-before it trimmed the count PMFs' tails; the library's trimmed results must
-stay within the trimming bound of these references.  :func:`run_to_json_reference`
+:func:`f1_distribution_untrimmed`) push every pair of the full
+0..n_pos x 0..n_neg count grid through the metric formula, as the library
+did before it trimmed the count PMFs' tails; the library's trimmed results
+must stay within the trimming bound of these references, and equal them bit
+for bit when nothing was trimmed.  :func:`run_to_json_reference`
 builds a run's report document as a dict, the form the report writer's
 text is pinned to, and :func:`shortcut_points_reference` computes one
 window's shortcut points by the former per-metric reductions, which the
@@ -172,13 +174,9 @@ def greedy_hdi_reference(probs, alpha, trimmed_mass=0.0):
     return lo, hi, covered
 
 
-def aggregate_ratio_masses_reference(nums, dens, masses, extras):
+def aggregate_ratio_masses_reference(nums, dens, masses):
     """Reduced (nums, dens, probs) arrays, ascending by value, of unreduced
     ratio masses grouped by their gcd-reduced integer code."""
-    if extras:
-        nums = np.concatenate([nums, np.array([e[0] for e in extras], dtype=np.int64)])
-        dens = np.concatenate([dens, np.array([e[1] for e in extras], dtype=np.int64)])
-        masses = np.concatenate([masses, np.array([e[2] for e in extras])])
     g = np.gcd(nums, dens)
     nums = nums // g
     dens = dens // g
@@ -193,33 +191,31 @@ def aggregate_ratio_masses_reference(nums, dens, masses, extras):
     return u_nums[order], u_dens[order], probs[order]
 
 
+def _count_pairs_untrimmed(est, scale, offset):
+    """``scale * i / (i + j + offset)`` over the full grid of i in
+    0..n_pos true positives and j in 0..n_neg false negatives, with 0/0 read
+    as 0, from the estimate's PMFs expanded to full length."""
+    i = np.arange(est.n_pos + 1, dtype=np.int64)
+    j = np.arange(est.n_neg + 1, dtype=np.int64)
+    nums = np.broadcast_to(scale * i[:, None], (i.size, j.size)).ravel()
+    dens = (i[:, None] + j[None, :] + offset).ravel()
+    dens[dens == 0] = 1
+    masses = np.outer(expand(est.tp, est.n_pos), expand(est.fn, est.n_neg)).ravel()
+    return metrics._aggregate_ratio_masses(nums, dens, masses)
+
+
 def recall_distribution_untrimmed(est):
-    """Recall over every count pair (i >= 1, j >= 1) of the estimate's PMFs
+    """Recall i / (i + j) over every count pair of the estimate's PMFs
     expanded to full length."""
-    p_tp = expand(est.tp, est.n_pos)
-    p_fn = expand(est.fn, est.n_neg)
-    i = np.arange(1, est.n_pos + 1, dtype=np.int64)
-    j = np.arange(1, est.n_neg + 1, dtype=np.int64)
-    nums = np.broadcast_to(i[:, None], (i.size, j.size)).ravel()
-    dens = (i[:, None] + j[None, :]).ravel()
-    masses = np.outer(p_tp[1:], p_fn[1:]).ravel()
-    return metrics._aggregate_ratio_masses(
-        nums, dens, masses, float(p_tp[0]), float(p_fn[0] * (1.0 - p_tp[0]))
-    )
+    return _count_pairs_untrimmed(est, 1, 0)
 
 
 def f1_distribution_untrimmed(est):
-    """F1 over every count pair (i >= 1, j >= 0) of the estimate's PMFs
+    """F1 2i / (i + j + n_pos) over every count pair of the estimate's PMFs
     expanded to full length; None without positive predictions."""
     if est.n_pos == 0:
         return None
-    p_tp = expand(est.tp, est.n_pos)
-    i = np.arange(1, est.n_pos + 1, dtype=np.int64)
-    j = np.arange(0, est.n_neg + 1, dtype=np.int64)
-    nums = np.broadcast_to(2 * i[:, None], (i.size, j.size)).ravel()
-    dens = (i[:, None] + j[None, :] + est.n_pos).ravel()
-    masses = np.outer(p_tp[1:], expand(est.fn, est.n_neg)).ravel()
-    return metrics._aggregate_ratio_masses(nums, dens, masses, float(p_tp[0]))
+    return _count_pairs_untrimmed(est, 2, est.n_pos)
 
 
 def tv_distance_between(a, b):

@@ -92,6 +92,20 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert "error: line 1: prediction" in err
 
+    def test_short_csv_row_fails(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("prediction,score,label\n1,0.5,1\n0,0.25\n", encoding="utf-8")
+        code, out, err = run(capsys, "estimate", "--input", path)
+        assert code == 1 and out == ""
+        assert "error: line 3: fewer fields than header columns" in err.splitlines()
+
+    def test_jsonl_repeated_key_fails(self, tmp_path, capsys):
+        path = tmp_path / "repeated.jsonl"
+        path.write_text('{"prediction": 1, "prediction": 0, "score": 0.5}\n', encoding="utf-8")
+        code, out, err = run(capsys, "estimate", "--input", path, "--format", "jsonl")
+        assert code == 1 and out == ""
+        assert "error: line 1: duplicate keys: prediction" in err.splitlines()
+
     def test_alpha_with_shortcut_fails(self, labelled_csv, capsys):
         code, out, err = run(
             capsys, "estimate", "--input", labelled_csv,

@@ -67,6 +67,19 @@ class TestCsv:
         with pytest.raises(ValueError, match="^line 1: duplicate CSV columns: prediction$"):
             parse_input(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "prediction,score,label\n1,0.5,1\n0,0.25\n",
+            "prediction,score\n1,0.5\n0\n",
+            "label,prediction,score\n1,1,0.5\n0,0\n",
+        ],
+    )
+    def test_short_row_rejected(self, tmp_path, text):
+        path = write(tmp_path, "a.csv", text)
+        with pytest.raises(ValueError, match="^line 3: fewer fields than header columns$"):
+            parse_input(path)
+
     def test_unknown_columns_warn_and_are_ignored(self, tmp_path):
         path = write(
             tmp_path, "a.csv", "prediction,score,model_id\n1,0.8,m1\n0,0.3,m1\n"
@@ -283,6 +296,15 @@ class TestJsonl:
     def test_rejects_strings_and_bools(self, tmp_path, line):
         path = write(tmp_path, "a.jsonl", '{"prediction": 0, "score": 0.1}\n' + line + "\n")
         with pytest.raises(ValueError, match="line 2: (prediction|score|label) must"):
+            parse_input(path, "jsonl")
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = write(
+            tmp_path,
+            "a.jsonl",
+            '{"prediction": 0, "score": 0.1}\n{"prediction": 1, "prediction": 0, "score": 0.5}\n',
+        )
+        with pytest.raises(ValueError, match="^line 2: duplicate keys: prediction$"):
             parse_input(path, "jsonl")
 
     def test_null_label_means_unlabelled(self, tmp_path):

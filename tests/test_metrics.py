@@ -277,6 +277,34 @@ class TestOracleEquivalence:
                 else:
                     assert tv_distance(derived[metric], reference[metric]) <= 1e-9
 
+    def test_zero_count_row_and_column_holding_most_mass(self):
+        # Scores near 0.02 put most of the mass on zero true positives and
+        # zero false negatives, which only the pair formula places.
+        rng = np.random.default_rng(78)
+        untrimmed = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            predictions = rng.integers(0, 2, size=n)
+            scores = rng.uniform(0.0, 0.04, size=n)
+            est = estimate_confusion(batch(predictions, scores))
+            reference = enumerate_metric_distributions(predictions.tolist(), scores.tolist())
+            assert recall_distribution(est).as_dict()[Fraction(0)] > 0.5
+            for metric, derive, grid in (
+                ("recall", recall_distribution, recall_distribution_untrimmed),
+                ("f1", f1_distribution, f1_distribution_untrimmed),
+            ):
+                d = derive(est)
+                if reference[metric] is None:
+                    assert d is None and grid(est) is None
+                    continue
+                assert tv_distance(d, reference[metric]) <= 1e-9
+                if d.trimmed_mass == 0.0:
+                    assert d == grid(est)
+                    untrimmed += 1
+                else:
+                    assert tv_distance_between(d, grid(est)) <= 1e-15
+        assert untrimmed >= 20
+
     def test_mass_conservation_on_moderate_windows(self):
         rng = np.random.default_rng(15)
         for _ in range(5):
@@ -319,13 +347,9 @@ class TestOracleEquivalence:
             windows.append(estimate_confusion(batch(predictions.astype(int), scores)))
         new = [(recall_distribution(e), f1_distribution(e)) for e in windows]
 
-        def reference(nums, dens, masses, mass_at_zero, mass_at_one=None, trimmed_mass=0.0):
-            extras = [(0, 1, mass_at_zero)]
-            if mass_at_one is not None:
-                extras.append((1, 1, mass_at_one))
+        def reference(nums, dens, masses, trimmed_mass=0.0):
             return DiscreteDistribution._from_ratio_arrays(
-                *aggregate_ratio_masses_reference(nums, dens, masses, extras),
-                trimmed_mass,
+                *aggregate_ratio_masses_reference(nums, dens, masses), trimmed_mass
             )
 
         monkeypatch.setattr(metrics, "_aggregate_ratio_masses", reference)
@@ -413,7 +437,7 @@ class TestRatioGrouping:
         for den in (self.BOUND, self.BOUND + 5):
             with pytest.raises(ValueError, match="denominator"):
                 metrics._aggregate_ratio_masses(
-                    np.array([1, 1]), np.array([2, den]), np.array([0.5, 0.5]), 0.0
+                    np.array([1, 1]), np.array([2, den]), np.array([0.5, 0.5])
                 )
 
     def test_separates_nearest_fractions_below_bound(self):
@@ -425,7 +449,6 @@ class TestRatioGrouping:
             np.array([b - 1, b - 2, k, 1]),
             np.array([b, b - 1, 2 * k, 2]),
             np.array([0.25, 0.25, 0.25, 0.25]),
-            0.0,
         )
         assert d.support == (Fraction(1, 2), Fraction(b - 2, b - 1), Fraction(b - 1, b))
         assert d.probabilities.tolist() == [0.5, 0.25, 0.25]
