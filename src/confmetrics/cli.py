@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
-from pathlib import Path
+from contextlib import nullcontext
 
 from .calibration import DEFAULT_NUM_BINS, ace
 from .experiments import (
@@ -151,11 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output(path: str | None):
+    """Where data goes: stdout, or the file at ``path``, created or
+    truncated when this is called."""
+    return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+
+
 def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(output).write_text(text if text.endswith("\n") else text + "\n", "utf-8")
+    with _output(output) as out:
+        out.write(text if text.endswith("\n") else text + "\n")
 
 
 def _cmd_estimate(args) -> None:
@@ -163,7 +168,13 @@ def _cmd_estimate(args) -> None:
     config = EstimateConfig(metrics=args.metrics, method=args.method, alpha=args.alpha)
     window = args.window_size if args.window_size is not None else batch.n
     reports = windowed_estimates(batch, window, config)
-    _emit(render_report(reports, config, args.emit_distributions), args.output)
+    # The first window is estimated before the output is opened, so that a
+    # run that fails there leaves an existing output file as it was.  The
+    # list's iterator lets go of that window once the writer is past it.
+    reports = itertools.chain(iter([next(reports)]), reports)
+    with _output(args.output) as out:
+        render_report(reports, config, args.emit_distributions, out=out)
+        out.write("\n")
 
 
 def _cmd_true_metrics(args) -> None:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from confmetrics import confusion, metrics
+from confmetrics import confusion, metrics, reports
 from confmetrics.cli import main
 from oracles import (
     f1_distribution_untrimmed,
@@ -168,6 +168,43 @@ class TestEstimate:
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(capsys, "estimate", "--input", tmp_path / "nope.csv")
         assert code == 1 and "error:" in err
+
+    def test_rejected_request_leaves_output_file_untouched(self, labelled_csv, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        out_path.write_bytes(b"an earlier report\n")
+        code, out, err = run(
+            capsys, "estimate", "--input", labelled_csv, "--alpha", "1.5", "--output", out_path
+        )
+        assert code == 1 and out == ""
+        assert "alpha must lie strictly between 0 and 1" in err
+        assert out_path.read_bytes() == b"an earlier report\n"
+
+    def test_failed_first_window_leaves_output_file_untouched(
+        self, labelled_csv, tmp_path, capsys, monkeypatch
+    ):
+        def fails(*args):
+            raise ValueError("window failed")
+
+        monkeypatch.setattr(reports, "estimate_all", fails)
+        out_path = tmp_path / "report.json"
+        out_path.write_bytes(b"an earlier report\n")
+        code, out, err = run(
+            capsys, "estimate", "--input", labelled_csv, "--alpha", "0.05",
+            "--window-size", "2", "--output", out_path,
+        )
+        assert code == 1 and out == ""
+        assert "error: window failed" in err
+        assert out_path.read_bytes() == b"an earlier report\n"
+
+    def test_stdout_and_output_file_hold_the_same_report(self, labelled_csv, tmp_path, capsys):
+        args = ("estimate", "--input", labelled_csv, "--window-size", "3", "--emit-distributions")
+        code, printed, _ = run(capsys, *args)
+        assert code == 0
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, *args, "--output", out_path)
+        assert code == 0 and out == ""
+        assert out_path.read_text(encoding="utf-8") == printed
+        assert len(json.loads(printed)["windows"]) == 2
 
 
 class TestLabelledCommands:

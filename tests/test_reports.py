@@ -1,12 +1,15 @@
 """Tests for window orchestration, true metrics and report serialization."""
 
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confmetrics import reports as reports_module
 from confmetrics.confusion import PredictionBatch
 from confmetrics.intervals import HdiInterval
 from confmetrics.metrics import METRICS, MetricEstimate, estimate_all
@@ -34,12 +37,12 @@ def random_batch(rng, n, labelled=False):
 
 class TestWindowing:
     def test_exact_split(self):
-        reports = windowed_estimates(random_batch(np.random.default_rng(0), 1000), 500)
+        reports = list(windowed_estimates(random_batch(np.random.default_rng(0), 1000), 500))
         assert [r.window_size for r in reports] == [500, 500]
         assert not any(r.partial for r in reports)
 
     def test_trailing_partial_window_flagged(self):
-        reports = windowed_estimates(random_batch(np.random.default_rng(1), 1001), 500)
+        reports = list(windowed_estimates(random_batch(np.random.default_rng(1), 1001), 500))
         assert [r.window_size for r in reports] == [500, 500, 1]
         assert [r.partial for r in reports] == [False, False, True]
         assert [r.window_index for r in reports] == [0, 1, 2]
@@ -59,7 +62,7 @@ class TestWindowing:
         scores[60:] = 0.0
         b = batch((scores >= 0.5).astype(int), scores)
         config = EstimateConfig(metrics, method, 0.1 if method == "exact" else None)
-        reports = windowed_estimates(b, window, config)
+        reports = list(windowed_estimates(b, window, config))
         assert len(reports) == -(-90 // window)
         undefined = set()
         for index, report in enumerate(reports):
@@ -82,12 +85,33 @@ class TestWindowing:
             assert undefined == set(metrics) - always_defined
 
     def test_undefined_metrics_listed(self):
-        reports = windowed_estimates(batch([0, 0], [0.2, 0.3]), 2)
+        reports = list(windowed_estimates(batch([0, 0], [0.2, 0.3]), 2))
         assert set(reports[0].undefined_metrics) == {"precision", "f1"}
 
     def test_rejects_bad_window_size(self):
         with pytest.raises(ValueError, match="window_size"):
             windowed_estimates(batch([1], [0.5]), 0)
+
+    def test_rejects_bad_request_when_called(self):
+        # Nothing is iterated: the check must not wait for the first window.
+        with pytest.raises(ValueError, match="alpha"):
+            windowed_estimates(batch([1], [0.5]), 1, EstimateConfig(alpha=1.5))
+
+    def test_windows_estimated_as_they_are_consumed(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].n)
+            return estimate_all(*args)
+
+        monkeypatch.setattr(reports_module, "estimate_all", counted)
+        reports = windowed_estimates(random_batch(np.random.default_rng(7), 25), 10)
+        assert calls == []
+        assert next(reports).window_size == 10
+        assert calls == [10]
+        assert [r.window_size for r in reports] == [10, 5]
+        assert calls == [10, 10, 5]
+        assert list(reports) == []
 
 
 class TestTrueMetrics:
@@ -174,6 +198,23 @@ class TestSerialization:
         json.loads(first)  # also valid JSON
 
 
+def test_peak_memory_holds_one_window_not_the_run():
+    # Twenty times the windows may not take three times the memory: each
+    # window's distributions are let go once its text is written.
+    config = EstimateConfig(alpha=0.05)
+    rng = np.random.default_rng(8)
+    peaks = []
+    for n in (1000, 20_000):
+        b = random_batch(rng, n)
+        tracemalloc.start()
+        try:
+            render_report(windowed_estimates(b, 1000, config), config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0], peaks
+
+
 def _sample_distributions():
     rng = np.random.default_rng(4)
     dists = []
@@ -220,6 +261,9 @@ class TestWriter:
         document = run_to_json_reference(reports, config, emit_distributions)
         expected = json.dumps(document, indent=2, sort_keys=True)
         assert render_report(reports, config, emit_distributions) == expected
+        out = io.StringIO()
+        assert render_report(iter(reports), config, emit_distributions, out=out) is None
+        assert out.getvalue() == expected
 
     @pytest.mark.parametrize(
         "config, window",
@@ -232,7 +276,7 @@ class TestWriter:
     )
     def test_estimated_windows_match_the_reference(self, config, window):
         b = random_batch(np.random.default_rng(5), 20)
-        reports = windowed_estimates(b, window, config)
+        reports = list(windowed_estimates(b, window, config))
         for emit in (False, True):
             document = run_to_json_reference(reports, config, emit)
             text = render_report(reports, config, emit)
