@@ -188,11 +188,6 @@ class DiscreteDistribution:
         )
         return self
 
-    @classmethod
-    def point_mass(cls, value: object) -> "DiscreteDistribution":
-        """Distribution putting all mass on a single value."""
-        return cls({value: 1.0})
-
     # ---- accessors ----
 
     @property
@@ -258,14 +253,10 @@ class DiscreteDistribution:
 
     def expectation(self) -> float:
         """Mean of the distribution, evaluated in float arithmetic; trimmed
-        mass contributes nothing."""
-        return float(self._float_vals @ self._probs)
-
-    def variance(self) -> float:
-        """Variance, clamped at zero against float cancellation."""
-        e = self.expectation()
-        raw = float((self._float_vals * self._float_vals) @ self._probs) - e * e
-        return max(raw, 0.0)
+        mass contributes nothing.  The products are added by numpy's
+        pairwise sum rather than a BLAS dot product, whose rounding changes
+        with the number of threads BLAS splits it across."""
+        return float((self._float_vals * self._probs).sum())
 
 
 def unit_interval_array(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:

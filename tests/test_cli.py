@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import confmetrics
 from confmetrics import confusion, metrics, reports
 from confmetrics.cli import main
 from oracles import (
@@ -205,6 +210,29 @@ class TestEstimate:
         assert code == 0 and out == ""
         assert out_path.read_text(encoding="utf-8") == printed
         assert len(json.loads(printed)["windows"]) == 2
+
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
+        # OpenBLAS splits a dot product of more than 10 000 elements across
+        # its threads, which changes how the sum rounds; the recall and F1
+        # distributions of a 1000-row window hold about 25 000 points.
+        data = tmp_path / "sphere.csv"
+        code, _, _ = run(
+            capsys, "--seed", "1", "generate", "hypersphere",
+            "--dims", "5", "--points", "1000", "--shifted", "--output", data,
+        )
+        assert code == 0
+        src = str(Path(confmetrics.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        reports_by_threads = [
+            subprocess.run(
+                [sys.executable, "-m", "confmetrics.cli", "estimate",
+                 "--input", str(data), "--alpha", "0.05"],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, check=True, timeout=300,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert reports_by_threads[0] == reports_by_threads[1]
 
 
 class TestLabelledCommands:

@@ -31,7 +31,7 @@ class TestExamples:
         assert interval.covered_mass == pytest.approx(0.98)
 
     def test_point_mass(self):
-        interval = hdi(DiscreteDistribution.point_mass(0.7), 0.3)
+        interval = hdi(DiscreteDistribution({0.7: 1.0}), 0.3)
         assert (interval.lower, interval.upper) == (0.7, 0.7)
         assert interval.covered_mass == 1.0
 

@@ -1,5 +1,6 @@
 """Tests for derived metric distributions and shortcut estimators."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -536,3 +537,13 @@ class TestEstimateAllProperties:
             assert e.point == d.expectation()
             assert e.hdi.lower <= e.hdi.upper
             assert e.hdi.covered_mass >= 1.0 - alpha
+
+
+def test_point_is_the_accurately_summed_mean():
+    # The recall distribution of 10 000 uniform scores has about 210 000
+    # points; a BLAS dot product of values and probabilities was 2.4e-15
+    # away from the correctly rounded sum of their products here.
+    scores = np.random.default_rng(0).random(10_000)
+    d = recall_distribution(estimate_confusion(batch((scores >= 0.5).astype(int), scores)))
+    products = (d.float_values * d.probabilities).tolist()
+    assert abs(d.expectation() - math.fsum(products)) <= 4.4e-16
