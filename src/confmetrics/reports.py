@@ -7,14 +7,7 @@ partial.  The shortcut points of all windows come from one array pass over
 the whole batch; exact windows are sliced and estimated one at a time, as
 the reports are consumed.
 
-Reports serialize to a single JSON document per run, written window by
-window: the writer turns each report into text as it arrives and can pass
-that text on to a stream before the next window is estimated, so a run
-holds about one window's distributions whatever its length.  An exact run
-over 100 000 rows at window 1000 peaks at about 39 MB of resident memory,
-29 MB of it the import, where building every report first took 189 MB; at
-window 300 with distributions emitted, 30 000 rows peak at about 43 MB for
-a 131 MB report, where they took 458 MB.  The writer fills
+Reports serialize to a single JSON document per run.  The writer fills
 templates of the document's fixed layout, and its text is byte for byte
 what ``json.dumps(document, indent=2, sort_keys=True)`` writes for the
 document :func:`run_to_json` returns: keys sorted, two spaces of
@@ -27,6 +20,14 @@ the writer takes 20-35 ms where building the document and dumping it took
 included only on request, since the recall and F1 distributions each hold
 about 25 support points per window record (about 25 000 at a window of
 1000, 100 000 at 4000).
+
+Reports stream: the writer turns each report into text as it arrives and
+can pass that text on to a stream before the next window is estimated, so
+a run holds about one window's distributions whatever its length.  An
+exact ``estimate`` run over 100 000 rows at window 1000 peaks at 40 MB of
+resident memory, 29 MB of it the import, where building every report
+before writing any took 189 MB; at window 300 with distributions emitted,
+30 000 rows peak at 41 MB for a 132 MB report, where they took 468 MB.
 """
 
 from __future__ import annotations
