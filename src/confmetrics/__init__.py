@@ -23,7 +23,6 @@ from .distribution import (
     PROB_SUM_TOL,
     CountPMF,
     DiscreteDistribution,
-    poisson_binomial_cf,
     poisson_binomial_tree,
 )
 from .experiments import (
@@ -75,7 +74,6 @@ __all__ = [
     "CountPMF",
     "DiscreteDistribution",
     "poisson_binomial_tree",
-    "poisson_binomial_cf",
     "PredictionBatch",
     "ConfusionEstimate",
     "estimate_confusion",

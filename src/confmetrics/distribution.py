@@ -14,9 +14,7 @@ entry k is the probability of exactly ``offset + k`` successes, and the mass
 ``trimmed`` that was cut from its tails and lies outside that range.  The
 count complement m - X of a PMF over 0..m is its reversal.
 :func:`poisson_binomial_tree` builds Poisson binomial PMFs in this form by
-a product tree of trimmed nodes.  The discrete characteristic function
-(:func:`poisson_binomial_cf`) builds a full-length one by an independent
-route, as a cross-check.
+a product tree of trimmed nodes.
 
 Everything here is pure and deterministic; instances never mutate after
 construction and are safe to share across threads.
@@ -36,7 +34,6 @@ __all__ = [
     "CountPMF",
     "DiscreteDistribution",
     "poisson_binomial_tree",
-    "poisson_binomial_cf",
 ]
 
 # Single library-wide tolerance for "probabilities sum to one" checks.
@@ -54,10 +51,6 @@ _BLOCK = 16
 
 # Mass a product-tree node below the root may cut from each of its ends.
 _NODE_TOL = 1e-24
-
-# Renormalising the characteristic-function PMF may move at most this much
-# total mass; anything larger indicates a numerically broken transform.
-_CF_RENORM_TOL = 1e-8
 
 # Support numerators and denominators are stored as int64.
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -349,30 +342,3 @@ def poisson_binomial_tree(params: Sequence[float] | np.ndarray) -> CountPMF:
     pmf = pmf[start:stop] * ((1.0 - trimmed) / pmf[start:stop].sum())
     return CountPMF(offset + start, _read_only(pmf), trimmed)
 
-
-def poisson_binomial_cf(params: Sequence[float] | np.ndarray) -> np.ndarray:
-    """PMF of a sum of n independent Bernoulli variables, via the
-    characteristic function evaluated on the discrete Fourier grid, as a
-    read-only count PMF of length n + 1.
-
-    Independent of :func:`poisson_binomial_tree`; the two agree within 1e-9
-    per entry.  The transform can leave tiny negative values, which are clamped
-    to zero before renormalising; a normalisation shift beyond 1e-8 total
-    mass is rejected as a numerical failure.  Evaluating the characteristic
-    function costs O(n^2); the final transform is O(n log n).
-    """
-    arr = _check_bernoulli_params(params)
-    m = arr.size + 1
-    phase = np.exp(2j * np.pi * np.arange(m) / m)
-    phi = np.ones(m, dtype=np.complex128)
-    for p in arr:
-        phi *= (1.0 - p) + p * phase
-    raw = np.fft.fft(phi).real / m
-    clamped = np.where(raw < 0.0, 0.0, raw)
-    total = float(clamped.sum())
-    if abs(total - 1.0) > _CF_RENORM_TOL:
-        raise ValueError(
-            f"characteristic-function PMF lost {abs(total - 1.0):.3g} mass; "
-            "refusing to renormalise"
-        )
-    return _read_only(clamped / total)

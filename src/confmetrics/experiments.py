@@ -24,7 +24,7 @@ import numpy as np
 
 from .calibration import reverse_sample_labels, threshold_predictions
 from .confusion import PredictionBatch
-from .intervals import hdi
+from .intervals import hdis
 from .metrics import METRICS, _require_distinct, estimate_all
 from .reports import true_metrics
 from .synthesis import random_beta_params, sample_beta_scores
@@ -176,8 +176,7 @@ def run_coverage_experiment(
                 actual = getattr(realized, estimate.metric)
                 if estimate.distribution is None or actual is None:
                     continue
-                for alpha in alphas:
-                    interval = hdi(estimate.distribution, alpha)
+                for alpha, interval in zip(alphas, hdis(estimate.distribution, alphas)):
                     totals[(estimate.metric, alpha)] += 1
                     if interval.lower - 1e-12 <= actual <= interval.upper + 1e-12:
                         hits[(estimate.metric, alpha)] += 1

@@ -14,8 +14,9 @@ from the lower end and downwards from the upper end, that always takes the
 smaller head.  Such a merge of unsorted sequences takes a point from one
 side before a point from the other exactly when the running maximum up to
 the first is below the running maximum up to the second, so the drop order
-is a stable sort of the running maxima; :func:`hdi` computes it that way
-instead of stepping the two pointers one point at a time.
+is a stable sort of the running maxima; :func:`hdis` computes it that way
+instead of stepping the two pointers one point at a time, once for every
+alpha it is asked for.
 
 For strongly multimodal distributions a union of disjoint intervals could be
 shorter than the single contiguous interval returned here; this module
@@ -25,12 +26,13 @@ always returns one interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .distribution import DiscreteDistribution
 
-__all__ = ["HdiInterval", "hdi"]
+__all__ = ["HdiInterval", "hdi", "hdis"]
 
 
 @dataclass(frozen=True)
@@ -66,35 +68,57 @@ def hdi(d: DiscreteDistribution, alpha: float) -> HdiInterval:
     ``lower <= upper`` and the covered mass is positive.  The dropped mass
     starts at ``d.trimmed_mass``, so the covered mass is at least 1 - alpha
     unless the probabilities and the trimmed mass themselves sum to less.
+    This is the one-alpha case of :func:`hdis`.
+    """
+    return hdis(d, (alpha,))[0]
+
+
+def hdis(d: DiscreteDistribution, alphas: Sequence[float]) -> list[HdiInterval]:
+    """The :func:`hdi` interval of one distribution at each of ``alphas``.
 
     The drop order is a stable sort of the running maxima of both ends
     (see the module docstring), upper end first so that it wins ties.  The
     dropped mass is the cumulative sum along that order, added in the same
-    sequence as one point at a time, so the result matches the two-pointer
-    walk bit for bit; with no trimmed mass the sum starts at 0.0, which
-    adds exactly.
+    sequence as one point at a time, so each interval matches the
+    two-pointer walk bit for bit; with no trimmed mass the sum starts at
+    0.0, which adds exactly.
+
+    One order, taken over the points the largest alpha can reach, serves
+    every alpha.  A point beyond a smaller alpha's reachable run comes, in
+    that order, after the last point of the run, where the smaller alpha's
+    walk has already stopped (see :func:`_reachable`).  So each walk is a
+    prefix of the one order, and its dropped mass a prefix of the one sum.
+    Raises ValueError for an alpha outside (0, 1).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    if not alphas:
+        return []
     values = d.float_values
     probs = d.probabilities
     start = np.array([d.trimmed_mass])
-    low = _reachable(probs, alpha, start)
-    high = _reachable(probs[::-1], alpha, start)
+    widest = max(alphas)
+    low = _reachable(probs, widest, start)
+    high = _reachable(probs[::-1], widest, start)
     order = np.argsort(
         np.concatenate([np.maximum.accumulate(high), np.maximum.accumulate(low)]),
         kind="stable",
     )
     dropped_mass = np.cumsum(np.concatenate([start, np.concatenate([high, low])[order]]))[1:]
-    # Within the first len(probs) - 1 merged points the two ends have not
-    # met, so no point appears twice among those dropped.
-    n_dropped = min(int(np.searchsorted(dropped_mass, alpha)), probs.size - 1)
-    lo = int(np.count_nonzero(order[:n_dropped] >= high.size))
-    hi = probs.size - 1 - (n_dropped - lo)
-    covered = float(probs[lo : hi + 1].sum())
-    return HdiInterval(
-        lower=float(values[lo]),
-        upper=float(values[hi]),
-        alpha=alpha,
-        covered_mass=covered,
-    )
+    intervals = []
+    for alpha in alphas:
+        # Within the first len(probs) - 1 merged points the two ends have
+        # not met, so no point appears twice among those dropped.
+        n_dropped = min(int(np.searchsorted(dropped_mass, alpha)), probs.size - 1)
+        lo = int(np.count_nonzero(order[:n_dropped] >= high.size))
+        hi = probs.size - 1 - (n_dropped - lo)
+        intervals.append(
+            HdiInterval(
+                lower=float(values[lo]),
+                upper=float(values[hi]),
+                alpha=alpha,
+                covered_mass=float(probs[lo : hi + 1].sum()),
+            )
+        )
+    return intervals

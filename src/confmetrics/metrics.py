@@ -16,8 +16,9 @@ product of the marginals.  Both metrics are one formula,
 ``scale * i / (i + j + offset)``, over every pair of i true positives and j
 false negatives inside the kept count ranges, zero counts included, and
 each pair's probability accumulates on the fraction the pair maps to.  The
-pairs are grouped by one sort of their float values, and each group's
-masses are summed in pair order.
+pairs are grouped by one sort of int64 keys, each a bucket of the pair's
+float value packed above the pair's index, and each group's masses are
+summed in pair order.
 
 The count PMFs arrive trimmed.  The Poisson binomial product tree keeps
 each of them to a count range outside which at most ``TRIM_TOL / 2`` of its
@@ -37,11 +38,11 @@ Point estimates are distribution means.  The shortcut estimators compute the
 mean without materialising a distribution: exactly for accuracy and
 precision, and with an O(1/sqrt(n)) approximation error for recall and F1.
 Measured on one core of a 2-vCPU machine with hypersphere scores, all four
-exact distributions with 95% intervals take about 2.5 ms for a window of
-300 records, 8 ms at 1000, 30 ms at 4000, 0.09 s at 10 000, 0.17 s at
-20 000 and 1 s at 100 000; from a few thousand records on, most of it is
-the recall and F1 pair grids, which grow as n.  Shortcuts are O(n) and give
-points only.
+exact distributions with 95% intervals take about 2 ms for a window of
+300 records, 5.5 ms at 1000, 25 ms at 4000, 0.07 s at 10 000, 0.14 s at
+20 000 and 0.75 s at 100 000; from a few thousand records on, most of it
+is the recall and F1 pair grids, which grow as n.  Shortcuts are O(n) and
+give points only.
 
 The shortcuts need only per-window sums, so all windows of a stream get
 their shortcut points in one array pass: accuracy and the score totals are
@@ -124,14 +125,12 @@ def _scaled_counts(counts: CountPMF, denominator: int) -> DiscreteDistribution:
     )
 
 
-# Float grouping bound.  Two distinct ratios a/b != c/d in [0, 1] differ by
-# |ad - bc| / (bd) >= 1 / (bd), which exceeds 2**-52 when b, d < 2**26.
-# Rounding a quotient in [0, 1] to the nearest double moves it by at most
-# half an ulp, 2**-54, so distinct ratios stay at least 2**-53 apart and
-# round to distinct doubles.  Equal ratios round to the same double, because
-# the int64 operands (below 2**53) convert exactly and division is correctly
-# rounded.
+# Denominators below this bound keep the float grouping of
+# _aggregate_ratio_masses exact; its docstring gives the argument.
 _RATIO_DEN_BOUND = 2**26
+
+# Widest sort key an int64 holds without its sign bit.
+_KEY_BITS = 63
 
 
 def _aggregate_ratio_masses(
@@ -140,33 +139,65 @@ def _aggregate_ratio_masses(
     """Sum probability masses that land on the same fraction.
 
     ``nums``/``dens``/``masses`` are flat arrays of unreduced ratios in
-    [0, 1] with their probabilities.  Ratios are grouped by their float
-    value, which identifies the fraction exactly while every denominator
-    stays below ``_RATIO_DEN_BOUND``: one sort of the values yields the
-    groups in ascending order, ``bincount`` sums each group's masses in
-    input order, and each group keeps its first ratio, unreduced, as its
-    representative.  Raises ValueError for a denominator at or above the
-    bound.
+    [0, 1] with their probabilities.  Each ratio's float value v goes to the
+    integer bucket floor(v * 2**k), with k = 2 * bit_length(D) + 1 for the
+    largest denominator D, and the bucket identifies the fraction exactly:
+
+    - distinct fractions with denominators at most D differ by at least
+      1/D**2;
+    - each quotient lies within 2**-54 of its fraction, and scaling it by
+      2**k is exact;
+    - so two distinct fractions' quotients differ by at least
+      1/D**2 - 2**-53 >= 2**-k, which holds for every D below
+      ``_RATIO_DEN_BOUND`` = 2**26 (where k reaches 53), and they land in
+      distinct buckets, in ascending order;
+    - equal fractions are already the same double, since int64 operands
+      below 2**53 convert exactly and division is correctly rounded.
+
+    The key of a pair is its bucket, k + 1 bits wide, shifted above its
+    index, and one ``np.sort`` of these int64 keys yields a stable value
+    order in the low bits; a change in the high bits starts each group.  A
+    grid whose keys need more than ``_KEY_BITS`` bits (a whole-file window
+    of more than about 300 000 records) takes a stable argsort of the
+    buckets instead.  Either way each group's masses arrive in input order, so
+    ``bincount`` adds them in that sequence, and each group keeps its first
+    ratio, unreduced, as its representative.  Raises ValueError for a
+    denominator at or above the bound.
     """
-    if dens.size and dens.max() >= _RATIO_DEN_BOUND:
+    max_den = int(dens.max())
+    if max_den >= _RATIO_DEN_BOUND:
         raise ValueError(
-            f"ratio denominator {int(dens.max())} is not below {_RATIO_DEN_BOUND}; "
+            f"ratio denominator {max_den} is not below {_RATIO_DEN_BOUND}; "
             "float grouping could merge distinct fractions"
         )
-    values = nums / dens
-    order = np.argsort(values)
-    sorted_values = values[order]
-    new_group = np.diff(sorted_values, prepend=-1.0) != 0.0
-    u_values = sorted_values[new_group]
-    del values, sorted_values
-    group = np.empty_like(order)
-    group[order] = np.cumsum(new_group) - 1
+    k = 2 * max_den.bit_length() + 1
+    index_bits = (nums.size - 1).bit_length()
+    keys = nums / dens
+    keys *= 2.0**k
+    keys = keys.astype(np.int64)  # truncation is floor for values >= 0
+    if k + 1 + index_bits <= _KEY_BITS:
+        keys <<= index_bits
+        keys |= np.arange(keys.size)
+        keys.sort()
+        order = keys & ((1 << index_bits) - 1)
+        keys >>= index_bits
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    new_group = np.empty(keys.size, dtype=bool)
+    new_group[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
+    labels = np.cumsum(new_group, out=keys)
+    labels -= 1
+    probs = np.bincount(labels, weights=masses[order])
+    del keys, labels
     first = order[new_group]
     del order, new_group
-    probs = np.bincount(group, weights=masses)
-    del group
+    group_nums = nums[first]
+    group_dens = dens[first]
+    del first
     return DiscreteDistribution._from_ratio_arrays(
-        nums[first], dens[first], probs, trimmed_mass, float_vals=u_values
+        group_nums, group_dens, probs, trimmed_mass, float_vals=group_nums / group_dens
     )
 
 

@@ -8,7 +8,9 @@ implementations of two vectorised library routines, which must agree with
 them bit for bit.  :func:`poisson_binomial_dp` is the former Poisson
 binomial constructor, one convolution per parameter over the full count
 range; :func:`estimate_confusion_dp` builds a window's count PMFs with it,
-untrimmed.  The untrimmed derivations (:func:`recall_distribution_untrimmed`,
+untrimmed.  :func:`poisson_binomial_cf` builds the same PMF by a third,
+independent route, the discrete characteristic function.  The untrimmed
+derivations (:func:`recall_distribution_untrimmed`,
 :func:`f1_distribution_untrimmed`) push every pair of the full
 0..n_pos x 0..n_neg count grid through the metric formula, as the library
 did before it trimmed the count PMFs' tails; the library's trimmed results
@@ -38,6 +40,42 @@ def poisson_binomial_dp(params):
     pmf = np.array([1.0])
     for p in np.sort(unit_interval_array(params, "Bernoulli parameter")):
         pmf = np.convolve(pmf, (1.0 - p, p))
+    pmf.flags.writeable = False
+    return pmf
+
+
+# Renormalising the characteristic-function PMF may move at most this much
+# total mass; anything larger indicates a numerically broken transform.
+_CF_RENORM_TOL = 1e-8
+
+
+def poisson_binomial_cf(params):
+    """PMF of a sum of n independent Bernoulli variables, via the
+    characteristic function evaluated on the discrete Fourier grid, as a
+    read-only count PMF of length n + 1.
+
+    Independent of the library's product tree; the two agree within 1e-9
+    per entry.  The transform can leave tiny negative values, which are
+    clamped to zero before renormalising; a normalisation shift beyond
+    ``_CF_RENORM_TOL`` total mass is rejected as a numerical failure.
+    Evaluating the characteristic function costs O(n^2); the final
+    transform is O(n log n).
+    """
+    arr = np.sort(unit_interval_array(params, "Bernoulli parameter"))
+    m = arr.size + 1
+    phase = np.exp(2j * np.pi * np.arange(m) / m)
+    phi = np.ones(m, dtype=np.complex128)
+    for p in arr:
+        phi *= (1.0 - p) + p * phase
+    raw = np.fft.fft(phi).real / m
+    clamped = np.where(raw < 0.0, 0.0, raw)
+    total = float(clamped.sum())
+    if abs(total - 1.0) > _CF_RENORM_TOL:
+        raise ValueError(
+            f"characteristic-function PMF lost {abs(total - 1.0):.3g} mass; "
+            "refusing to renormalise"
+        )
+    pmf = clamped / total
     pmf.flags.writeable = False
     return pmf
 

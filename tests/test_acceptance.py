@@ -13,11 +13,7 @@ import pytest
 
 from confmetrics.calibration import ace, threshold_predictions
 from confmetrics.confusion import PredictionBatch, estimate_confusion
-from confmetrics.distribution import (
-    DiscreteDistribution,
-    poisson_binomial_cf,
-    poisson_binomial_tree,
-)
+from confmetrics.distribution import DiscreteDistribution, poisson_binomial_tree
 from confmetrics.experiments import (
     run_convergence_experiment,
     run_coverage_experiment,
@@ -37,6 +33,7 @@ from oracles import (
     contiguous_spans,
     enumerate_metric_distributions,
     expand,
+    poisson_binomial_cf,
     random_small_batch,
     tv_distance,
 )

@@ -14,10 +14,14 @@ from confmetrics.distribution import (
     TRIM_TOL,
     CountPMF,
     DiscreteDistribution,
-    poisson_binomial_cf,
     poisson_binomial_tree,
 )
-from oracles import enumerate_poisson_binomial, expand, poisson_binomial_dp
+from oracles import (
+    enumerate_poisson_binomial,
+    expand,
+    poisson_binomial_cf,
+    poisson_binomial_dp,
+)
 
 params_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), max_size=10

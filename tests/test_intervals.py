@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confmetrics.distribution import DiscreteDistribution
-from confmetrics.intervals import hdi
+from confmetrics.intervals import hdi, hdis
 from oracles import contiguous_spans, greedy_hdi_reference
 
 
@@ -93,6 +93,8 @@ class TestExamples:
         for alpha in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError, match="alpha"):
                 hdi(d, alpha)
+            with pytest.raises(ValueError, match="alpha"):
+                hdis(d, (0.1, alpha))
 
 
 class TestCoverage:
@@ -202,3 +204,19 @@ class TestAgainstLoop:
             float(values[hi]),
             covered,
         )
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        weights,
+        st.lists(alphas, min_size=1, max_size=6, unique=True),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-18, max_value=0.2)),
+    )
+    def test_one_drop_order_serves_every_alpha(self, raw, alpha_list, trimmed):
+        # Integer weights tie masses; the order is taken at the largest
+        # alpha and must give each smaller alpha its own interval.
+        w = np.array(raw, dtype=np.float64)
+        probs = w / w.sum() * (1.0 - trimmed)
+        d = DiscreteDistribution._from_ratio_arrays(
+            np.arange(probs.size), np.full(probs.size, probs.size), probs, trimmed
+        )
+        assert hdis(d, alpha_list) == [hdi(d, alpha) for alpha in alpha_list]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confmetrics import metrics
@@ -453,6 +453,74 @@ class TestRatioGrouping:
         )
         assert d.support == (Fraction(1, 2), Fraction(b - 2, b - 1), Fraction(b - 1, b))
         assert d.probabilities.tolist() == [0.5, 0.25, 0.25]
+
+
+
+@st.composite
+def ratio_masses(draw):
+    """Flat unreduced ratios in [0, 1] and masses summing to one: repeated
+    fractions, in lowest terms and scaled, groups of up to 36 pairs, zero
+    masses, and sometimes a few denominators just below 2**26."""
+    near_bound = draw(st.booleans())
+    if near_bound:
+        # Numerators just below the denominator make the closest fractions.
+        fraction = st.integers(2**26 - 8, 2**26 - 1).flatmap(
+            lambda d: st.tuples(st.integers(0, d) | st.integers(d - 3, d), st.just(d))
+        )
+        fractions = draw(st.lists(fraction, min_size=1, max_size=4))
+    else:
+        fraction = st.integers(1, 40).flatmap(
+            lambda d: st.tuples(st.integers(0, d), st.just(d))
+        )
+        fractions = draw(st.lists(fraction, min_size=1, max_size=12))
+    nums, dens, weights = [], [], []
+    for num, den in fractions:
+        for _ in range(draw(st.integers(1, 3 if near_bound else 12))):
+            scale = 1 if near_bound else draw(st.integers(1, 3))
+            nums.append(num * scale)
+            dens.append(den * scale)
+            weights.append(draw(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)))
+    order = draw(st.permutations(range(len(nums))))
+    w = np.array(weights)[order]
+    assume(w.sum() > 0.0)
+    return np.array(nums)[order], np.array(dens)[order], w / w.sum()
+
+
+def aggregate_by_reference(nums, dens, masses):
+    return DiscreteDistribution._from_ratio_arrays(
+        *aggregate_ratio_masses_reference(nums, dens, masses)
+    )
+
+
+def assert_same_bytes(got, want):
+    assert list(got.ratios()) == list(want.ratios())
+    assert got.probabilities.tobytes() == want.probabilities.tobytes()
+    assert got.float_values.tobytes() == want.float_values.tobytes()
+
+
+class TestPackedGrouping:
+    @settings(deadline=None, max_examples=300)
+    @given(ratio_masses())
+    def test_matches_gcd_keyed_reference_bit_for_bit(self, case):
+        got = metrics._aggregate_ratio_masses(*case)
+        assert_same_bytes(got, aggregate_by_reference(*case))
+
+    def test_wide_key_fallback_matches_packed_keys(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        grids = []
+        for n in (1, 40, 300, 1000):
+            scores = rng.random(n)
+            est = estimate_confusion(batch((scores >= 0.5).astype(int), scores))
+            grids += [(est, recall_distribution), (est, f1_distribution)]
+        packed = [derive(est) for est, derive in grids]
+        # No key fits in zero bits, so every grid takes the fallback.
+        monkeypatch.setattr(metrics, "_KEY_BITS", 0)
+        for (est, derive), want in zip(grids, packed):
+            assert_same_bytes(derive(est), want)
+        b = 2**26 - 1
+        case = (np.array([b - 1, b - 2, 0, 1]), np.array([b, b - 1, b, 2]), np.full(4, 0.25))
+        got = metrics._aggregate_ratio_masses(*case)
+        assert_same_bytes(got, aggregate_by_reference(*case))
 
 
 class TestEstimateAll:
