@@ -159,10 +159,10 @@ def _aggregate_ratio_masses(
     order in the low bits; a change in the high bits starts each group.  A
     grid whose keys need more than ``_KEY_BITS`` bits (a whole-file window
     of more than about 300 000 records) takes a stable argsort of the
-    buckets instead.  Either way each group's masses arrive in input order, so
-    ``bincount`` adds them in that sequence, and each group keeps its first
-    ratio, unreduced, as its representative.  Raises ValueError for a
-    denominator at or above the bound.
+    buckets instead.  Either way each group's masses arrive in input
+    order, so ``bincount`` adds them in that sequence, and each group keeps
+    its first ratio, unreduced, as its representative.  Raises ValueError
+    for a denominator at or above the bound.
     """
     max_den = int(dens.max())
     if max_den >= _RATIO_DEN_BOUND:
