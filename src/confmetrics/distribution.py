@@ -5,9 +5,11 @@ arrays: int64 numerators and denominators of its support points, sorted
 ascending by value, and float64 probabilities.  The fractions are stored as
 they were derived, not necessarily in lowest terms; each support point
 appears once, as one representative fraction, and ``support``, ``ratios``
-and equality reduce them when asked.  `fractions.Fraction` values appear
-only at the edges: the mapping constructor takes them, and ``support``,
-``items`` and ``as_dict`` return them.
+and equality reduce them when asked.  Float values of the support points
+are computed when asked, each the correctly rounded quotient of its
+fraction.  `fractions.Fraction` values appear only at the edges: the
+mapping constructor takes them, and ``support``, ``items`` and ``as_dict``
+return them.
 
 A count PMF is a :class:`CountPMF`: a read-only float64 array ``pmf`` whose
 entry k is the probability of exactly ``offset + k`` successes, and the mass
@@ -54,6 +56,9 @@ _NODE_TOL = 1e-24
 
 # Support numerators and denominators are stored as int64.
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+# Largest magnitude up to which every integer converts to float64 exactly.
+_EXACT_INT = 2**53
 
 
 def _as_fraction(value: object) -> Fraction:
@@ -111,24 +116,26 @@ class DiscreteDistribution:
     support on purpose; it is 0.0 unless a metric derivation trimmed tails.
     """
 
-    __slots__ = ("_nums", "_dens", "_float_vals", "_probs", "_trimmed")
+    __slots__ = ("_nums", "_dens", "_probs", "_trimmed", "_wide")
 
     def __init__(self, pmf: Mapping[object, float]):
         if not pmf:
             raise ValueError("distribution needs at least one support point")
         items = sorted((_as_fraction(v), float(p)) for v, p in pmf.items())
-        probs = np.array([p for _, p in items], dtype=np.float64)
-        if np.any(probs < 0.0):
-            bad = items[int(np.argmin(probs))]
-            raise ValueError(f"negative probability {bad[1]!r} at support {bad[0]}")
+        nums = [v.numerator for v, _ in items]
+        dens = [v.denominator for v, _ in items]
         self._init_validated(
-            nums=np.array([v.numerator for v, _ in items], dtype=np.int64),
-            dens=np.array([v.denominator for v, _ in items], dtype=np.int64),
-            float_vals=np.array([float(v) for v, _ in items], dtype=np.float64),
-            probs=probs,
+            nums=np.array(nums, dtype=np.int64),
+            dens=np.array(dens, dtype=np.int64),
+            probs=np.array([p for _, p in items], dtype=np.float64),
+            wide=max(dens) > _EXACT_INT or max(map(abs, nums)) > _EXACT_INT,
         )
 
-    def _init_validated(self, nums, dens, float_vals, probs, trimmed_mass=0.0) -> None:
+    def _init_validated(self, nums, dens, probs, trimmed_mass=0.0, wide=False) -> None:
+        if np.any(probs < 0.0):
+            i = int(np.argmin(probs))
+            bad = Fraction(int(nums[i]), int(dens[i]))
+            raise ValueError(f"negative probability {float(probs[i])!r} at support {bad}")
         if trimmed_mass < 0.0:
             raise ValueError(f"negative trimmed mass {trimmed_mass!r}")
         total = float(probs.sum()) + trimmed_mass
@@ -138,15 +145,14 @@ class DiscreteDistribution:
         if not keep.all():
             nums = nums[keep]
             dens = dens[keep]
-            float_vals = float_vals[keep]
             probs = probs[keep]
-        for arr in (nums, dens, float_vals, probs):
+        for arr in (nums, dens, probs):
             arr.flags.writeable = False
         self._nums = nums
         self._dens = dens
-        self._float_vals = float_vals
         self._probs = probs
         self._trimmed = trimmed_mass
+        self._wide = wide
 
     @classmethod
     def _from_ratio_arrays(
@@ -155,28 +161,16 @@ class DiscreteDistribution:
         dens: np.ndarray,
         probs: np.ndarray,
         trimmed_mass: float = 0.0,
-        float_vals: np.ndarray | None = None,
     ) -> "DiscreteDistribution":
         """Internal fast path: num/den pairs of distinct values, not
         necessarily reduced, already sorted by value, and the probability
-        left out of them.
-
-        ``float_vals``, when given, are the support points as floats, each
-        the quotient of some num/den pair equal to the stored one; that
-        quotient is the same double, since int64 operands below 2**53
-        convert exactly and division is correctly rounded.
-        """
+        left out of them.  Numerators and denominators must lie within
+        2**53 in magnitude, as ``float_values`` divides them in numpy."""
         self = object.__new__(cls)
-        nums = np.ascontiguousarray(nums, dtype=np.int64)
-        dens = np.ascontiguousarray(dens, dtype=np.int64)
-        probs = np.ascontiguousarray(probs, dtype=np.float64)
-        if np.any(probs < 0.0):
-            raise ValueError("negative probability in derived distribution")
         self._init_validated(
-            nums=nums,
-            dens=dens,
-            float_vals=nums / dens if float_vals is None else float_vals,
-            probs=probs,
+            nums=np.ascontiguousarray(nums, dtype=np.int64),
+            dens=np.ascontiguousarray(dens, dtype=np.int64),
+            probs=np.ascontiguousarray(probs, dtype=np.float64),
             trimmed_mass=trimmed_mass,
         )
         return self
@@ -192,8 +186,18 @@ class DiscreteDistribution:
 
     @property
     def float_values(self) -> np.ndarray:
-        """Support points as floats (read-only), aligned with probabilities."""
-        return self._float_vals
+        """Support points as correctly rounded floats, aligned with
+        probabilities, in a new array on each call.  Integers within 2**53
+        convert to float64 exactly, so numpy divides them; wider ones, which
+        only the mapping constructor stores, are divided as Python integers,
+        as numpy's quotient of them can be one unit in the last place off."""
+        if self._wide:
+            return np.array([n / d for n, d in zip(self._nums.tolist(), self._dens.tolist())])
+        return self._nums / self._dens
+
+    def _value(self, index: int) -> float:
+        """Support point ``index`` as a correctly rounded float."""
+        return int(self._nums[index]) / int(self._dens[index])
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -249,7 +253,9 @@ class DiscreteDistribution:
         mass contributes nothing.  The products are added by numpy's
         pairwise sum rather than a BLAS dot product, whose rounding changes
         with the number of threads BLAS splits it across."""
-        return float((self._float_vals * self._probs).sum())
+        products = self.float_values
+        products *= self._probs
+        return float(products.sum())
 
 
 def unit_interval_array(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:

@@ -95,7 +95,6 @@ def hdis(d: DiscreteDistribution, alphas: Sequence[float]) -> list[HdiInterval]:
             raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     if not alphas:
         return []
-    values = d.float_values
     probs = d.probabilities
     start = np.array([d.trimmed_mass])
     widest = max(alphas)
@@ -115,8 +114,8 @@ def hdis(d: DiscreteDistribution, alphas: Sequence[float]) -> list[HdiInterval]:
         hi = probs.size - 1 - (n_dropped - lo)
         intervals.append(
             HdiInterval(
-                lower=float(values[lo]),
-                upper=float(values[hi]),
+                lower=d._value(lo),
+                upper=d._value(hi),
                 alpha=alpha,
                 covered_mass=float(probs[lo : hi + 1].sum()),
             )

@@ -64,6 +64,7 @@ read as 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -117,11 +118,7 @@ def _scaled_counts(counts: CountPMF, denominator: int) -> DiscreteDistribution:
     the count stays left out."""
     nums = np.arange(counts.offset, counts.offset + counts.pmf.size, dtype=np.int64)
     return DiscreteDistribution._from_ratio_arrays(
-        nums,
-        np.full(nums.size, denominator, dtype=np.int64),
-        counts.pmf,
-        counts.trimmed,
-        float_vals=nums / denominator,
+        nums, np.full(nums.size, denominator, dtype=np.int64), counts.pmf, counts.trimmed
     )
 
 
@@ -193,12 +190,7 @@ def _aggregate_ratio_masses(
     del keys, labels
     first = order[new_group]
     del order, new_group
-    group_nums = nums[first]
-    group_dens = dens[first]
-    del first
-    return DiscreteDistribution._from_ratio_arrays(
-        group_nums, group_dens, probs, trimmed_mass, float_vals=group_nums / group_dens
-    )
+    return DiscreteDistribution._from_ratio_arrays(nums[first], dens[first], probs, trimmed_mass)
 
 
 def _count_pair_distribution(
@@ -276,12 +268,13 @@ def f1_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
 
 def _shortcut_windows(
     batch: PredictionBatch, window_size: int, metrics: tuple[str, ...] = METRICS
-) -> list[list[float | None]]:
-    """Shortcut points of every window of the batch, in one pass.
+) -> Iterator[tuple[MetricEstimate, ...]]:
+    """Shortcut estimates of every window of the batch, from one pass.
 
     Windows are consecutive runs of ``window_size`` records, the last one
-    possibly shorter.  Returns one list per requested metric, holding one
-    point per window, None where the metric is undefined.
+    possibly shorter.  The sums are taken when this is called; the returned
+    iterator yields, for each window in turn, one estimate per requested
+    metric, with point None where the metric is undefined.
 
     Accuracy and the score totals are row sums of the full windows reshaped
     to rows of ``window_size``, plus one sum over the trailing partial
@@ -296,6 +289,7 @@ def _shortcut_windows(
     positive = batch.predictions == 1
     n = scores.size
     full = n - n % window_size
+    n_windows = -(-n // window_size)
 
     def window_sums(values: np.ndarray) -> np.ndarray:
         sums = values[:full].reshape(-1, window_size).sum(axis=1)
@@ -303,8 +297,8 @@ def _shortcut_windows(
 
     columns = {}
     if "accuracy" in metrics:
-        sizes = np.full(-(-n // window_size), window_size)
-        sizes[-1] = n - (sizes.size - 1) * window_size
+        sizes = np.full(n_windows, window_size)
+        sizes[-1] = n - (n_windows - 1) * window_size
         # Each prediction is correct with probability its score if positive,
         # and one minus its score if negative.
         correct = np.where(positive, scores, 1.0 - scores)
@@ -323,19 +317,22 @@ def _shortcut_windows(
             }
         for metric, (values, defined) in ratios.items():
             columns[metric] = [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
-    return [columns[m] for m in metrics]
+    return (
+        tuple(MetricEstimate(metric=m, method="shortcut", point=columns[m][i]) for m in metrics)
+        for i in range(n_windows)
+    )
 
 
 def shortcut_accuracy(batch: PredictionBatch) -> float:
     """Mean correctness probability; identical to the mean of
     :func:`accuracy_distribution`."""
-    return _shortcut_windows(batch, batch.n, ("accuracy",))[0][0]
+    return next(_shortcut_windows(batch, batch.n, ("accuracy",)))[0].point
 
 
 def shortcut_precision(batch: PredictionBatch) -> float | None:
     """Mean positive-prediction score; identical to the mean of
     :func:`precision_distribution`.  None without positive predictions."""
-    return _shortcut_windows(batch, batch.n, ("precision",))[0][0]
+    return next(_shortcut_windows(batch, batch.n, ("precision",)))[0].point
 
 
 def shortcut_recall(batch: PredictionBatch) -> float | None:
@@ -344,7 +341,7 @@ def shortcut_recall(batch: PredictionBatch) -> float | None:
 
     The approximation error decays as O(1/sqrt(n)) with the window size.
     """
-    return _shortcut_windows(batch, batch.n, ("recall",))[0][0]
+    return next(_shortcut_windows(batch, batch.n, ("recall",)))[0].point
 
 
 def shortcut_f1(batch: PredictionBatch) -> float | None:
@@ -353,7 +350,7 @@ def shortcut_f1(batch: PredictionBatch) -> float | None:
 
     Same O(1/sqrt(n)) error decay as :func:`shortcut_recall`.
     """
-    return _shortcut_windows(batch, batch.n, ("f1",))[0][0]
+    return next(_shortcut_windows(batch, batch.n, ("f1",)))[0].point
 
 
 def _require_distinct(values, name: str) -> None:
@@ -429,10 +426,6 @@ def estimate_all(
     _require_nonempty(batch)
     _check_request(metrics, method, alpha)
     if method == "shortcut":
-        columns = _shortcut_windows(batch, batch.n, metrics)
-        return [
-            MetricEstimate(metric=m, method="shortcut", point=points[0])
-            for m, points in zip(metrics, columns)
-        ]
+        return list(next(_shortcut_windows(batch, batch.n, metrics)))
     est = estimate_confusion(batch)
     return [_exact_estimate(m, est, alpha) for m in metrics]

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .confusion import PredictionBatch
+from .confusion import PredictionBatch, _require_nonempty
 from .metrics import (
     METRICS,
     MetricEstimate,
@@ -101,21 +101,13 @@ def windowed_estimates(
     over the batch; exact windows are sliced and estimated one at a time,
     each when the iterator reaches it.
     """
-    if batch.n == 0:
-        raise ValueError("estimation needs a nonempty batch")
+    _require_nonempty(batch)
     if window_size < 1:
         raise ValueError(f"window_size must be at least 1, got {window_size!r}")
     _check_request(config.metrics, config.method, config.alpha)
     starts = range(0, batch.n, window_size)
     if config.method == "shortcut":
-        columns = _shortcut_windows(batch, window_size, config.metrics)
-        windows = (
-            tuple(
-                MetricEstimate(metric=m, method="shortcut", point=points[index])
-                for m, points in zip(config.metrics, columns)
-            )
-            for index in range(len(starts))
-        )
+        windows = _shortcut_windows(batch, window_size, config.metrics)
     else:
         windows = (
             tuple(

@@ -16,6 +16,7 @@ from confmetrics.distribution import (
     DiscreteDistribution,
     poisson_binomial_tree,
 )
+from confmetrics.intervals import hdi
 from oracles import (
     enumerate_poisson_binomial,
     expand,
@@ -74,6 +75,22 @@ class TestConstruction:
         d = DiscreteDistribution({0.1: 0.5, Fraction(-(2**63 - 1), 2**63 - 2): 0.5})
         assert d.support == (Fraction(-(2**63 - 1), 2**63 - 2), Fraction(0.1))
         assert d.support[1].denominator == 2**55
+
+    def test_wide_fractions_keep_correctly_rounded_values(self):
+        # Both reduced fractions need more than 53 bits; numpy's int64
+        # quotient of the first is 0.1106786911154196, one unit in the last
+        # place off the correctly rounded value.
+        d = DiscreteDistribution(
+            {
+                Fraction(582057716445789124, 5258986265376043509): 0.25,
+                Fraction(2**53 + 1, 3): 0.25,
+                0.1: 0.5,
+            }
+        )
+        assert d.float_values.tolist() == [0.1, 0.11067869111541959, 3002399751580331.0]
+        assert d.expectation() == 750599937895082.9
+        interval = hdi(d, 0.3)
+        assert [interval.lower, interval.upper] == [0.1, 0.11067869111541959]
 
     @pytest.mark.parametrize("pmf", [{0: math.nan, 1: 1.0}, {0: math.nan}])
     def test_rejects_nan_probability(self, pmf):

@@ -48,7 +48,9 @@ class TestWindowing:
         assert [r.window_index for r in reports] == [0, 1, 2]
 
     @pytest.mark.parametrize(
-        "metrics", [METRICS, ("f1", "accuracy", "recall")], ids=["all", "f1-accuracy-recall"]
+        "metrics",
+        [METRICS, ("f1", "accuracy", "recall"), ()],
+        ids=["all", "f1-accuracy-recall", "none"],
     )
     @pytest.mark.parametrize("window", [1, 30, 37, 90, 91])
     @pytest.mark.parametrize("method", ["exact", "shortcut"])
