@@ -132,7 +132,8 @@ class DiscreteDistribution:
         )
 
     def _init_validated(self, nums, dens, probs, trimmed_mass=0.0, wide=False) -> None:
-        if np.any(probs < 0.0):
+        lowest = probs.min(initial=np.inf)  # no points fail the sum check below
+        if lowest < 0.0:
             i = int(np.argmin(probs))
             bad = Fraction(int(nums[i]), int(dens[i]))
             raise ValueError(f"negative probability {float(probs[i])!r} at support {bad}")
@@ -141,16 +142,14 @@ class DiscreteDistribution:
         total = float(probs.sum()) + trimmed_mass
         if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN probability fails too
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        keep = probs > 0.0
-        if not keep.all():
+        if lowest == 0.0:
+            keep = probs > 0.0
             nums = nums[keep]
             dens = dens[keep]
             probs = probs[keep]
-        for arr in (nums, dens, probs):
-            arr.flags.writeable = False
-        self._nums = nums
-        self._dens = dens
-        self._probs = probs
+        self._nums = _read_only(nums.view())
+        self._dens = _read_only(dens.view())
+        self._probs = _read_only(probs.view())
         self._trimmed = trimmed_mass
         self._wide = wide
 
@@ -165,7 +164,9 @@ class DiscreteDistribution:
         """Internal fast path: num/den pairs of distinct values, not
         necessarily reduced, already sorted by value, and the probability
         left out of them.  Numerators and denominators must lie within
-        2**53 in magnitude, as ``float_values`` divides them in numpy."""
+        2**53 in magnitude, as ``float_values`` divides them in numpy.  The
+        distribution takes the arrays over, reading them through read-only
+        views, so the caller must not write to them afterwards."""
         self = object.__new__(cls)
         self._init_validated(
             nums=np.ascontiguousarray(nums, dtype=np.int64),

@@ -144,6 +144,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             d.probabilities[0] = 0.9
 
+    def test_derived_distribution_leaves_the_callers_arrays_writeable(self):
+        nums, dens, probs = np.array([0, 1]), np.ones(2, dtype=np.int64), np.array([0.5, 0.5])
+        d = DiscreteDistribution._from_ratio_arrays(nums, dens, probs)
+        assert nums.flags.writeable and dens.flags.writeable and probs.flags.writeable
+        with pytest.raises(ValueError):
+            d.probabilities[0] = 0.9
+
 
 class TestPoissonBinomial:
     def test_dp_hand_convolution(self):

@@ -1,7 +1,10 @@
 """Tests for CSV and JSONL ingestion."""
 
+import math
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -89,6 +92,16 @@ class TestCsv:
         assert batch.n == 2
 
 
+@st.composite
+def truncated_midpoints(draw):
+    """The first 1 to 25 decimals of the value halfway between a float in
+    [0, 1) and the next one up, which ``float()`` rounds down."""
+    low = draw(st.floats(0.0, 1.0, exclude_max=True))
+    middle = (Fraction(low) + Fraction(math.nextafter(low, 2.0))) / 2
+    digits = draw(st.integers(1, 25))
+    return f"0.{math.floor(middle * 10**digits):0{digits}d}"
+
+
 # Tokens a plain file holds, per column; ``model`` stands for any column the
 # parser ignores.
 PLAIN_TOKENS = {
@@ -96,6 +109,9 @@ PLAIN_TOKENS = {
     "label": st.sampled_from(["0", "1"]),
     "score": st.one_of(
         st.floats(0.0, 1.0).map(repr),
+        st.text("0123456789", min_size=1, max_size=25).map("0.".__add__),
+        st.integers(1, 25).map(lambda k: "1." + "0" * k),
+        truncated_midpoints(),
         st.sampled_from(["1", "0", "01", "1.0", ".5", "5e-1", "1e-3", "1E-3", "+.5", "-0.0"]),
     ),
     "model": st.sampled_from(["m1", "", "a b", "0.9", "#x", "x\ty", "1e"]),
@@ -225,6 +241,72 @@ class TestPlainRoute:
                 parse_input(path)
             seen.append([(str(w.message), w.filename, w.lineno) for w in caught])
         assert seen[0] == seen[1] and len(seen[0]) == 1
+
+
+def score_values(tokens, pad=ingest._WIDTH):
+    """The score kernel's values for ``tokens``, one per line after ``pad``
+    bytes, which a field must end beyond for the kernel to convert it."""
+    body = np.frombuffer(("\n" * pad + "\n".join(tokens) + "\n").encode(), dtype=np.uint8)
+    ends = np.flatnonzero(body == ord("\n"))[pad:]
+    return ingest._score_values(body, np.concatenate(([pad], ends[:-1] + 1)), ends)
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestScoreKernel:
+    """The array conversion of score fields against ``float()``, bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        tokens=st.lists(PLAIN_TOKENS["score"], min_size=1, max_size=40),
+        pad=st.integers(0, 30),
+        extended=st.booleans(),
+    )
+    def test_matches_float(self, tokens, pad, extended):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_EXTENDED", extended)
+            got = score_values(tokens, pad)
+        assert float_bits(got) == float_bits([float(t) for t in tokens])
+
+    @pytest.mark.parametrize("extended", [True, False])
+    @pytest.mark.parametrize(
+        "token",
+        [
+            # Truncated midpoints whose long double quotient is a float64
+            # midpoint, so that rounding it again would round up.
+            "0.05795841307797354111",
+            "0.0005305807198454621609",
+            "0.0008423618979416756260",
+            # 20, 21 and 22 characters, and 23 to 25 with leading zeros.
+            "0.123456789012345678",
+            "0.1234567890123456789",
+            "0.12345678901234567890",
+            "0.00012345678901234567",
+            "0.0001234567890123456789",
+            "0.00000000000000000000001",
+            # Past the kernel: 19 digits after leading zeros, then 20.
+            "0.9999999999999999999",
+            "0.99999999999999999999",
+            "0.0012345678901234567891",
+            "1.0000000000000000000001",
+            "1." + "0" * 22,
+            "0." + "0" * 22,
+        ],
+    )
+    def test_explicit_fields(self, monkeypatch, extended, token):
+        monkeypatch.setattr(ingest, "_EXTENDED", extended)
+        assert float_bits(score_values([token])) == float_bits([float(token)])
+
+    @pytest.mark.parametrize("extended", [True, False])
+    def test_fallback_in_the_last_partial_chunk(self, monkeypatch, extended):
+        monkeypatch.setattr(ingest, "_EXTENDED", extended)
+        tokens = [repr(x) for x in np.random.default_rng(5).random(ingest._CHUNK + 3).tolist()]
+        tokens[3] = tokens[ingest._CHUNK + 1] = "5e-1"
+        assert float_bits(score_values(tokens)) == float_bits([float(t) for t in tokens])
+        tokens[ingest._CHUNK + 1] = "1e"
+        assert score_values(tokens) is None
 
 
 class TestJsonl:
