@@ -41,10 +41,6 @@ from .metrics import (
     f1_distribution,
     precision_distribution,
     recall_distribution,
-    shortcut_accuracy,
-    shortcut_f1,
-    shortcut_precision,
-    shortcut_recall,
 )
 from .reports import (
     EstimateConfig,
@@ -82,10 +78,6 @@ __all__ = [
     "precision_distribution",
     "recall_distribution",
     "f1_distribution",
-    "shortcut_accuracy",
-    "shortcut_precision",
-    "shortcut_recall",
-    "shortcut_f1",
     "estimate_all",
     "HdiInterval",
     "hdi",

@@ -310,13 +310,13 @@ def _parse_csv_plain(data: bytes) -> Columns | None:
     separators = np.flatnonzero(is_separator)
     del is_separator
     n = separators.size // k
-    # With n line ends, each at the last of its group of k separators,
-    # every line has exactly k - 1 commas.
-    if n == 0 or separators.size != n * k or data.count(b"\n", header_end + 1) != n:
+    if n == 0 or separators.size != n * k:
+        return None
+    # Every line is k - 1 commas and then its line end.
+    layout = np.frombuffer(b"," * (k - 1) + b"\n", dtype=np.uint8)
+    if (body[separators].reshape(n, k) != layout).any():
         return None
     ends = separators.reshape(n, k)
-    if (body[ends[:, -1]] != _LF).any():
-        return None
     line_starts = np.concatenate(([0], ends[:-1, -1] + 1))
     if (ends[:, -1] - line_starts).max() > csv.field_size_limit():
         return None  # the line may hold a field too long for the csv module

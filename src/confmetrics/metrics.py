@@ -1,24 +1,33 @@
 """Metric distributions and point estimates derived from confusion counts.
 
-Each metric (accuracy, precision, recall, F1) becomes a finite distribution
-over exact rational values by pushing the confusion-count PMFs through the
-metric formula.  Those PMFs are the :class:`~confmetrics.distribution.CountPMF`
-triples a :class:`ConfusionEstimate` holds: an array over the count range
-that holds the mass, the offset of its first count, and the mass trimmed
-from its tails.  The true-positive and true-negative counts are
-independent, and every metric is a function of the two.  Precision is a
-plain rescaling of the true-positive count.  Accuracy rescales the number of
-correct predictions, TP + TN, whose PMF is the convolution of the two count
-arrays, offset by the sum of their offsets.  Recall and F1 need the joint
-of the true positive and false negative counts, where the false-negative
-PMF is the reversed true-negative one; by independence the joint is the
-product of the marginals.  Both metrics are one formula,
-``scale * i / (i + j + offset)``, over every pair of i true positives and j
-false negatives inside the kept count ranges, zero counts included, and
-each pair's probability accumulates on the fraction the pair maps to.  The
-pairs are grouped by one sort of int64 keys, each a bucket of the pair's
-float value packed above the pair's index, and each group's masses are
-summed in pair order.
+One table, ``_ROWS``, gives every metric as a ratio of two sums over five
+window quantities: true positives ``tp``, actual positives ``p`` (TP + FN),
+correct predictions ``correct`` (TP + TN), positive predictions ``n_pos``
+and records ``n``.  Accuracy is correct / n, precision tp / n_pos, recall
+tp / p and F1 2 * tp / (p + n_pos).  Three readers evaluate the rows: the
+exact distributions here, the shortcut points here, and the realized
+metrics of :func:`~confmetrics.reports.true_metrics` on integer counts.  A
+row whose denominator reads ``n_pos`` is undefined (None, never raised)
+without positive predictions; a shortcut point is also None, and a
+realized value exactly None, where the denominator is 0.
+
+The exact reader pushes the count PMFs of a :class:`ConfusionEstimate`
+through a row, giving a finite distribution over exact rational values.
+The PMFs are :class:`~confmetrics.distribution.CountPMF` triples: an array
+over the count range that holds the mass, the offset of its first count,
+and the mass trimmed from its tails.  The TP and TN counts are independent
+and ``n_pos`` and ``n`` are fixed, so the derivation follows the quantities
+a row reads.  A row that reads ``p`` needs the joint of the TP and FN
+counts, where the FN PMF is the reversed TN one; by independence it is the
+product of the marginals.  The row is then ``scale * i / (i + j + fixed)``
+over every pair of i true positives and j false negatives inside the kept
+count ranges, zero counts included, with recall's 0/0 read as 0, and each
+pair's probability accumulates on the fraction the pair maps to.  The pairs
+are grouped by one sort of int64 keys, each a bucket of the pair's float
+value packed above the pair's index, and each group's masses are summed in
+pair order.  A row that reads ``correct`` rescales the count TP + TN, whose
+PMF is the convolution of the two count arrays; any other row rescales the
+TP count.
 
 The count PMFs arrive trimmed.  The Poisson binomial product tree keeps
 each of them to a count range outside which at most ``TRIM_TOL / 2`` of its
@@ -34,37 +43,29 @@ and pairs every count.  Against it, on seeded windows of up to 4000
 records, the total variation distance stays below 1e-15, the means agree
 within 2e-15 and the interval endpoints are identical.
 
-Point estimates are distribution means.  The shortcut estimators compute the
-mean without materialising a distribution: exactly for accuracy and
-precision, and with an O(1/sqrt(n)) approximation error for recall and F1.
-Measured on one core of a 2-vCPU machine with hypersphere scores, all four
-exact distributions with 95% intervals take about 2 ms for a window of
-300 records, 5.5 ms at 1000, 25 ms at 4000, 0.07 s at 10 000, 0.14 s at
-20 000 and 0.75 s at 100 000; from a few thousand records on, most of it
-is the recall and F1 pair grids, which grow as n.  Shortcuts are O(n) and
-give points only.
+Point estimates are distribution means.  The shortcut reader evaluates a
+row on the window's expected quantities without a distribution: expected
+``tp`` is the positive-prediction score sum, ``p`` the total score sum and
+``correct`` the sum of each positive prediction's score and each negative
+one's complement.  That is exact for accuracy and precision and has an
+O(1/sqrt(n)) error for recall and F1.  Measured on one core of a 2-vCPU
+machine with hypersphere scores, all four exact distributions with 95%
+intervals take about 2 ms for a window of 300 records, 5.5 ms at 1000,
+25 ms at 4000, 0.07 s at 10 000, 0.14 s at 20 000 and 0.75 s at 100 000;
+from a few thousand records on, most of it is the recall and F1 pair
+grids, which grow as n.  Shortcuts are O(n) and give points only.
 
 The shortcuts need only per-window sums, so all windows of a stream get
-their shortcut points in one array pass: accuracy and the score totals are
-row sums of the stream reshaped to one row per window, and the
-positive-score sums take one reduction per window over the compacted
-positive scores.  Each sum is bit-identical to the one a slice of the
-window gives, and the ``shortcut_*`` functions are the one-window case.
-For the 2000 windows of a 200 000-row stream at window 100 the pass takes
-about 9 ms, where estimating one window at a time cost about 57 us of
-Python per window.
-
-Undefined metrics (precision and F1 of a window with no positive
-predictions, the recall shortcut when every score is zero) are returned as
-None rather than raised, so report assembly never aborts.  Inside a derived
-distribution, recall's 0/0 (no true positives and no false negatives) is
-read as 0.
+their shortcut points in one array pass, bit-identical to what a slice of
+each window gives.  For the 2000 windows of a 200 000-row stream at window
+100 the pass takes about 9 ms, where estimating one window at a time cost
+about 57 us of Python per window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -84,14 +85,38 @@ __all__ = [
     "precision_distribution",
     "recall_distribution",
     "f1_distribution",
-    "shortcut_accuracy",
-    "shortcut_precision",
-    "shortcut_recall",
-    "shortcut_f1",
     "estimate_all",
 ]
 
-METRICS = ("accuracy", "precision", "recall", "f1")
+
+class _Row(NamedTuple):
+    """A metric as ``scale * num / (sum of den)`` over window quantities."""
+
+    scale: int
+    num: str
+    den: tuple[str, ...]
+
+    def ratio(self, quantities):
+        """The row's numerator and denominator over ``quantities``, which
+        maps each quantity the row reads to a number or to an array of
+        per-window values."""
+        den = quantities[self.den[0]]
+        for name in self.den[1:]:
+            den = den + quantities[name]
+        return self.scale * quantities[self.num], den
+
+
+# Each metric over the window quantities tp (true positives), p (actual
+# positives), correct (TP + TN), n_pos (positive predictions) and n
+# (records); the module docstring says how each reader evaluates a row.
+_ROWS = {
+    "accuracy": _Row(1, "correct", ("n",)),
+    "precision": _Row(1, "tp", ("n_pos",)),
+    "recall": _Row(1, "tp", ("p",)),
+    "f1": _Row(2, "tp", ("p", "n_pos")),
+}
+
+METRICS = tuple(_ROWS)
 
 
 @dataclass(frozen=True)
@@ -113,10 +138,11 @@ class MetricEstimate:
         return self.point is None
 
 
-def _scaled_counts(counts: CountPMF, denominator: int) -> DiscreteDistribution:
-    """Divide a count by a fixed positive denominator; the mass trimmed from
-    the count stays left out."""
-    nums = np.arange(counts.offset, counts.offset + counts.pmf.size, dtype=np.int64)
+def _scaled_counts(counts: CountPMF, scale: int, denominator: int) -> DiscreteDistribution:
+    """``scale`` times a count over a fixed positive denominator; the mass
+    trimmed from the count stays left out."""
+    stop = counts.offset + counts.pmf.size
+    nums = np.arange(scale * counts.offset, scale * stop, scale, dtype=np.int64)
     return DiscreteDistribution._from_ratio_arrays(
         nums, np.full(nums.size, denominator, dtype=np.int64), counts.pmf, counts.trimmed
     )
@@ -217,53 +243,55 @@ def _count_pair_distribution(
     return _aggregate_ratio_masses(nums, dens, masses, trimmed)
 
 
-def accuracy_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
-    """Distribution of the fraction of correct predictions in the window.
+def _metric_distribution(metric: str, est: ConfusionEstimate) -> DiscreteDistribution | None:
+    """Distribution of a metric's row over the window's count PMFs; None
+    when the row's denominator reads ``n_pos`` and the window has no
+    positive predictions.
 
-    The number of correct predictions is TP + TN.  The two counts are
-    independent, so its PMF is the convolution of their PMFs, and it leaves
-    out the mass either of them left out; dividing by the window size gives
-    accuracy.
+    ``n_pos`` and ``n`` are fixed by the window, so the part of the
+    denominator they make up is one number.  The derivation follows the
+    quantities the row reads, as the module docstring describes.
     """
-    tp, tn = est.tp, est.tn
-    correct = CountPMF(
-        tp.offset + tn.offset,
-        np.convolve(tp.pmf, tn.pmf),
-        tp.trimmed + tn.trimmed - tp.trimmed * tn.trimmed,
-    )
-    return _scaled_counts(correct, est.n_pos + est.n_neg)
+    scale, num, den = _ROWS[metric]
+    if "n_pos" in den and est.n_pos == 0:
+        return None
+    fixed = est.n_pos * ("n_pos" in den) + (est.n_pos + est.n_neg) * ("n" in den)
+    if "p" in den:
+        return _count_pair_distribution(est, scale, fixed)
+    if num == "correct":
+        tp, tn = est.tp, est.tn
+        counts = CountPMF(
+            tp.offset + tn.offset,
+            np.convolve(tp.pmf, tn.pmf),
+            tp.trimmed + tn.trimmed - tp.trimmed * tn.trimmed,
+        )
+    else:
+        counts = est.tp
+    return _scaled_counts(counts, scale, fixed)
+
+
+# The named metric distributions, each the module-level name through
+# which _exact_estimate reaches its row.
+def accuracy_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
+    """Distribution of the fraction of correct predictions in the window."""
+    return _metric_distribution("accuracy", est)
 
 
 def precision_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
-    """Distribution of the true-positive count over the number of positive
-    predictions; None when the window has no positive predictions."""
-    if est.n_pos == 0:
-        return None
-    return _scaled_counts(est.tp, est.n_pos)
+    """Distribution of TP / n_pos; None without positive predictions."""
+    return _metric_distribution("precision", est)
 
 
 def recall_distribution(est: ConfusionEstimate) -> DiscreteDistribution:
-    """Distribution of TP / (TP + FN) over the joint count distribution.
-
-    Every count pair (i, j) inside the trimmed ranges contributes its joint
-    probability to the value i / (i + j), so zero true positives land on 0
-    and zero false negatives with at least one true positive on 1; the
-    pair (0, 0), whose ratio is 0/0, lands on 0.
-    """
-    return _count_pair_distribution(est, scale=1, offset=0)
+    """Distribution of TP / (TP + FN), with the 0/0 of no true positives and
+    no false negatives read as 0."""
+    return _metric_distribution("recall", est)
 
 
 def f1_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
     """Distribution of 2*TP / (TP + FN + n_pos); None without positive
-    predictions.
-
-    Every count pair (i, j) inside the trimmed ranges contributes its joint
-    probability to the value 2i / (i + j + n_pos), so zero true positives
-    land on 0.
-    """
-    if est.n_pos == 0:
-        return None
-    return _count_pair_distribution(est, scale=2, offset=est.n_pos)
+    predictions."""
+    return _metric_distribution("f1", est)
 
 
 def _shortcut_windows(
@@ -276,13 +304,13 @@ def _shortcut_windows(
     iterator yields, for each window in turn, one estimate per requested
     metric, with point None where the metric is undefined.
 
-    Accuracy and the score totals are row sums of the full windows reshaped
-    to rows of ``window_size``, plus one sum over the trailing partial
-    window; the positive-score sums take one reduction per window over the
+    Only the quantities the requested rows read are summed.  The score
+    totals and correct sums are row sums of the full windows reshaped to
+    rows of ``window_size``, plus one sum over the trailing partial window;
+    the positive-score sums take one reduction per window over the
     compacted positive scores.  Each of these sums equals, bit for bit, the
     one a slice of the window gives, so a window's points do not depend on
-    the windows around it; the ``shortcut_*`` functions are the one-window
-    case.
+    the windows around it.
     """
     _require_nonempty(batch)
     scores = batch.scores
@@ -295,62 +323,41 @@ def _shortcut_windows(
         sums = values[:full].reshape(-1, window_size).sum(axis=1)
         return np.append(sums, values[full:].sum()) if full < n else sums
 
-    columns = {}
-    if "accuracy" in metrics:
-        sizes = np.full(n_windows, window_size)
-        sizes[-1] = n - (n_windows - 1) * window_size
+    rows = [_ROWS[m] for m in metrics]
+    read = {q for _, num, den in rows for q in (num, *den)}
+    # The expected value of each quantity the rows read, per window.
+    expected = {}
+    if "n" in read:
+        expected["n"] = np.full(n_windows, window_size)
+        expected["n"][-1] = n - (n_windows - 1) * window_size
+    if "correct" in read:
         # Each prediction is correct with probability its score if positive,
         # and one minus its score if negative.
-        correct = np.where(positive, scores, 1.0 - scores)
-        columns["accuracy"] = (window_sums(correct) / sizes).tolist()
-    if set(metrics) - {"accuracy"}:
-        n_pos = window_sums(positive)
-        bounds = np.cumsum(n_pos).tolist()
+        expected["correct"] = window_sums(np.where(positive, scores, 1.0 - scores))
+    if "p" in read:
+        expected["p"] = window_sums(scores)
+    if read & {"tp", "n_pos"}:
+        expected["n_pos"] = window_sums(positive)
+    if "tp" in read:
+        bounds = np.cumsum(expected["n_pos"]).tolist()
         pos = scores[positive]
-        pos_sums = np.array([pos[a:b].sum() for a, b in zip([0] + bounds[:-1], bounds)])
-        totals = window_sums(scores)
+        expected["tp"] = np.array([pos[a:b].sum() for a, b in zip([0] + bounds[:-1], bounds)])
+    columns = []
+    for row in rows:
+        num, den = row.ratio(expected)
+        defined = den > 0
+        if "n_pos" in row.den:
+            defined &= expected["n_pos"] > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = {
-                "precision": (pos_sums / n_pos, n_pos > 0),
-                "recall": (pos_sums / totals, totals > 0.0),
-                "f1": (2.0 * pos_sums / (totals + n_pos), n_pos > 0),
-            }
-        for metric, (values, defined) in ratios.items():
-            columns[metric] = [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
+            values = num / den
+        columns.append([v if ok else None for v, ok in zip(values.tolist(), defined.tolist())])
     return (
-        tuple(MetricEstimate(metric=m, method="shortcut", point=columns[m][i]) for m in metrics)
+        tuple(
+            MetricEstimate(metric=m, method="shortcut", point=column[i])
+            for m, column in zip(metrics, columns)
+        )
         for i in range(n_windows)
     )
-
-
-def shortcut_accuracy(batch: PredictionBatch) -> float:
-    """Mean correctness probability; identical to the mean of
-    :func:`accuracy_distribution`."""
-    return next(_shortcut_windows(batch, batch.n, ("accuracy",)))[0].point
-
-
-def shortcut_precision(batch: PredictionBatch) -> float | None:
-    """Mean positive-prediction score; identical to the mean of
-    :func:`precision_distribution`.  None without positive predictions."""
-    return next(_shortcut_windows(batch, batch.n, ("precision",)))[0].point
-
-
-def shortcut_recall(batch: PredictionBatch) -> float | None:
-    """Approximate expected recall: positive-prediction score sum over the
-    total score sum.  None when every score is zero.
-
-    The approximation error decays as O(1/sqrt(n)) with the window size.
-    """
-    return next(_shortcut_windows(batch, batch.n, ("recall",)))[0].point
-
-
-def shortcut_f1(batch: PredictionBatch) -> float | None:
-    """Approximate expected F1: 2 * positive score sum over (total score sum
-    + positive prediction count).  None without positive predictions.
-
-    Same O(1/sqrt(n)) error decay as :func:`shortcut_recall`.
-    """
-    return next(_shortcut_windows(batch, batch.n, ("f1",)))[0].point
 
 
 def _require_distinct(values, name: str) -> None:
@@ -364,16 +371,9 @@ def _require_distinct(values, name: str) -> None:
 def _exact_estimate(
     metric: str, est: ConfusionEstimate, alpha: float | None
 ) -> MetricEstimate:
-    # Calls the module-level names at each call, so rebinding one of them
-    # (as a profiler does) reaches every caller.
-    if metric == "accuracy":
-        dist = accuracy_distribution(est)
-    elif metric == "precision":
-        dist = precision_distribution(est)
-    elif metric == "recall":
-        dist = recall_distribution(est)
-    else:
-        dist = f1_distribution(est)
+    # Calls the module-level name at each call, so rebinding it (as a
+    # profiler does) reaches every caller.
+    dist = globals()[f"{metric}_distribution"](est)
     if dist is None:
         return MetricEstimate(metric=metric, method="exact", point=None)
     return MetricEstimate(
@@ -400,13 +400,9 @@ def _check_request(metrics: tuple[str, ...], method: str, alpha: float | None) -
         raise ValueError("alpha applies to the exact method only; shortcuts have no intervals")
 
 
-# Each metric's one-window shortcut function.
-_SHORTCUTS = {
-    "accuracy": shortcut_accuracy,
-    "precision": shortcut_precision,
-    "recall": shortcut_recall,
-    "f1": shortcut_f1,
-}
+# Empty: the shortcut points come from _shortcut_windows.  The benchmark's
+# tracer (perfbench/tracing.py) still reads this name.
+_SHORTCUTS: dict = {}
 
 
 def estimate_all(

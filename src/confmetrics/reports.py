@@ -43,6 +43,7 @@ import numpy as np
 from .confusion import PredictionBatch, _require_nonempty
 from .metrics import (
     METRICS,
+    _ROWS,
     MetricEstimate,
     _check_request,
     _shortcut_windows,
@@ -71,13 +72,12 @@ class EstimateConfig:
 
 @dataclass(frozen=True)
 class MonitoringReport:
-    """Per-window estimates, and the metrics that were undefined on the window."""
+    """The estimates of one window."""
 
     window_index: int
     window_size: int
     partial: bool
     estimates: tuple[MetricEstimate, ...]
-    undefined_metrics: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,6 @@ def windowed_estimates(
             window_size=min(window_size, batch.n - start),
             partial=batch.n - start < window_size,
             estimates=estimates,
-            undefined_metrics=tuple(e.metric for e in estimates if e.undefined),
         )
         for index, (start, estimates) in enumerate(zip(starts, windows))
     )
@@ -139,17 +138,20 @@ def true_metrics(batch: PredictionBatch) -> TrueMetrics:
     labels = batch.labels
     if labels is None:
         raise ValueError("true metrics need a true label on every record")
-    pred = batch.predictions
-    tp = int(np.count_nonzero((pred == 1) & (labels == 1)))
-    fp = int(np.count_nonzero((pred == 1) & (labels == 0)))
-    fn = int(np.count_nonzero((pred == 0) & (labels == 1)))
-    tn = int(np.count_nonzero((pred == 0) & (labels == 0)))
-    return TrueMetrics(
-        accuracy=(tp + tn) / batch.n,
-        precision=tp / (tp + fp) if tp + fp else None,
-        recall=tp / (tp + fn) if tp + fn else None,
-        f1=2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else None,
-    )
+    pred = batch.predictions == 1
+    actual = labels == 1
+    counts = {
+        "tp": int(np.count_nonzero(pred & actual)),
+        "p": int(np.count_nonzero(actual)),
+        "correct": int(np.count_nonzero(pred == actual)),
+        "n_pos": int(np.count_nonzero(pred)),
+        "n": batch.n,
+    }
+    realized = {}
+    for metric, row in _ROWS.items():
+        num, den = row.ratio(counts)
+        realized[metric] = num / den if den else None
+    return TrueMetrics(**realized)
 
 
 # The report's layout, as json.dumps(indent=2, sort_keys=True) writes it:

@@ -83,6 +83,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="^line 3: fewer fields than header columns$"):
             parse_input(path)
 
+    def test_line_end_among_a_rows_separators_rejected(self, tmp_path):
+        # Three separators, as one row of three fields has, but the first is
+        # a line end: counted alone, they would read as the row 1,0.5,1.
+        path = write(tmp_path, "a.csv", "prediction,score,label\n1\n0.5,1\n")
+        with pytest.raises(ValueError, match="^line 2: fewer fields than header columns$"):
+            parse_input(path)
+
     def test_unknown_columns_warn_and_are_ignored(self, tmp_path):
         path = write(
             tmp_path, "a.csv", "prediction,score,model_id\n1,0.8,m1\n0,0.3,m1\n"

@@ -19,11 +19,8 @@ from confmetrics.metrics import (
     f1_distribution,
     precision_distribution,
     recall_distribution,
-    shortcut_accuracy,
-    shortcut_f1,
-    shortcut_precision,
-    shortcut_recall,
 )
+from confmetrics.reports import true_metrics
 from confmetrics.synthesis import HypersphereConfig, shift_dataset
 from oracles import (
     aggregate_ratio_masses_reference,
@@ -47,6 +44,12 @@ def batch(predictions, scores):
 EXAMPLE = batch([1, 1, 0], [0.8, 0.6, 0.3])
 
 
+def shortcut(b, metric):
+    """The shortcut point of one metric on the window ``b``."""
+    (estimate,) = estimate_all(b, metrics=(metric,), method="shortcut")
+    return estimate.point
+
+
 def approx_dict(dist):
     return {k: pytest.approx(v, abs=1e-12) for k, v in dist.items()}
 
@@ -68,7 +71,7 @@ class TestAccuracy:
     def test_expectation_matches_shortcut(self):
         d = accuracy_distribution(estimate_confusion(EXAMPLE))
         assert d.expectation() == pytest.approx(0.7)
-        assert shortcut_accuracy(EXAMPLE) == pytest.approx(0.7)
+        assert shortcut(EXAMPLE, "accuracy") == pytest.approx(0.7)
 
 
     @settings(deadline=None, max_examples=60)
@@ -179,24 +182,24 @@ class TestF1:
 
 class TestShortcuts:
     def test_accuracy_values(self):
-        assert shortcut_accuracy(EXAMPLE) == pytest.approx(0.7)
-        assert shortcut_accuracy(batch([1, 0], [0.5, 0.5])) == pytest.approx(0.5)
-        assert shortcut_accuracy(batch([1, 0], [1.0, 0.0])) == pytest.approx(1.0)
+        assert shortcut(EXAMPLE, "accuracy") == pytest.approx(0.7)
+        assert shortcut(batch([1, 0], [0.5, 0.5]), "accuracy") == pytest.approx(0.5)
+        assert shortcut(batch([1, 0], [1.0, 0.0]), "accuracy") == pytest.approx(1.0)
 
     def test_precision_values(self):
-        assert shortcut_precision(EXAMPLE) == pytest.approx(0.7)
-        assert shortcut_precision(batch([1], [1.0])) == pytest.approx(1.0)
-        assert shortcut_precision(batch([0], [0.4])) is None
+        assert shortcut(EXAMPLE, "precision") == pytest.approx(0.7)
+        assert shortcut(batch([1], [1.0]), "precision") == pytest.approx(1.0)
+        assert shortcut(batch([0], [0.4]), "precision") is None
 
     def test_recall_formula(self):
-        assert shortcut_recall(EXAMPLE) == pytest.approx(1.4 / 1.7)
-        assert shortcut_recall(batch([1, 1], [0.2, 0.9])) == pytest.approx(1.0)
-        assert shortcut_recall(batch([0, 0], [0.0, 0.0])) is None
+        assert shortcut(EXAMPLE, "recall") == pytest.approx(1.4 / 1.7)
+        assert shortcut(batch([1, 1], [0.2, 0.9]), "recall") == pytest.approx(1.0)
+        assert shortcut(batch([0, 0], [0.0, 0.0]), "recall") is None
 
     def test_f1_formula(self):
-        assert shortcut_f1(EXAMPLE) == pytest.approx(2.8 / 3.7)
-        assert shortcut_f1(batch([1, 1], [1.0, 1.0])) == pytest.approx(1.0)
-        assert shortcut_f1(batch([0], [0.4])) is None
+        assert shortcut(EXAMPLE, "f1") == pytest.approx(2.8 / 3.7)
+        assert shortcut(batch([1, 1], [1.0, 1.0]), "f1") == pytest.approx(1.0)
+        assert shortcut(batch([0], [0.4]), "f1") is None
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -211,12 +214,12 @@ class TestShortcuts:
     )
     def test_accuracy_and_precision_shortcuts_are_identities(self, rows):
         b = batch([p for p, _ in rows], [s for _, s in rows])
-        assert shortcut_accuracy(b) == pytest.approx(
+        assert shortcut(b, "accuracy") == pytest.approx(
             accuracy_distribution(estimate_confusion(b)).expectation(), abs=1e-9
         )
         est = estimate_confusion(b)
         d = precision_distribution(est)
-        s = shortcut_precision(b)
+        s = shortcut(b, "precision")
         if d is None:
             assert s is None
         else:
@@ -230,8 +233,10 @@ class TestShortcuts:
         rng = np.random.default_rng(n)
         scores = rng.random(n)
         b = batch((scores >= 0.3).astype(int), scores)
-        got = {m: fn(b) for m, fn in metrics._SHORTCUTS.items()}
+        got = {e.metric: e.point for e in estimate_all(b, method="shortcut")}
         assert got == shortcut_points_reference(b)
+        # Alone, a metric sums only the quantities its row reads.
+        assert {m: shortcut(b, m) for m in METRICS} == got
 
     def test_recall_f1_shortcut_error_shrinks_with_window(self):
         # Fresh random beta shapes per trial, as in the convergence runner.
@@ -246,7 +251,7 @@ class TestShortcuts:
                 scores = sample_beta_scores(n, params, [100, n, trial, 1])
                 b = batch(threshold_predictions(scores), scores)
                 est = estimate_confusion(b)
-                approx = shortcut_recall(b)
+                approx = shortcut(b, "recall")
                 if approx is not None:
                     gaps.append(
                         abs(recall_distribution(est).expectation() - approx)
@@ -254,6 +259,44 @@ class TestShortcuts:
             errors[n] = float(np.mean(gaps))
         assert errors[10] >= errors[100] >= errors[1000]
         assert errors[100] < 1e-3
+
+
+@st.composite
+def certain_windows(draw):
+    """A labelled window of 1-12 rows whose scores are all 0 or 1, each
+    label equal to its score; predictions mixed, all positive or all
+    negative."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    prediction = draw(st.sampled_from([st.integers(0, 1), st.just(0), st.just(1)]))
+    predictions = draw(st.lists(prediction, min_size=n, max_size=n))
+    return PredictionBatch.from_arrays(predictions, np.array(labels, dtype=float), labels)
+
+
+class TestReadersAgree:
+    @settings(deadline=None, max_examples=300)
+    @given(certain_windows())
+    def test_exact_shortcut_and_realized_read_the_same_rows(self, b):
+        # With every score 0 or 1 the counts are certain, so the three
+        # readers evaluate each row on the same counts.
+        exact = {e.metric: e.point for e in estimate_all(b)}
+        approx = {e.metric: e.point for e in estimate_all(b, method="shortcut")}
+        realized = true_metrics(b)
+        n_pos = int(b.predictions.sum())
+        positives = int(b.labels.sum())
+        for m in METRICS:
+            got, want = (exact[m], approx[m]), getattr(realized, m)
+            if m == "f1" and n_pos == 0:
+                # Undefined for both estimates; realized, 0 / FN when FN > 0.
+                assert got == (None, None)
+                assert want == (0.0 if positives else None)
+            elif m == "recall" and positives == 0:
+                # The distribution reads 0/0 as 0.
+                assert got == (0.0, None) and want is None
+            elif want is None:
+                assert got == (None, None)
+            else:
+                assert got == pytest.approx((want, want), rel=1e-12)
 
 
 class TestOracleEquivalence:

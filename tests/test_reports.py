@@ -78,8 +78,7 @@ class TestWindowing:
                 assert got.point == expected.point
                 assert got.distribution == expected.distribution
                 assert got.hdi == expected.hdi
-            assert report.undefined_metrics == tuple(e.metric for e in direct if e.undefined)
-            undefined.update(report.undefined_metrics)
+            undefined.update(e.metric for e in report.estimates if e.undefined)
         if window < 90:
             # The exact recall distribution puts the mass of no true
             # positives on 0, so it stays defined.
@@ -88,7 +87,7 @@ class TestWindowing:
 
     def test_undefined_metrics_listed(self):
         reports = list(windowed_estimates(batch([0, 0], [0.2, 0.3]), 2))
-        assert set(reports[0].undefined_metrics) == {"precision", "f1"}
+        assert {e.metric for e in reports[0].estimates if e.undefined} == {"precision", "f1"}
 
     def test_rejects_bad_window_size(self):
         with pytest.raises(ValueError, match="window_size"):
@@ -244,7 +243,6 @@ _REPORTS = st.builds(
     window_size=st.integers(1, 10**6),
     partial=st.booleans(),
     estimates=st.lists(_ESTIMATES, max_size=5).map(tuple),
-    undefined_metrics=st.just(()),
 )
 _CONFIGS = st.builds(
     EstimateConfig,
