@@ -25,8 +25,7 @@ import numpy as np
 from .calibration import reverse_sample_labels, threshold_predictions
 from .confusion import PredictionBatch
 from .intervals import hdis
-from .metrics import METRICS, _require_distinct, estimate_all
-from .reports import true_metrics
+from .metrics import METRICS, _require_distinct, estimate_all, true_metrics
 from .synthesis import random_beta_params, sample_beta_scores
 
 __all__ = [

@@ -4,12 +4,18 @@ One table, ``_ROWS``, gives every metric as a ratio of two sums over five
 window quantities: true positives ``tp``, actual positives ``p`` (TP + FN),
 correct predictions ``correct`` (TP + TN), positive predictions ``n_pos``
 and records ``n``.  Accuracy is correct / n, precision tp / n_pos, recall
-tp / p and F1 2 * tp / (p + n_pos).  Three readers evaluate the rows: the
-exact distributions here, the shortcut points here, and the realized
-metrics of :func:`~confmetrics.reports.true_metrics` on integer counts.  A
-row whose denominator reads ``n_pos`` is undefined (None, never raised)
-without positive predictions; a shortcut point is also None, and a
-realized value exactly None, where the denominator is 0.
+tp / p and F1 2 * tp / (p + n_pos).  Three readers, all here, evaluate the
+rows: the exact distributions, the shortcut points and the realized metrics
+of :func:`true_metrics`.  A row whose denominator reads ``n_pos`` is
+undefined (None, never raised) without positive predictions; a shortcut
+point is also None, and a realized value exactly None, where the
+denominator is 0.
+
+For a calibrated score s, s = P(label = 1), so a window's expected
+quantities are the sums its realized counts come from, with each label
+replaced by its score.  One builder, :func:`_window_quantities`, takes
+these sums: the shortcut points are the rows on score sums, the realized
+metrics the rows on label sums.
 
 The exact reader pushes the count PMFs of a :class:`ConfusionEstimate`
 through a row, giving a finite distribution over exact rational values.
@@ -81,11 +87,13 @@ from .intervals import HdiInterval, hdi
 __all__ = [
     "METRICS",
     "MetricEstimate",
+    "TrueMetrics",
     "accuracy_distribution",
     "precision_distribution",
     "recall_distribution",
     "f1_distribution",
     "estimate_all",
+    "true_metrics",
 ]
 
 
@@ -294,56 +302,63 @@ def f1_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
     return _metric_distribution("f1", est)
 
 
+def _window_quantities(
+    predictions: np.ndarray, outcomes: np.ndarray, window_size: int
+) -> dict[str, np.ndarray]:
+    """Per-window sums of the five window quantities, over consecutive runs
+    of ``window_size`` records, the last one possibly shorter; a window
+    larger than the records holds them all.
+
+    ``outcomes`` are the records' chances of a positive label: the scores
+    give the expected quantities, the 0/1 labels the realized counts.  The
+    ``p`` and ``correct`` sums are row sums of the full windows reshaped to
+    rows of the window size, plus one sum over the trailing partial window;
+    ``tp`` takes one reduction per window over the compacted outcomes of
+    the positive predictions.  Each of these sums equals, bit for bit, the
+    one a slice of the window gives, so a window's values do not depend on
+    the windows around it.
+    """
+    n = outcomes.size
+    window_size = min(window_size, n)
+    full = n - n % window_size
+    n_windows = -(-n // window_size)
+    positive = predictions == 1
+
+    def window_sums(values: np.ndarray) -> np.ndarray:
+        sums = values[:full].reshape(-1, window_size).sum(axis=1)
+        return np.append(sums, values[full:].sum()) if full < n else sums
+
+    n_pos = window_sums(positive)
+    bounds = np.cumsum(n_pos).tolist()
+    pos = outcomes[positive]
+    records = np.full(n_windows, window_size)
+    records[-1] = n - (n_windows - 1) * window_size
+    return {
+        "tp": np.array([pos[a:b].sum() for a, b in zip([0] + bounds[:-1], bounds)]),
+        "p": window_sums(outcomes),
+        # Each prediction is correct with the chance of a positive label if
+        # positive, and its complement if negative.
+        "correct": window_sums(np.where(positive, outcomes, 1 - outcomes)),
+        "n_pos": n_pos,
+        "n": records,
+    }
+
+
 def _shortcut_windows(
     batch: PredictionBatch, window_size: int, metrics: tuple[str, ...] = METRICS
 ) -> Iterator[tuple[MetricEstimate, ...]]:
     """Shortcut estimates of every window of the batch, from one pass.
 
     Windows are consecutive runs of ``window_size`` records, the last one
-    possibly shorter.  The sums are taken when this is called; the returned
-    iterator yields, for each window in turn, one estimate per requested
-    metric, with point None where the metric is undefined.
-
-    Only the quantities the requested rows read are summed.  The score
-    totals and correct sums are row sums of the full windows reshaped to
-    rows of ``window_size``, plus one sum over the trailing partial window;
-    the positive-score sums take one reduction per window over the
-    compacted positive scores.  Each of these sums equals, bit for bit, the
-    one a slice of the window gives, so a window's points do not depend on
-    the windows around it.
+    possibly shorter.  The sums of :func:`_window_quantities` over the
+    scores are taken when this is called; the returned iterator yields, for
+    each window in turn, one estimate per requested metric, with point None
+    where the metric is undefined.
     """
     _require_nonempty(batch)
-    scores = batch.scores
-    positive = batch.predictions == 1
-    n = scores.size
-    full = n - n % window_size
-    n_windows = -(-n // window_size)
-
-    def window_sums(values: np.ndarray) -> np.ndarray:
-        sums = values[:full].reshape(-1, window_size).sum(axis=1)
-        return np.append(sums, values[full:].sum()) if full < n else sums
-
-    rows = [_ROWS[m] for m in metrics]
-    read = {q for _, num, den in rows for q in (num, *den)}
-    # The expected value of each quantity the rows read, per window.
-    expected = {}
-    if "n" in read:
-        expected["n"] = np.full(n_windows, window_size)
-        expected["n"][-1] = n - (n_windows - 1) * window_size
-    if "correct" in read:
-        # Each prediction is correct with probability its score if positive,
-        # and one minus its score if negative.
-        expected["correct"] = window_sums(np.where(positive, scores, 1.0 - scores))
-    if "p" in read:
-        expected["p"] = window_sums(scores)
-    if read & {"tp", "n_pos"}:
-        expected["n_pos"] = window_sums(positive)
-    if "tp" in read:
-        bounds = np.cumsum(expected["n_pos"]).tolist()
-        pos = scores[positive]
-        expected["tp"] = np.array([pos[a:b].sum() for a, b in zip([0] + bounds[:-1], bounds)])
+    expected = _window_quantities(batch.predictions, batch.scores, window_size)
     columns = []
-    for row in rows:
+    for row in (_ROWS[m] for m in metrics):
         num, den = row.ratio(expected)
         defined = den > 0
         if "n_pos" in row.den:
@@ -356,8 +371,35 @@ def _shortcut_windows(
             MetricEstimate(metric=m, method="shortcut", point=column[i])
             for m, column in zip(metrics, columns)
         )
-        for i in range(n_windows)
+        for i in range(expected["n"].size)
     )
+
+
+@dataclass(frozen=True)
+class TrueMetrics:
+    """Realized metrics of a labelled window; None where the defining ratio
+    has a zero denominator."""
+
+    accuracy: float | None
+    precision: float | None
+    recall: float | None
+    f1: float | None
+
+
+def true_metrics(batch: PredictionBatch) -> TrueMetrics:
+    """Realized confusion-matrix metrics of a labelled window: each row on
+    the window's label sums, which are exact integers."""
+    if batch.n == 0:
+        raise ValueError("true metrics need a nonempty batch")
+    labels = batch.labels
+    if labels is None:
+        raise ValueError("true metrics need a true label on every record")
+    counts = _window_quantities(batch.predictions, labels, batch.n)
+    realized = {}
+    for metric, row in _ROWS.items():
+        num, den = (int(x[0]) for x in row.ratio(counts))
+        realized[metric] = num / den if den else None
+    return TrueMetrics(**realized)
 
 
 def _require_distinct(values, name: str) -> None:

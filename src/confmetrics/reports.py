@@ -1,11 +1,13 @@
-"""Window orchestration, true-metric computation and report serialization.
+"""Window orchestration and report serialization.
 
 A monitoring stream is cut into consecutive windows of a fixed size; each
 window gets one report holding the requested metric estimates.  A final
 window shorter than the configured size is still processed and flagged as
 partial.  The shortcut points of all windows come from one array pass over
 the whole batch; exact windows are sliced and estimated one at a time, as
-the reports are consumed.
+the reports are consumed.  The realized metrics of a labelled window,
+:func:`true_metrics`, come from :mod:`confmetrics.metrics` and are exported
+here as well.
 
 Reports serialize to a single JSON document per run.  The writer fills
 templates of the document's fixed layout, and its text is byte for byte
@@ -38,16 +40,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-import numpy as np
-
 from .confusion import PredictionBatch, _require_nonempty
 from .metrics import (
     METRICS,
-    _ROWS,
     MetricEstimate,
+    TrueMetrics,
     _check_request,
     _shortcut_windows,
     estimate_all,
+    true_metrics,
 )
 
 __all__ = [
@@ -78,17 +79,6 @@ class MonitoringReport:
     window_size: int
     partial: bool
     estimates: tuple[MetricEstimate, ...]
-
-
-@dataclass(frozen=True)
-class TrueMetrics:
-    """Realized metrics of a labelled window; None where the defining ratio
-    has a zero denominator."""
-
-    accuracy: float | None
-    precision: float | None
-    recall: float | None
-    f1: float | None
 
 
 def windowed_estimates(
@@ -129,29 +119,6 @@ def windowed_estimates(
         )
         for index, (start, estimates) in enumerate(zip(starts, windows))
     )
-
-
-def true_metrics(batch: PredictionBatch) -> TrueMetrics:
-    """Realized confusion-matrix metrics of a labelled window."""
-    if batch.n == 0:
-        raise ValueError("true metrics need a nonempty batch")
-    labels = batch.labels
-    if labels is None:
-        raise ValueError("true metrics need a true label on every record")
-    pred = batch.predictions == 1
-    actual = labels == 1
-    counts = {
-        "tp": int(np.count_nonzero(pred & actual)),
-        "p": int(np.count_nonzero(actual)),
-        "correct": int(np.count_nonzero(pred == actual)),
-        "n_pos": int(np.count_nonzero(pred)),
-        "n": batch.n,
-    }
-    realized = {}
-    for metric, row in _ROWS.items():
-        num, den = row.ratio(counts)
-        realized[metric] = num / den if den else None
-    return TrueMetrics(**realized)
 
 
 # The report's layout, as json.dumps(indent=2, sort_keys=True) writes it:

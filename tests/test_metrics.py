@@ -235,7 +235,7 @@ class TestShortcuts:
         b = batch((scores >= 0.3).astype(int), scores)
         got = {e.metric: e.point for e in estimate_all(b, method="shortcut")}
         assert got == shortcut_points_reference(b)
-        # Alone, a metric sums only the quantities its row reads.
+        # Requested alone, a metric gets the point of the joint request.
         assert {m: shortcut(b, m) for m in METRICS} == got
 
     def test_recall_f1_shortcut_error_shrinks_with_window(self):

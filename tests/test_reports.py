@@ -16,6 +16,7 @@ from confmetrics.metrics import METRICS, MetricEstimate, estimate_all
 from confmetrics.reports import (
     EstimateConfig,
     MonitoringReport,
+    TrueMetrics,
     render_report,
     run_to_json,
     true_metrics,
@@ -85,6 +86,17 @@ class TestWindowing:
             always_defined = {"accuracy"} | ({"recall"} if method == "exact" else set())
             assert undefined == set(metrics) - always_defined
 
+    @pytest.mark.parametrize("window", [2**62, 10**20])
+    @pytest.mark.parametrize("method", ["exact", "shortcut"])
+    def test_window_past_any_array_size_holds_the_batch(self, method, window):
+        # numpy cannot reshape to rows of these widths nor allocate that many
+        # windows, so the shortcut pass caps its window at the records.
+        b = random_batch(np.random.default_rng(4), 50)
+        (report,) = windowed_estimates(b, window, EstimateConfig(method=method))
+        assert (report.window_index, report.window_size, report.partial) == (0, 50, True)
+        direct = estimate_all(b, method=method)
+        assert [e.point for e in report.estimates] == [e.point for e in direct]
+
     def test_undefined_metrics_listed(self):
         reports = list(windowed_estimates(batch([0, 0], [0.2, 0.3]), 2))
         assert {e.metric for e in reports[0].estimates if e.undefined} == {"precision", "f1"}
@@ -138,6 +150,37 @@ class TestTrueMetrics:
         assert m.recall is None
         assert m.f1 is None
         assert m.accuracy == 1.0
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 1000, 5000])
+    @pytest.mark.parametrize("case", ["mixed", "no-positive-predictions", "no-positive-labels"])
+    def test_equal_the_ratios_of_integer_counts(self, n, case):
+        # The window sizes cross numpy's 8- and 128-element pairwise-sum
+        # blocks; sums of 0/1 values stay exact there, and a float64
+        # quotient of integers below 2**53 is the correctly rounded one.
+        rng = np.random.default_rng(n)
+        predictions = (rng.random(n) < rng.random()).astype(int)
+        labels = (rng.random(n) < rng.random()).astype(int)
+        if case == "no-positive-predictions":
+            predictions[:] = 0
+        elif case == "no-positive-labels":
+            labels[:] = 0
+        pred, actual = predictions == 1, labels == 1
+        tp = int(np.count_nonzero(pred & actual))
+        p = int(np.count_nonzero(actual))
+        n_pos = int(np.count_nonzero(pred))
+        correct = int(np.count_nonzero(pred == actual))
+
+        def ratio(num, den):
+            return num / den if den else None
+
+        got = true_metrics(batch(predictions, rng.random(n), labels))
+        assert got == TrueMetrics(
+            accuracy=ratio(correct, n),
+            precision=ratio(tp, n_pos),
+            recall=ratio(tp, p),
+            f1=ratio(2 * tp, p + n_pos),
+        )
+        assert all(v is None or type(v) is float for v in vars(got).values())
 
     def test_requires_labels(self):
         with pytest.raises(ValueError, match="label"):
