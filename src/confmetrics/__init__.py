@@ -45,9 +45,11 @@ from .metrics import (
 from .reports import (
     EstimateConfig,
     MonitoringReport,
+    ShortcutColumns,
     TrueMetrics,
     render_report,
     run_to_json,
+    shortcut_columns,
     true_metrics,
     windowed_estimates,
 )
@@ -97,8 +99,10 @@ __all__ = [
     "parse_input",
     "EstimateConfig",
     "MonitoringReport",
+    "ShortcutColumns",
     "TrueMetrics",
     "windowed_estimates",
+    "shortcut_columns",
     "true_metrics",
     "run_to_json",
     "render_report",

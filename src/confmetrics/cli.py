@@ -27,7 +27,13 @@ from .experiments import (
 )
 from .ingest import FORMATS, parse_input
 from .metrics import METRICS
-from .reports import EstimateConfig, render_report, true_metrics, windowed_estimates
+from .reports import (
+    EstimateConfig,
+    render_report,
+    shortcut_columns,
+    true_metrics,
+    windowed_estimates,
+)
 from .synthesis import HypersphereConfig, hypersphere_dataset, shift_dataset
 
 __all__ = ["main", "build_parser"]
@@ -167,11 +173,16 @@ def _cmd_estimate(args) -> None:
     batch = parse_input(args.input, args.format)
     config = EstimateConfig(metrics=args.metrics, method=args.method, alpha=args.alpha)
     window = args.window_size if args.window_size is not None else batch.n
-    reports = windowed_estimates(batch, window, config)
-    # The first window is estimated before the output is opened, so that a
-    # run that fails there leaves an existing output file as it was.  The
-    # list's iterator lets go of that window once the writer is past it.
-    reports = itertools.chain(iter([next(reports)]), reports)
+    # The shortcut points of every window, or the first exact window, are
+    # estimated before the output is opened, so that a run that fails there
+    # leaves an existing output file as it was.  The shortcut columns go to
+    # the writer as they are, with no report built per window; the list's
+    # iterator lets go of the first exact window once the writer is past it.
+    if config.method == "shortcut":
+        reports = shortcut_columns(batch, window, config)
+    else:
+        reports = windowed_estimates(batch, window, config)
+        reports = itertools.chain(iter([next(reports)]), reports)
     with _output(args.output) as out:
         render_report(reports, config, args.emit_distributions, out=out)
         out.write("\n")

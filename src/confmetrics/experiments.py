@@ -109,6 +109,19 @@ def _summary(window: int, metric: str, errors: list[float]) -> ConvergenceRow:
     )
 
 
+def _check_plan(window_sizes: tuple[int, ...], trials: int, seed: int) -> None:
+    """Raise ValueError, before any trial runs, for no trial, a window size
+    below 1 or given twice, or a negative seed."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials!r}")
+    small = [w for w in window_sizes if w < 1]
+    if small:
+        raise ValueError(f"window sizes must be at least 1, got {small}")
+    _require_distinct(window_sizes, "window sizes")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+
+
 def run_convergence_experiment(
     window_sizes: tuple[int, ...] = DEFAULT_CONVERGENCE_WINDOWS,
     trials: int = 1000,
@@ -118,11 +131,10 @@ def run_convergence_experiment(
 
     Trials where a metric is undefined on both routes (a window with no
     positive predictions) are skipped for that metric.  Raises ValueError
-    for a window size given twice.
+    for no trial, a window size below 1 or given twice, or a negative
+    seed.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials!r}")
-    _require_distinct(window_sizes, "window sizes")
+    _check_plan(window_sizes, trials, seed)
     rows = []
     for window in window_sizes:
         errors: dict[str, list[float]] = {"recall": [], "f1": [], "control": []}
@@ -158,11 +170,10 @@ def run_coverage_experiment(
     realized metric and the estimated distribution exist; with no positive
     predictions there is no precision estimate, and with no positive labels
     there is no realized recall.  Raises ValueError for a window size or
-    alpha given twice, which would count each trial more than once.
+    alpha given twice, which would count each trial more than once, and as
+    :func:`run_convergence_experiment` does.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials!r}")
-    _require_distinct(window_sizes, "window sizes")
+    _check_plan(window_sizes, trials, seed)
     _require_distinct(alphas, "alphas")
     rows = []
     for window in window_sizes:

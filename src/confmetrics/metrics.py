@@ -63,15 +63,16 @@ grids, which grow as n.  Shortcuts are O(n) and give points only.
 
 The shortcuts need only per-window sums, so all windows of a stream get
 their shortcut points in one array pass, bit-identical to what a slice of
-each window gives.  For the 2000 windows of a 200 000-row stream at window
-100 the pass takes about 9 ms, where estimating one window at a time cost
-about 57 us of Python per window.
+each window gives, as one column of points per metric.  For the 2000
+windows of a 200 000-row stream at window 100 the pass takes 6.5-10 ms,
+where estimating one window at a time cost about 57 us of Python per
+window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -346,33 +347,28 @@ def _window_quantities(
 
 def _shortcut_windows(
     batch: PredictionBatch, window_size: int, metrics: tuple[str, ...] = METRICS
-) -> Iterator[tuple[MetricEstimate, ...]]:
-    """Shortcut estimates of every window of the batch, from one pass.
+) -> tuple[dict[str, list[float | None]], list[int]]:
+    """Shortcut points of every window of the batch, from one pass.
 
     Windows are consecutive runs of ``window_size`` records, the last one
-    possibly shorter.  The sums of :func:`_window_quantities` over the
-    scores are taken when this is called; the returned iterator yields, for
-    each window in turn, one estimate per requested metric, with point None
-    where the metric is undefined.
+    possibly shorter.  Returns one column per requested metric, in request
+    order, holding each window's point (None where the metric is
+    undefined), and the windows' sizes.  The sums come from
+    :func:`_window_quantities` over the scores.
     """
     _require_nonempty(batch)
     expected = _window_quantities(batch.predictions, batch.scores, window_size)
-    columns = []
-    for row in (_ROWS[m] for m in metrics):
+    columns = {}
+    for metric in metrics:
+        row = _ROWS[metric]
         num, den = row.ratio(expected)
         defined = den > 0
         if "n_pos" in row.den:
             defined &= expected["n_pos"] > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             values = num / den
-        columns.append([v if ok else None for v, ok in zip(values.tolist(), defined.tolist())])
-    return (
-        tuple(
-            MetricEstimate(metric=m, method="shortcut", point=column[i])
-            for m, column in zip(metrics, columns)
-        )
-        for i in range(expected["n"].size)
-    )
+        columns[metric] = [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
+    return columns, expected["n"].tolist()
 
 
 @dataclass(frozen=True)
@@ -464,6 +460,10 @@ def estimate_all(
     _require_nonempty(batch)
     _check_request(metrics, method, alpha)
     if method == "shortcut":
-        return list(next(_shortcut_windows(batch, batch.n, metrics)))
+        columns, _ = _shortcut_windows(batch, batch.n, metrics)
+        return [
+            MetricEstimate(metric=m, method="shortcut", point=column[0])
+            for m, column in columns.items()
+        ]
     est = estimate_confusion(batch)
     return [_exact_estimate(m, est, alpha) for m in metrics]

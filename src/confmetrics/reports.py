@@ -4,8 +4,9 @@ A monitoring stream is cut into consecutive windows of a fixed size; each
 window gets one report holding the requested metric estimates.  A final
 window shorter than the configured size is still processed and flagged as
 partial.  The shortcut points of all windows come from one array pass over
-the whole batch; exact windows are sliced and estimated one at a time, as
-the reports are consumed.  The realized metrics of a labelled window,
+the whole batch, as one column per metric (:func:`shortcut_columns`);
+exact windows are sliced and estimated one at a time, as the reports are
+consumed.  The realized metrics of a labelled window,
 :func:`true_metrics`, come from :mod:`confmetrics.metrics` and are exported
 here as well.
 
@@ -15,13 +16,18 @@ what ``json.dumps(document, indent=2, sort_keys=True)`` writes for the
 document :func:`run_to_json` returns: keys sorted, two spaces of
 indentation per level, floats through ``float.__repr__`` and the non-finite
 ones as ``NaN``/``Infinity``, strings through ``json.dumps``.  With
-``indent`` set, ``json`` runs its pure-Python encoder; for the 2000 windows
-of a 200 000-row shortcut run at window 100 (8000 points, 1.9 MB of text),
-the writer takes 20-35 ms where building the document and dumping it took
-80-130 ms (one core of a 2-vCPU machine).  Metric distributions are
-included only on request, since the recall and F1 distributions each hold
-about 25 support points per window record (about 25 000 at a window of
-1000, 100 000 at 4000).
+``indent`` set, ``json`` runs its pure-Python encoder.  The writer takes
+a run's reports, or the columns of a shortcut run, and lays out the
+windows of both in one code path.  From the columns it fills the estimate
+template once per column and each point's number into it, and builds no
+estimate or report per window.  For the 2000 windows of a 200 000-row
+shortcut run at window 100 (8000 points, 1.9 MB of text), the writer takes
+11-15 ms from the columns; the 8000 estimates and 2000 reports take
+20-40 ms to build and 17-33 ms to write, and building the document and
+dumping it took 80-130 ms (one core of a 2-vCPU machine).  Metric
+distributions are included only on request, since the recall and F1
+distributions each hold about 25 support points per window record (about
+25 000 at a window of 1000, 100 000 at 4000).
 
 Reports stream: the writer turns each report into text as it arrives and
 can pass that text on to a stream before the next window is estimated, so
@@ -38,7 +44,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .confusion import PredictionBatch, _require_nonempty
 from .metrics import (
@@ -54,8 +60,10 @@ from .metrics import (
 __all__ = [
     "EstimateConfig",
     "MonitoringReport",
+    "ShortcutColumns",
     "TrueMetrics",
     "windowed_estimates",
+    "shortcut_columns",
     "true_metrics",
     "run_to_json",
     "render_report",
@@ -81,6 +89,63 @@ class MonitoringReport:
     estimates: tuple[MetricEstimate, ...]
 
 
+class ShortcutColumns(NamedTuple):
+    """The shortcut points of every window of a run, by metric.
+
+    ``points`` maps each requested metric, in request order, to its column:
+    one point per window, None where the metric is undefined.  ``sizes``
+    holds each window's size; a window is partial when its size is below
+    ``window_size``.
+    """
+
+    window_size: int
+    points: dict[str, list[float | None]]
+    sizes: list[int]
+
+
+def _check_windows(batch: PredictionBatch, window_size: int, config: EstimateConfig) -> None:
+    """Raise ValueError for an empty batch, a window size below 1 or a bad
+    request."""
+    _require_nonempty(batch)
+    if window_size < 1:
+        raise ValueError(f"window_size must be at least 1, got {window_size!r}")
+    _check_request(config.metrics, config.method, config.alpha)
+
+
+def shortcut_columns(
+    batch: PredictionBatch,
+    window_size: int,
+    config: EstimateConfig = EstimateConfig(method="shortcut"),
+) -> ShortcutColumns:
+    """The shortcut points of every window of a batch, from one pass over
+    it, as columns that :func:`render_report` writes without building an
+    estimate or a report per window.
+
+    Raises ValueError as :func:`windowed_estimates` does, and for a config
+    whose method is not the shortcut.
+    """
+    _check_windows(batch, window_size, config)
+    if config.method != "shortcut":
+        raise ValueError(f"shortcut columns need the shortcut method, got {config.method!r}")
+    points, sizes = _shortcut_windows(batch, window_size, config.metrics)
+    return ShortcutColumns(window_size, points, sizes)
+
+
+def _column_reports(columns: ShortcutColumns) -> Iterator[MonitoringReport]:
+    """The reports of the columns' windows, each built when it is reached."""
+    metrics = tuple(columns.points)
+    for index, (size, *points) in enumerate(zip(columns.sizes, *columns.points.values())):
+        yield MonitoringReport(
+            window_index=index,
+            window_size=size,
+            partial=size < columns.window_size,
+            estimates=tuple(
+                MetricEstimate(metric=m, method="shortcut", point=p)
+                for m, p in zip(metrics, points)
+            ),
+        )
+
+
 def windowed_estimates(
     batch: PredictionBatch, window_size: int, config: EstimateConfig = EstimateConfig()
 ) -> Iterator[MonitoringReport]:
@@ -88,28 +153,24 @@ def windowed_estimates(
 
     The request is checked when this is called; the reports come from a
     single-pass iterator.  Shortcut points of all windows come from one pass
-    over the batch; exact windows are sliced and estimated one at a time,
-    each when the iterator reaches it.
+    over the batch, :func:`shortcut_columns`; exact windows are sliced and
+    estimated one at a time, each when the iterator reaches it.
     """
-    _require_nonempty(batch)
-    if window_size < 1:
-        raise ValueError(f"window_size must be at least 1, got {window_size!r}")
-    _check_request(config.metrics, config.method, config.alpha)
-    starts = range(0, batch.n, window_size)
     if config.method == "shortcut":
-        windows = _shortcut_windows(batch, window_size, config.metrics)
-    else:
-        windows = (
-            tuple(
-                estimate_all(
-                    batch[start : start + window_size],
-                    config.metrics,
-                    config.method,
-                    config.alpha,
-                )
+        return _column_reports(shortcut_columns(batch, window_size, config))
+    _check_windows(batch, window_size, config)
+    starts = range(0, batch.n, window_size)
+    windows = (
+        tuple(
+            estimate_all(
+                batch[start : start + window_size],
+                config.metrics,
+                config.method,
+                config.alpha,
             )
-            for start in starts
         )
+        for start in starts
+    )
     return (
         MonitoringReport(
             window_index=index,
@@ -202,34 +263,41 @@ def _estimate_text(estimate: MetricEstimate, emit_distributions: bool, quote) ->
     )
 
 
-def _report_chunks(
-    reports: Iterable[MonitoringReport], config: EstimateConfig, emit_distributions: bool
-) -> Iterator[str]:
-    """The report's text in order: the head, one piece per window, the tail."""
-    quote = functools.lru_cache(maxsize=None)(json.dumps)
+def _column_texts(metric: str, points: list[float | None], quote) -> list[str]:
+    """The text of every estimate in one shortcut column.  The template is
+    filled once for an undefined point and once around a marker for a
+    defined one, and each defined point's number goes where the marker was;
+    ``json.dumps`` escapes a NUL, so no quoted field holds the marker."""
+    fields = ("null", "null", quote("shortcut"), quote(metric))
+    undefined = _ESTIMATE % (*fields, _number(None), _bool(True))
+    head, _, tail = (_ESTIMATE % (*fields, "\0", _bool(False))).partition("\0")
+    return [undefined if p is None else head + _number(p) + tail for p in points]
+
+
+def _report_chunks(windows: Iterable[tuple], config: EstimateConfig, quote) -> Iterator[str]:
+    """The report's text in order: the head, one piece per window, the tail.
+    ``windows`` yields each window's estimate texts, partial flag, index and
+    size."""
     yield _HEAD % (
         _number(config.alpha),
         quote(config.method),
         _array([quote(m) for m in config.metrics], "    "),
     )
     first = True
-    for r in reports:
+    for estimates, partial, index, size in windows:
         yield _WINDOW % (
             "[\n    " if first else ",\n    ",
-            _array(
-                [_estimate_text(e, emit_distributions, quote) for e in r.estimates],
-                "      ",
-            ),
-            _bool(r.partial),
-            r.window_index,
-            r.window_size,
+            _array(estimates, "      "),
+            _bool(partial),
+            index,
+            size,
         )
         first = False
     yield "[]\n}" if first else "\n  ]\n}"
 
 
 def render_report(
-    reports: Iterable[MonitoringReport],
+    reports: Iterable[MonitoringReport] | ShortcutColumns,
     config: EstimateConfig,
     emit_distributions: bool = False,
     out: TextIO | None = None,
@@ -238,11 +306,31 @@ def render_report(
     bytes, the text ``json.dumps(document, indent=2, sort_keys=True)`` gives
     for the document :func:`run_to_json` returns.
 
-    Returns the text, or with ``out`` writes it there piece by piece, each
-    window's text as soon as ``reports`` yields the window, and returns
-    None.  The text does not end in a newline.
+    ``reports`` are the run's reports, or the :class:`ShortcutColumns` of a
+    shortcut run, whose text is that of the reports
+    :func:`windowed_estimates` gives for it.  Returns the text, or with
+    ``out`` writes it there piece by piece, each window's text as soon as
+    ``reports`` yields the window, and returns None.  The text does not end
+    in a newline.
     """
-    chunks = _report_chunks(reports, config, emit_distributions)
+    quote = functools.lru_cache(maxsize=None)(json.dumps)
+    if isinstance(reports, ShortcutColumns):
+        texts = [_column_texts(m, points, quote) for m, points in reports.points.items()]
+        windows = (
+            (estimates, size < reports.window_size, index, size)
+            for index, (size, *estimates) in enumerate(zip(reports.sizes, *texts))
+        )
+    else:
+        windows = (
+            (
+                [_estimate_text(e, emit_distributions, quote) for e in r.estimates],
+                r.partial,
+                r.window_index,
+                r.window_size,
+            )
+            for r in reports
+        )
+    chunks = _report_chunks(windows, config, quote)
     if out is None:
         return "".join(chunks)
     out.writelines(chunks)

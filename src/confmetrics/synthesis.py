@@ -103,6 +103,8 @@ class HypersphereConfig:
             raise ValueError("n_dims must be at least 1")
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         for name in ("radius", "decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

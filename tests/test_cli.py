@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import confmetrics
-from confmetrics import confusion, metrics, reports
+from confmetrics import confusion, experiments, metrics, reports
 from confmetrics.cli import main
 from oracles import (
     f1_distribution_untrimmed,
@@ -201,6 +201,44 @@ class TestEstimate:
         assert "error: window failed" in err
         assert out_path.read_bytes() == b"an earlier report\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--window-size", "0"), "window_size must be at least 1, got 0"),
+            (("--metrics", "recall,f1,recall"), "metrics requested more than once: ['recall']"),
+        ],
+        ids=["window-size", "repeated-metric"],
+    )
+    def test_rejected_shortcut_request_leaves_output_file_untouched(
+        self, labelled_csv, tmp_path, capsys, argv, message
+    ):
+        out_path = tmp_path / "report.json"
+        out_path.write_bytes(b"an earlier report\n")
+        code, out, err = run(
+            capsys, "estimate", "--input", labelled_csv, "--method", "shortcut", *argv,
+            "--output", out_path,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+        assert out_path.read_bytes() == b"an earlier report\n"
+
+    def test_failed_shortcut_points_leave_output_file_untouched(
+        self, labelled_csv, tmp_path, capsys, monkeypatch
+    ):
+        def fails(*args):
+            raise ValueError("points failed")
+
+        monkeypatch.setattr(reports, "_shortcut_windows", fails)
+        out_path = tmp_path / "report.json"
+        out_path.write_bytes(b"an earlier report\n")
+        code, out, err = run(
+            capsys, "estimate", "--input", labelled_csv, "--method", "shortcut",
+            "--window-size", "2", "--output", out_path,
+        )
+        assert code == 1 and out == ""
+        assert "error: points failed" in err
+        assert out_path.read_bytes() == b"an earlier report\n"
+
     def test_stdout_and_output_file_hold_the_same_report(self, labelled_csv, tmp_path, capsys):
         args = ("estimate", "--input", labelled_csv, "--window-size", "3", "--emit-distributions")
         code, printed, _ = run(capsys, *args)
@@ -210,6 +248,27 @@ class TestEstimate:
         assert code == 0 and out == ""
         assert out_path.read_text(encoding="utf-8") == printed
         assert len(json.loads(printed)["windows"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,windows",
+        [
+            (("--window-size", "3", "--emit-distributions"), 2),
+            (("--window-size", "1", "--metrics", "f1,precision"), 4),
+            (("--window-size", "1000000"), 1),
+        ],
+        ids=["distributions", "subset", "past-the-file"],
+    )
+    def test_shortcut_stdout_and_output_file_hold_the_same_report(
+        self, labelled_csv, tmp_path, capsys, argv, windows
+    ):
+        args = ("estimate", "--input", labelled_csv, "--method", "shortcut", *argv)
+        code, printed, _ = run(capsys, *args)
+        assert code == 0
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, *args, "--output", out_path)
+        assert code == 0 and out == ""
+        assert out_path.read_text(encoding="utf-8") == printed
+        assert len(json.loads(printed)["windows"]) == windows
 
     def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
         # OpenBLAS splits a dot product of more than 10 000 elements across
@@ -294,6 +353,35 @@ class TestSimulate:
         assert first == second
 
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--seed", "-1", "simulate", "coverage", "--windows", "10"),
+             "seed must be non-negative, got -1"),
+            (("--seed", "-1", "simulate", "convergence", "--windows", "10"),
+             "seed must be non-negative, got -1"),
+            (("simulate", "coverage", "--windows", "10,0"),
+             "window sizes must be at least 1, got [0]"),
+            (("simulate", "convergence", "--windows", "10,-3"),
+             "window sizes must be at least 1, got [-3]"),
+        ],
+        ids=["coverage-seed", "convergence-seed", "coverage-window", "convergence-window"],
+    )
+    def test_negative_seed_or_small_window_fails_before_any_trial(
+        self, capsys, monkeypatch, argv, message
+    ):
+        # numpy used to reject the seed with a bare "expected non-negative
+        # integer", and a zero window failed in the score sampler after the
+        # trials of the windows before it had run.
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_trial_batch", trial)
+        code, out, err = run(capsys, *argv, "--trials", "2")
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestGenerate:
     def test_hypersphere_csv_parses_back(self, tmp_path, capsys):
         out_path = tmp_path / "sphere.csv"
@@ -346,6 +434,13 @@ class TestGenerate:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
+
+    def test_negative_seed_fails_cleanly(self, capsys):
+        code, out, err = run(
+            capsys, "--seed", "-1", "generate", "hypersphere", "--dims", "2", "--points", "20"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize(

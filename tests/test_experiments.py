@@ -45,6 +45,12 @@ class TestConvergence:
         with pytest.raises(ValueError, match=r"window sizes .* once: \[10\]"):
             run_convergence_experiment((10, 20, 10), trials=2)
 
+    def test_rejects_negative_seed_or_window_below_one(self):
+        with pytest.raises(ValueError, match=r"seed must be non-negative, got -1$"):
+            run_convergence_experiment((10,), trials=2, seed=-1)
+        with pytest.raises(ValueError, match=r"window sizes must be at least 1, got \[0, -2\]"):
+            run_convergence_experiment((10, 0, -2), trials=2)
+
 
 class TestCoverage:
     def test_rows_cover_the_grid(self):
@@ -77,6 +83,12 @@ class TestCoverage:
     def test_rejects_repeated_window_or_alpha(self, windows, alphas, match):
         with pytest.raises(ValueError, match=match):
             run_coverage_experiment(windows, trials=2, alphas=alphas)
+
+    def test_rejects_negative_seed_or_window_below_one(self):
+        with pytest.raises(ValueError, match=r"seed must be non-negative, got -7$"):
+            run_coverage_experiment((10,), trials=2, seed=-7)
+        with pytest.raises(ValueError, match=r"window sizes must be at least 1, got \[0\]"):
+            run_coverage_experiment((10, 0), trials=2)
 
     def test_tiny_alpha_keeps_nearly_everything(self):
         rows = run_coverage_experiment((60,), trials=60, alphas=(0.001,), seed=8)

@@ -17,8 +17,10 @@ from confmetrics.reports import (
     EstimateConfig,
     MonitoringReport,
     TrueMetrics,
+    ShortcutColumns,
     render_report,
     run_to_json,
+    shortcut_columns,
     true_metrics,
     windowed_estimates,
 )
@@ -287,11 +289,13 @@ _REPORTS = st.builds(
     partial=st.booleans(),
     estimates=st.lists(_ESTIMATES, max_size=5).map(tuple),
 )
+# Empty, subset and permuted metric requests.
+_METRIC_REQUESTS = st.permutations(METRICS).flatmap(
+    lambda order: st.integers(0, len(order)).map(lambda k: tuple(order[:k]))
+)
 _CONFIGS = st.builds(
     EstimateConfig,
-    metrics=st.permutations(METRICS).flatmap(
-        lambda order: st.integers(0, len(order)).map(lambda k: tuple(order[:k]))
-    ),
+    metrics=_METRIC_REQUESTS,
     method=st.sampled_from(("exact", "shortcut")),
     alpha=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
@@ -325,3 +329,68 @@ class TestWriter:
             text = render_report(reports, config, emit)
             assert text == json.dumps(document, indent=2, sort_keys=True)
             assert run_to_json(reports, config, emit) == document
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(("mixed", "negative", "zero")), st.integers(1, 12)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(("one", "n", "huge")) | st.integers(2, 40),
+        _METRIC_REQUESTS,
+        st.booleans(),
+    )
+    def test_shortcut_columns_write_the_text_of_the_reports(
+        self, blocks, seed, window, metrics, emit_distributions
+    ):
+        # The batch is a run of blocks: "negative" blocks hold no positive
+        # prediction, so windows inside them leave precision and F1
+        # undefined, and "zero" blocks score 0, so windows inside them leave
+        # recall undefined.  A window that does not divide the records ends
+        # in a partial window, and 2**62 is larger than any batch.
+        rng = np.random.default_rng(seed)
+        predictions, scores = [], []
+        for kind, size in blocks:
+            negative = kind == "negative"
+            predictions.append(np.zeros(size, int) if negative else rng.integers(0, 2, size))
+            scores.append(np.zeros(size) if kind == "zero" else rng.random(size))
+        b = batch(np.concatenate(predictions), np.concatenate(scores))
+        window = {"one": 1, "n": b.n, "huge": 2**62}.get(window, window)
+        config = EstimateConfig(metrics, "shortcut")
+        columns = shortcut_columns(b, window, config)
+        assert isinstance(columns, ShortcutColumns)
+        reports = list(windowed_estimates(b, window, config))
+        document = run_to_json_reference(reports, config, emit_distributions)
+        expected = json.dumps(document, indent=2, sort_keys=True)
+        assert render_report(reports, config, emit_distributions) == expected
+        assert render_report(columns, config, emit_distributions) == expected
+        out = io.StringIO()
+        assert render_report(columns, config, emit_distributions, out=out) is None
+        assert out.getvalue() == expected
+
+    def test_shortcut_columns_build_no_estimate_or_report(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise AssertionError("a per-window object was built")
+
+        b = random_batch(np.random.default_rng(6), 50)
+        config = EstimateConfig(method="shortcut")
+        expected = render_report(windowed_estimates(b, 7, config), config)
+        monkeypatch.setattr(reports_module, "MetricEstimate", fails)
+        monkeypatch.setattr(reports_module, "MonitoringReport", fails)
+        assert render_report(shortcut_columns(b, 7, config), config) == expected
+
+    @pytest.mark.parametrize(
+        "window, config, match",
+        [
+            (0, EstimateConfig(method="shortcut"), "window_size must be at least 1"),
+            (5, EstimateConfig(("f1", "f1"), "shortcut"), "requested more than once"),
+            (5, EstimateConfig(method="shortcut", alpha=0.1), "alpha applies to the exact"),
+            (5, EstimateConfig(method="exact"), "need the shortcut method"),
+        ],
+        ids=["window", "repeated-metric", "alpha", "exact"],
+    )
+    def test_shortcut_columns_reject_a_bad_request(self, window, config, match):
+        with pytest.raises(ValueError, match=match):
+            shortcut_columns(random_batch(np.random.default_rng(6), 10), window, config)

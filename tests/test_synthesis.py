@@ -117,6 +117,8 @@ class TestHypersphere:
             HypersphereConfig(n_dims=2, n_points=10, seed=0, easy_fraction=1.5)
         with pytest.raises(ValueError, match="radius"):
             HypersphereConfig(n_dims=2, n_points=10, seed=0, radius=0.5)
+        with pytest.raises(ValueError, match=r"seed must be non-negative, got -1$"):
+            HypersphereConfig(n_dims=2, n_points=10, seed=-1)
 
     @pytest.mark.parametrize("field", ["radius", "decay"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
