@@ -48,7 +48,6 @@ from .reports import (
     ShortcutColumns,
     TrueMetrics,
     render_report,
-    run_to_json,
     shortcut_columns,
     true_metrics,
     windowed_estimates,
@@ -104,7 +103,6 @@ __all__ = [
     "windowed_estimates",
     "shortcut_columns",
     "true_metrics",
-    "run_to_json",
     "render_report",
     "ConvergenceRow",
     "CoverageRow",

@@ -5,11 +5,13 @@ positives among the positive predictions is a Poisson binomial variable with
 the positive-prediction scores as parameters, and the number of true
 negatives among the negative predictions is Poisson binomial in the score
 complements.  False positives and false negatives are their count
-complements.  Each count PMF is a :class:`~confmetrics.distribution.CountPMF`
-built by the Poisson binomial product tree: a read-only array over the
-count range that holds the mass, its offset, and the mass trimmed from its
-tails.  A complement is the reversed view of its array.  All operations are
-pure and deterministic.
+complements.  Each count PMF is a
+:class:`~confmetrics.distribution.CountPMF` built by the Poisson binomial
+product tree: a read-only array over the count range that holds the mass,
+its offset, and the mass trimmed from its tails.  A complement is the
+reversed view of its array.  The estimate holds no expected counts: the
+shortcut estimators in :mod:`confmetrics.metrics` sum a window's scores
+themselves.  All operations are pure and deterministic.
 
 A batch may contain rows with the same score but different predicted
 labels; such batches are accepted as-is, even though the theoretical
@@ -142,23 +144,17 @@ class PredictionBatch:
 
 @dataclass(frozen=True, eq=False)
 class ConfusionEstimate:
-    """Count PMFs and point estimates for the four confusion cells.
+    """Count PMFs for the four confusion cells.
 
     ``tp`` is the PMF of the number of true positives among the ``n_pos``
     positive predictions, and ``tn`` that of the true negatives among the
     ``n_neg`` negative ones.  False positives are ``n_pos - TP`` and false
     negatives ``n_neg - TN``, so ``fp`` and ``fn`` are complements whose
-    arrays are reversed views, not copies.  Point estimates are the PMF
-    means: sums of scores or score complements over the matching prediction
-    side.
+    arrays are reversed views, not copies.
     """
 
     tp: CountPMF
     tn: CountPMF
-    e_tp: float
-    e_fp: float
-    e_tn: float
-    e_fn: float
     n_pos: int
     n_neg: int
 
@@ -184,17 +180,9 @@ def estimate_confusion(batch: PredictionBatch) -> ConfusionEstimate:
     _require_nonempty(batch)
     pos = batch.positive_scores
     neg = batch.negative_scores
-    n_pos = pos.size
-    n_neg = neg.size
-    e_tp = float(pos.sum())
-    e_fn = float(neg.sum())
     return ConfusionEstimate(
         tp=poisson_binomial_tree(pos),
         tn=poisson_binomial_tree(1.0 - neg),
-        e_tp=e_tp,
-        e_fp=n_pos - e_tp,
-        e_tn=n_neg - e_fn,
-        e_fn=e_fn,
-        n_pos=n_pos,
-        n_neg=n_neg,
+        n_pos=pos.size,
+        n_neg=neg.size,
     )

@@ -24,9 +24,8 @@ construction and are safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,34 +52,6 @@ _BLOCK = 16
 
 # Mass a product-tree node below the root may cut from each of its ends.
 _NODE_TOL = 1e-24
-
-# Support numerators and denominators are stored as int64.
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-# Largest magnitude up to which every integer converts to float64 exactly.
-_EXACT_INT = 2**53
-
-
-def _as_fraction(value: object) -> Fraction:
-    """Convert a support key to an exact Fraction.
-
-    Floats are taken at their exact binary value, so 0.5 and Fraction(1, 2)
-    denote the same key.  The reduced numerator and denominator must fit in
-    int64.
-    """
-    if isinstance(value, bool):
-        raise TypeError("bool is not a valid support value")
-    if not isinstance(value, (int, float, Fraction)):
-        raise TypeError(f"unsupported support value type: {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"support value {value!r} is not finite")
-    frac = Fraction(value)
-    if abs(frac.numerator) > _INT64_MAX or frac.denominator > _INT64_MAX:
-        raise ValueError(
-            f"support value {value!r} needs more than 64 bits as a reduced fraction"
-        )
-    return frac
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -116,22 +87,26 @@ class DiscreteDistribution:
     support on purpose; it is 0.0 unless a metric derivation trimmed tails.
     """
 
-    __slots__ = ("_nums", "_dens", "_probs", "_trimmed", "_wide")
+    __slots__ = ("_nums", "_dens", "_probs", "_trimmed")
 
-    def __init__(self, pmf: Mapping[object, float]):
-        if not pmf:
-            raise ValueError("distribution needs at least one support point")
-        items = sorted((_as_fraction(v), float(p)) for v, p in pmf.items())
-        nums = [v.numerator for v, _ in items]
-        dens = [v.denominator for v, _ in items]
-        self._init_validated(
-            nums=np.array(nums, dtype=np.int64),
-            dens=np.array(dens, dtype=np.int64),
-            probs=np.array([p for _, p in items], dtype=np.float64),
-            wide=max(dens) > _EXACT_INT or max(map(abs, nums)) > _EXACT_INT,
-        )
-
-    def _init_validated(self, nums, dens, probs, trimmed_mass=0.0, wide=False) -> None:
+    @classmethod
+    def _from_ratio_arrays(
+        cls,
+        nums: np.ndarray,
+        dens: np.ndarray,
+        probs: np.ndarray,
+        trimmed_mass: float = 0.0,
+    ) -> "DiscreteDistribution":
+        """The one constructor, which the metric derivations call: num/den
+        pairs of distinct values, not necessarily reduced, already sorted
+        by value, and the probability left out of them.  Numerators and
+        denominators must lie within 2**53 in magnitude, as
+        ``float_values`` divides them in numpy.  The distribution takes the
+        arrays over, reading them through read-only views, so the caller
+        must not write to them afterwards."""
+        nums = np.ascontiguousarray(nums, dtype=np.int64)
+        dens = np.ascontiguousarray(dens, dtype=np.int64)
+        probs = np.ascontiguousarray(probs, dtype=np.float64)
         lowest = probs.min(initial=np.inf)  # no points fail the sum check below
         if lowest < 0.0:
             i = int(np.argmin(probs))
@@ -147,33 +122,11 @@ class DiscreteDistribution:
             nums = nums[keep]
             dens = dens[keep]
             probs = probs[keep]
+        self = object.__new__(cls)
         self._nums = _read_only(nums.view())
         self._dens = _read_only(dens.view())
         self._probs = _read_only(probs.view())
         self._trimmed = trimmed_mass
-        self._wide = wide
-
-    @classmethod
-    def _from_ratio_arrays(
-        cls,
-        nums: np.ndarray,
-        dens: np.ndarray,
-        probs: np.ndarray,
-        trimmed_mass: float = 0.0,
-    ) -> "DiscreteDistribution":
-        """Internal fast path: num/den pairs of distinct values, not
-        necessarily reduced, already sorted by value, and the probability
-        left out of them.  Numerators and denominators must lie within
-        2**53 in magnitude, as ``float_values`` divides them in numpy.  The
-        distribution takes the arrays over, reading them through read-only
-        views, so the caller must not write to them afterwards."""
-        self = object.__new__(cls)
-        self._init_validated(
-            nums=np.ascontiguousarray(nums, dtype=np.int64),
-            dens=np.ascontiguousarray(dens, dtype=np.int64),
-            probs=np.ascontiguousarray(probs, dtype=np.float64),
-            trimmed_mass=trimmed_mass,
-        )
         return self
 
     # ---- accessors ----
@@ -188,12 +141,9 @@ class DiscreteDistribution:
     @property
     def float_values(self) -> np.ndarray:
         """Support points as correctly rounded floats, aligned with
-        probabilities, in a new array on each call.  Integers within 2**53
-        convert to float64 exactly, so numpy divides them; wider ones, which
-        only the mapping constructor stores, are divided as Python integers,
-        as numpy's quotient of them can be one unit in the last place off."""
-        if self._wide:
-            return np.array([n / d for n, d in zip(self._nums.tolist(), self._dens.tolist())])
+        probabilities, in a new array on each call.  Numerators and
+        denominators lie within 2**53, where int64 converts to float64
+        exactly, so numpy's quotient is correctly rounded."""
         return self._nums / self._dens
 
     def _value(self, index: int) -> float:
@@ -243,7 +193,8 @@ class DiscreteDistribution:
     __hash__ = None  # mutable-by-content comparisons; not hashable
 
     def __repr__(self) -> str:
-        head = ", ".join(f"{v}: {p:.6g}" for v, p in list(self.items())[:4])
+        first = (a[:4].tolist() for a in (self._nums, self._dens, self._probs))
+        head = ", ".join(f"{Fraction(n, d)}: {p:.6g}" for n, d, p in zip(*first))
         tail = ", ..." if len(self) > 4 else ""
         return f"DiscreteDistribution({{{head}{tail}}})"
 

@@ -169,12 +169,16 @@ def run_coverage_experiment(
     A trial contributes to a (metric, alpha) cell only when both the
     realized metric and the estimated distribution exist; with no positive
     predictions there is no precision estimate, and with no positive labels
-    there is no realized recall.  Raises ValueError for a window size or
-    alpha given twice, which would count each trial more than once, and as
+    there is no realized recall.  Raises ValueError, before any trial runs,
+    for an alpha outside (0, 1), for a window size or alpha given twice,
+    which would count each trial more than once, and as
     :func:`run_convergence_experiment` does.
     """
     _check_plan(window_sizes, trials, seed)
     _require_distinct(alphas, "alphas")
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     rows = []
     for window in window_sizes:
         hits = {(m, a): 0 for m in METRICS for a in alphas}

@@ -44,9 +44,6 @@ class HdiInterval:
     alpha: float
     covered_mass: float
 
-    def __contains__(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
 
 def _reachable(probs: np.ndarray, alpha: float, start: np.ndarray) -> np.ndarray:
     """The leading run of ``probs`` that greedy dropping from that end can

@@ -13,9 +13,9 @@ here as well.
 Reports serialize to a single JSON document per run.  The writer fills
 templates of the document's fixed layout, and its text is byte for byte
 what ``json.dumps(document, indent=2, sort_keys=True)`` writes for the
-document :func:`run_to_json` returns: keys sorted, two spaces of
-indentation per level, floats through ``float.__repr__`` and the non-finite
-ones as ``NaN``/``Infinity``, strings through ``json.dumps``.  With
+document it parses to: keys sorted, two spaces of indentation per level,
+floats through ``float.__repr__`` and the non-finite ones as
+``NaN``/``Infinity``, strings through ``json.dumps``.  With
 ``indent`` set, ``json`` runs its pure-Python encoder.  The writer takes
 a run's reports, or the columns of a shortcut run, and lays out the
 windows of both in one code path.  From the columns it fills the estimate
@@ -65,7 +65,6 @@ __all__ = [
     "windowed_estimates",
     "shortcut_columns",
     "true_metrics",
-    "run_to_json",
     "render_report",
 ]
 
@@ -304,7 +303,7 @@ def render_report(
 ) -> str | None:
     """Deterministic JSON text for a run; identical inputs give identical
     bytes, the text ``json.dumps(document, indent=2, sort_keys=True)`` gives
-    for the document :func:`run_to_json` returns.
+    for the document it parses to.
 
     ``reports`` are the run's reports, or the :class:`ShortcutColumns` of a
     shortcut run, whose text is that of the reports
@@ -335,13 +334,3 @@ def render_report(
         return "".join(chunks)
     out.writelines(chunks)
     return None
-
-
-def run_to_json(
-    reports: Iterable[MonitoringReport],
-    config: EstimateConfig,
-    emit_distributions: bool = False,
-) -> dict:
-    """One run's reports as a document: the parsed :func:`render_report`
-    text."""
-    return json.loads(render_report(reports, config, emit_distributions))

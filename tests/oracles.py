@@ -19,18 +19,36 @@ for bit when nothing was trimmed.  :func:`run_to_json_reference`
 builds a run's report document as a dict, the form the report writer's
 text is pinned to, and :func:`shortcut_points_reference` computes one
 window's shortcut points by the former per-metric reductions, which the
-one-pass shortcut windows must match bit for bit.
+one-pass shortcut windows must match bit for bit.  Two helpers stand in
+for library conveniences that only tests needed: :func:`distribution`
+builds a distribution from a mapping of support values to probabilities,
+and :func:`run_to_json` parses a run's report text.
 """
 
 import dataclasses
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 
 from confmetrics import metrics
 from confmetrics.confusion import estimate_confusion
-from confmetrics.distribution import CountPMF, unit_interval_array
+from confmetrics.distribution import CountPMF, DiscreteDistribution, unit_interval_array
+from confmetrics.reports import render_report
+
+
+def distribution(pmf):
+    """A distribution over the keys of ``pmf``, each taken as
+    ``Fraction(key)``, with the probabilities it maps them to, built by
+    the one constructor the library has."""
+    items = sorted((Fraction(key), p) for key, p in pmf.items())
+    assert all(abs(v.numerator) <= 2**53 and v.denominator <= 2**53 for v, _ in items)
+    return DiscreteDistribution._from_ratio_arrays(
+        [v.numerator for v, _ in items],
+        [v.denominator for v, _ in items],
+        [p for _, p in items],
+    )
 
 
 def poisson_binomial_dp(params):
@@ -282,6 +300,11 @@ def _estimate_to_json_reference(estimate, emit_distributions):
         if dist is None or not emit_distributions
         else [[num, den, prob] for num, den, prob in dist.ratios()],
     }
+
+
+def run_to_json(reports, config, emit_distributions=False):
+    """One run's report document: the parsed ``render_report`` text."""
+    return json.loads(render_report(reports, config, emit_distributions))
 
 
 def run_to_json_reference(reports, config, emit_distributions=False):

@@ -13,7 +13,7 @@ import pytest
 
 from confmetrics.calibration import ace, threshold_predictions
 from confmetrics.confusion import PredictionBatch, estimate_confusion
-from confmetrics.distribution import DiscreteDistribution, poisson_binomial_tree
+from confmetrics.distribution import poisson_binomial_tree
 from confmetrics.experiments import (
     run_convergence_experiment,
     run_coverage_experiment,
@@ -31,6 +31,7 @@ from confmetrics.reports import true_metrics
 from confmetrics.synthesis import HypersphereConfig, shift_dataset
 from oracles import (
     contiguous_spans,
+    distribution,
     enumerate_metric_distributions,
     expand,
     poisson_binomial_cf,
@@ -172,7 +173,7 @@ def test_criterion_7_hdi_greedy_against_brute_force():
             [np.sort(raw[: peak + 1]), np.sort(raw[peak + 1 :])[::-1]]
         )
         probs /= probs.sum()
-        dist = DiscreteDistribution(
+        dist = distribution(
             {
                 Fraction(v).limit_denominator(10**9): p
                 for v, p in zip(values, probs)

@@ -381,6 +381,24 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("alphas", ["1.5", "0.05,0", "0.1,1.0"])
+    def test_alpha_outside_unit_interval_fails_before_any_trial(
+        self, capsys, monkeypatch, alphas
+    ):
+        # The intervals rejected the alpha only after the first trial's
+        # exact estimates were done.
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_trial_batch", trial)
+        bad = alphas.split(",")[-1]
+        code, out, err = run(
+            capsys, "simulate", "coverage", "--windows", "10", "--alphas", alphas,
+            "--trials", "2",
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: alpha must lie strictly between 0 and 1, got {float(bad)!r}\n"
+
 
 class TestGenerate:
     def test_hypersphere_csv_parses_back(self, tmp_path, capsys):

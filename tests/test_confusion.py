@@ -118,9 +118,13 @@ class TestSlicing:
 class TestEstimateConfusion:
     def test_three_record_example(self):
         est = estimate_confusion(batch([1, 1, 0], [0.8, 0.6, 0.3]))
-        assert (est.e_tp, est.e_fp, est.e_fn, est.e_tn) == pytest.approx(
-            (1.4, 0.6, 0.3, 0.7)
+        means = (
+            mean(expand(est.tp, 2)),
+            mean(expand(est.fp, 2)),
+            mean(expand(est.fn, 1)),
+            mean(expand(est.tn, 1)),
         )
+        assert means == pytest.approx((1.4, 0.6, 0.3, 0.7))
         assert expand(est.tp, 2) == pytest.approx([0.08, 0.44, 0.48])
         assert expand(est.fp, 2) == pytest.approx([0.48, 0.44, 0.08])
         assert expand(est.tn, 1) == pytest.approx([0.3, 0.7])
@@ -128,7 +132,7 @@ class TestEstimateConfusion:
 
     def test_all_positive_certain(self):
         est = estimate_confusion(batch([1, 1, 1, 1], [1.0] * 4))
-        assert est.e_tp == 4
+        assert mean(expand(est.tp, 4)) == 4
         assert (est.tp.offset, est.tp.pmf.tolist(), est.tp.trimmed) == (4, [1.0], 0.0)
         assert expand(est.tp, 4).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
         assert expand(est.tn, 0).tolist() == [1.0]
@@ -136,8 +140,8 @@ class TestEstimateConfusion:
 
     def test_single_negative_record(self):
         est = estimate_confusion(batch([0], [0.25]))
-        assert est.e_tn == pytest.approx(0.75)
-        assert est.e_fn == pytest.approx(0.25)
+        assert mean(expand(est.tn, 1)) == pytest.approx(0.75)
+        assert mean(expand(est.fn, 1)) == pytest.approx(0.25)
         assert expand(est.tn, 1) == pytest.approx([0.25, 0.75])
         assert expand(est.tp, 0).tolist() == [1.0]
 
@@ -169,16 +173,17 @@ class TestEstimateConfusion:
             tn, fn = expand(est.tn, est.n_neg), expand(est.fn, est.n_neg)
             assert mean(tp) + mean(fp) == pytest.approx(est.n_pos, abs=1e-9)
             assert mean(tn) + mean(fn) == pytest.approx(est.n_neg, abs=1e-9)
-            assert est.e_tp + est.e_fp == pytest.approx(est.n_pos, abs=1e-9)
-            assert est.e_tn + est.e_fn == pytest.approx(est.n_neg, abs=1e-9)
 
     def test_point_estimates_are_distribution_means(self):
+        # The expected counts are the score sums over each prediction side.
         rng = np.random.default_rng(6)
-        est = estimate_confusion(batch(rng.integers(0, 2, 30), rng.random(30)))
-        assert mean(expand(est.tp, est.n_pos)) == pytest.approx(est.e_tp, abs=1e-9)
-        assert mean(expand(est.fp, est.n_pos)) == pytest.approx(est.e_fp, abs=1e-9)
-        assert mean(expand(est.tn, est.n_neg)) == pytest.approx(est.e_tn, abs=1e-9)
-        assert mean(expand(est.fn, est.n_neg)) == pytest.approx(est.e_fn, abs=1e-9)
+        predictions, scores = rng.integers(0, 2, 30), rng.random(30)
+        est = estimate_confusion(batch(predictions, scores))
+        pos, neg = scores[predictions == 1], scores[predictions == 0]
+        assert mean(expand(est.tp, est.n_pos)) == pytest.approx(pos.sum(), abs=1e-9)
+        assert mean(expand(est.fp, est.n_pos)) == pytest.approx((1 - pos).sum(), abs=1e-9)
+        assert mean(expand(est.tn, est.n_neg)) == pytest.approx((1 - neg).sum(), abs=1e-9)
+        assert mean(expand(est.fn, est.n_neg)) == pytest.approx(neg.sum(), abs=1e-9)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -190,8 +195,6 @@ class TestEstimateConfusion:
         for x, y in ((a.tp, b.tp), (a.tn, b.tn)):
             assert (x.offset, x.trimmed) == (y.offset, y.trimmed)
             assert np.array_equal(x.pmf, y.pmf)
-        assert a.e_tp == pytest.approx(b.e_tp, abs=1e-12)
-        assert a.e_tn == pytest.approx(b.e_tn, abs=1e-12)
 
     def test_variance_bound_on_tp_fraction(self):
         # The variance of TP/n_pos can never exceed 1/(4 n_pos).

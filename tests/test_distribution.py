@@ -16,8 +16,8 @@ from confmetrics.distribution import (
     DiscreteDistribution,
     poisson_binomial_tree,
 )
-from confmetrics.intervals import hdi
 from oracles import (
+    distribution,
     enumerate_poisson_binomial,
     expand,
     poisson_binomial_cf,
@@ -40,62 +40,30 @@ def poisson_binomial_tree_full(params):
 
 class TestConstruction:
     def test_sorted_support_and_fraction_keys(self):
-        d = DiscreteDistribution({1: 0.2, Fraction(1, 2): 0.3, 0: 0.5})
+        d = distribution({1: 0.2, Fraction(1, 2): 0.3, 0: 0.5})
         assert d.support == (Fraction(0), Fraction(1, 2), Fraction(1))
         assert d.probabilities.tolist() == [0.5, 0.3, 0.2]
 
-    def test_float_keys_are_exact(self):
-        d = DiscreteDistribution({0.5: 0.6, 0.25: 0.4})
-        assert d.support == (Fraction(1, 4), Fraction(1, 2))
-
     def test_zero_probability_entries_dropped(self):
-        d = DiscreteDistribution({0: 0.0, 1: 1.0})
+        d = distribution({0: 0.0, 1: 1.0})
         assert d.as_dict() == {Fraction(1): 1.0}
 
     def test_rejects_negative_probability(self):
         with pytest.raises(ValueError, match="negative"):
-            DiscreteDistribution({0: -0.1, 1: 1.1})
+            distribution({0: -0.1, 1: 1.1})
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError, match="sum"):
-            DiscreteDistribution({0: 0.6, 1: 0.6})
+            distribution({0: 0.6, 1: 0.6})
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution({})
-
-    def test_rejects_keys_beyond_int64(self):
-        with pytest.raises(ValueError, match="64 bits"):
-            DiscreteDistribution({1e-300: 0.5, 0.1: 0.5})
-        with pytest.raises(ValueError, match="64 bits"):
-            DiscreteDistribution({Fraction(2**63, 3): 1.0})
-
-    def test_largest_int64_keys_accepted(self):
-        # Fraction(0.1) has a 56-bit denominator.
-        d = DiscreteDistribution({0.1: 0.5, Fraction(-(2**63 - 1), 2**63 - 2): 0.5})
-        assert d.support == (Fraction(-(2**63 - 1), 2**63 - 2), Fraction(0.1))
-        assert d.support[1].denominator == 2**55
-
-    def test_wide_fractions_keep_correctly_rounded_values(self):
-        # Both reduced fractions need more than 53 bits; numpy's int64
-        # quotient of the first is 0.1106786911154196, one unit in the last
-        # place off the correctly rounded value.
-        d = DiscreteDistribution(
-            {
-                Fraction(582057716445789124, 5258986265376043509): 0.25,
-                Fraction(2**53 + 1, 3): 0.25,
-                0.1: 0.5,
-            }
-        )
-        assert d.float_values.tolist() == [0.1, 0.11067869111541959, 3002399751580331.0]
-        assert d.expectation() == 750599937895082.9
-        interval = hdi(d, 0.3)
-        assert [interval.lower, interval.upper] == [0.1, 0.11067869111541959]
+        with pytest.raises(ValueError, match="sum"):
+            distribution({})
 
     @pytest.mark.parametrize("pmf", [{0: math.nan, 1: 1.0}, {0: math.nan}])
     def test_rejects_nan_probability(self, pmf):
         with pytest.raises(ValueError):
-            DiscreteDistribution(pmf)
+            distribution(pmf)
 
     def test_derived_distribution_rejects_nan_probability(self):
         one = np.ones(2, dtype=np.int64)
@@ -104,13 +72,8 @@ class TestConstruction:
                 np.array([0, 1]), one, np.array([math.nan, 1.0])
             )
 
-    @pytest.mark.parametrize("key", [math.inf, -math.inf, math.nan])
-    def test_rejects_non_finite_key(self, key):
-        with pytest.raises(ValueError, match="finite|NaN"):
-            DiscreteDistribution({key: 1.0})
-
     def test_trimmed_mass_defaults_to_zero(self):
-        assert DiscreteDistribution({0: 0.5, 1: 0.5}).trimmed_mass == 0.0
+        assert distribution({0: 0.5, 1: 0.5}).trimmed_mass == 0.0
         one = np.ones(2, dtype=np.int64)
         d = DiscreteDistribution._from_ratio_arrays(np.array([0, 1]), one, np.array([0.5, 0.5]))
         assert d.trimmed_mass == 0.0
@@ -140,7 +103,7 @@ class TestConstruction:
         assert make(1e-15) != make(0.0)
 
     def test_probabilities_are_read_only(self):
-        d = DiscreteDistribution({0: 0.5, 1: 0.5})
+        d = distribution({0: 0.5, 1: 0.5})
         with pytest.raises(ValueError):
             d.probabilities[0] = 0.9
 
@@ -150,6 +113,21 @@ class TestConstruction:
         assert nums.flags.writeable and dens.flags.writeable and probs.flags.writeable
         with pytest.raises(ValueError):
             d.probabilities[0] = 0.9
+
+    def test_repr_reduces_only_the_points_it_shows(self, monkeypatch):
+        small = distribution({1: 0.2, Fraction(1, 2): 0.3, 0: 0.5})
+        unreduced = DiscreteDistribution._from_ratio_arrays(
+            np.array([0, 2, 3, 6, 10]), np.array([4, 4, 4, 6, 8]), np.full(5, 0.2)
+        )
+        # repr used to build a Fraction for every support point, 1.34M of
+        # them on a 50 000-row recall distribution, to show four.
+        monkeypatch.setattr(
+            DiscreteDistribution, "support", property(lambda d: pytest.fail("support"))
+        )
+        assert repr(small) == "DiscreteDistribution({0: 0.5, 1/2: 0.3, 1: 0.2})"
+        assert repr(unreduced) == (
+            "DiscreteDistribution({0: 0.2, 1/2: 0.2, 3/4: 0.2, 1: 0.2, ...})"
+        )
 
 
 class TestPoissonBinomial:
@@ -298,14 +276,14 @@ class TestProductTree:
 
 class TestMoments:
     def test_expectation_example(self):
-        d = DiscreteDistribution({0: 0.08, 1: 0.44, 2: 0.48})
+        d = distribution({0: 0.08, 1: 0.44, 2: 0.48})
         assert d.expectation() == pytest.approx(1.4)
 
     def test_expectation_point_mass(self):
-        assert DiscreteDistribution({0.7: 1.0}).expectation() == 0.7
+        assert distribution({0.7: 1.0}).expectation() == 0.7
 
     def test_expectation_uniform_pair(self):
-        assert DiscreteDistribution({0: 0.5, 1: 0.5}).expectation() == pytest.approx(0.5)
+        assert distribution({0: 0.5, 1: 0.5}).expectation() == pytest.approx(0.5)
 
 
 def test_cross_method_agreement_medium_sizes():

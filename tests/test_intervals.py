@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from confmetrics.distribution import DiscreteDistribution
 from confmetrics.intervals import hdi, hdis
-from oracles import contiguous_spans, greedy_hdi_reference
+from oracles import contiguous_spans, distribution, greedy_hdi_reference
 
 
 def make(values, probs):
-    return DiscreteDistribution(dict(zip(values, probs)))
+    return distribution(dict(zip(values, probs)))
 
 
 def random_distribution(rng, max_points=30):
@@ -31,7 +31,7 @@ class TestExamples:
         assert interval.covered_mass == pytest.approx(0.98)
 
     def test_point_mass(self):
-        interval = hdi(DiscreteDistribution({0.7: 1.0}), 0.3)
+        interval = hdi(distribution({0.7: 1.0}), 0.3)
         assert (interval.lower, interval.upper) == (0.7, 0.7)
         assert interval.covered_mass == 1.0
 

@@ -19,12 +19,11 @@ from confmetrics.reports import (
     TrueMetrics,
     ShortcutColumns,
     render_report,
-    run_to_json,
     shortcut_columns,
     true_metrics,
     windowed_estimates,
 )
-from oracles import run_to_json_reference
+from oracles import run_to_json, run_to_json_reference
 
 
 def batch(predictions, scores, labels=None):
