@@ -44,6 +44,25 @@ class TestConstruction:
         assert d.support == (Fraction(0), Fraction(1, 2), Fraction(1))
         assert d.probabilities.tolist() == [0.5, 0.3, 0.2]
 
+    def test_float_keys_are_exact(self):
+        d = distribution({0.5: 0.6, 0.25: 0.4})
+        assert d.support == (Fraction(1, 4), Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "nums, dens",
+        [
+            ([1, 2**53 - 1], [2**53 - 1, 3]),
+            ([-(2**53), 1, 2**53], [3, 10, 7]),
+            ([2, 6, 10], [4, 8, 8]),
+        ],
+    )
+    def test_float_values_are_correctly_rounded_within_2_53(self, nums, dens):
+        probs = np.full(len(nums), 1.0 / len(nums))
+        d = DiscreteDistribution._from_ratio_arrays(np.array(nums), np.array(dens), probs)
+        expected = [float(Fraction(n, m)) for n, m in zip(nums, dens)]
+        assert d.float_values.tolist() == expected
+        assert [d._value(i) for i in range(len(d))] == expected
+
     def test_zero_probability_entries_dropped(self):
         d = distribution({0: 0.0, 1: 1.0})
         assert d.as_dict() == {Fraction(1): 1.0}
