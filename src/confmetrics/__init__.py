@@ -48,7 +48,6 @@ from .reports import (
     ShortcutColumns,
     TrueMetrics,
     render_report,
-    shortcut_columns,
     true_metrics,
     windowed_estimates,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "ShortcutColumns",
     "TrueMetrics",
     "windowed_estimates",
-    "shortcut_columns",
     "true_metrics",
     "render_report",
     "ConvergenceRow",

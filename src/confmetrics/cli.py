@@ -29,8 +29,8 @@ from .ingest import FORMATS, parse_input
 from .metrics import METRICS
 from .reports import (
     EstimateConfig,
+    ShortcutColumns,
     render_report,
-    shortcut_columns,
     true_metrics,
     windowed_estimates,
 )
@@ -175,13 +175,11 @@ def _cmd_estimate(args) -> None:
     window = args.window_size if args.window_size is not None else batch.n
     # The shortcut points of every window, or the first exact window, are
     # estimated before the output is opened, so that a run that fails there
-    # leaves an existing output file as it was.  The shortcut columns go to
-    # the writer as they are, with no report built per window; the list's
+    # leaves an existing output file as it was.  A shortcut run's columns go
+    # to the writer as they are, with no report built per window; the list's
     # iterator lets go of the first exact window once the writer is past it.
-    if config.method == "shortcut":
-        reports = shortcut_columns(batch, window, config)
-    else:
-        reports = windowed_estimates(batch, window, config)
+    reports = windowed_estimates(batch, window, config)
+    if not isinstance(reports, ShortcutColumns):
         reports = itertools.chain(iter([next(reports)]), reports)
     with _output(args.output) as out:
         render_report(reports, config, args.emit_distributions, out=out)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .calibration import reverse_sample_labels, threshold_predictions
 from .confusion import PredictionBatch
-from .intervals import hdis
+from .intervals import _check_alpha, hdis
 from .metrics import METRICS, _require_distinct, estimate_all, true_metrics
 from .synthesis import random_beta_params, sample_beta_scores
 
@@ -110,10 +110,12 @@ def _summary(window: int, metric: str, errors: list[float]) -> ConvergenceRow:
 
 
 def _check_plan(window_sizes: tuple[int, ...], trials: int, seed: int) -> None:
-    """Raise ValueError, before any trial runs, for no trial, a window size
-    below 1 or given twice, or a negative seed."""
+    """Raise ValueError, before any trial runs, for no trial, no window
+    size, a window size below 1 or given twice, or a negative seed."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials!r}")
+    if not window_sizes:
+        raise ValueError("need at least one window size")
     small = [w for w in window_sizes if w < 1]
     if small:
         raise ValueError(f"window sizes must be at least 1, got {small}")
@@ -131,8 +133,8 @@ def run_convergence_experiment(
 
     Trials where a metric is undefined on both routes (a window with no
     positive predictions) are skipped for that metric.  Raises ValueError
-    for no trial, a window size below 1 or given twice, or a negative
-    seed.
+    for no trial, no window size, a window size below 1 or given twice,
+    or a negative seed.
     """
     _check_plan(window_sizes, trials, seed)
     rows = []
@@ -170,15 +172,16 @@ def run_coverage_experiment(
     realized metric and the estimated distribution exist; with no positive
     predictions there is no precision estimate, and with no positive labels
     there is no realized recall.  Raises ValueError, before any trial runs,
-    for an alpha outside (0, 1), for a window size or alpha given twice,
+    for no alpha, an alpha outside (0, 1), a window size or alpha given twice,
     which would count each trial more than once, and as
     :func:`run_convergence_experiment` does.
     """
     _check_plan(window_sizes, trials, seed)
+    if not alphas:
+        raise ValueError("need at least one alpha")
     _require_distinct(alphas, "alphas")
     for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+        _check_alpha(alpha)
     rows = []
     for window in window_sizes:
         hits = {(m, a): 0 for m in METRICS for a in alphas}

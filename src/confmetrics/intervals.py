@@ -45,6 +45,12 @@ class HdiInterval:
     covered_mass: float
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError for an alpha outside (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+
+
 def _reachable(probs: np.ndarray, alpha: float, start: np.ndarray) -> np.ndarray:
     """The leading run of ``probs`` that greedy dropping from that end can
     reach: up to and including the first point at which the run's own
@@ -88,8 +94,7 @@ def hdis(d: DiscreteDistribution, alphas: Sequence[float]) -> list[HdiInterval]:
     Raises ValueError for an alpha outside (0, 1).
     """
     for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+        _check_alpha(alpha)
     if not alphas:
         return []
     probs = d.probabilities

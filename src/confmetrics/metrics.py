@@ -83,7 +83,7 @@ from .confusion import (
     estimate_confusion,
 )
 from .distribution import CountPMF, DiscreteDistribution
-from .intervals import HdiInterval, hdi
+from .intervals import HdiInterval, _check_alpha, hdi
 
 __all__ = [
     "METRICS",
@@ -354,9 +354,9 @@ def _shortcut_windows(
     possibly shorter.  Returns one column per requested metric, in request
     order, holding each window's point (None where the metric is
     undefined), and the windows' sizes.  The sums come from
-    :func:`_window_quantities` over the scores.
+    :func:`_window_quantities` over the scores.  The caller checks that
+    the batch is not empty.
     """
-    _require_nonempty(batch)
     expected = _window_quantities(batch.predictions, batch.scores, window_size)
     columns = {}
     for metric in metrics:
@@ -432,8 +432,8 @@ def _check_request(metrics: tuple[str, ...], method: str, alpha: float | None) -
     if unknown:
         raise ValueError(f"unknown metrics requested: {unknown}")
     _require_distinct(metrics, "metrics")
-    if alpha is not None and not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    if alpha is not None:
+        _check_alpha(alpha)
     if method == "shortcut" and alpha is not None:
         raise ValueError("alpha applies to the exact method only; shortcuts have no intervals")
 

@@ -3,9 +3,10 @@
 A monitoring stream is cut into consecutive windows of a fixed size; each
 window gets one report holding the requested metric estimates.  A final
 window shorter than the configured size is still processed and flagged as
-partial.  The shortcut points of all windows come from one array pass over
-the whole batch, as one column per metric (:func:`shortcut_columns`);
-exact windows are sliced and estimated one at a time, as the reports are
+partial.  :func:`windowed_estimates` is the one entry for both methods.
+The shortcut points of all windows come from one array pass over the
+whole batch, as one column per metric (:class:`ShortcutColumns`); exact
+windows are sliced and estimated one at a time, as the reports are
 consumed.  The realized metrics of a labelled window,
 :func:`true_metrics`, come from :mod:`confmetrics.metrics` and are exported
 here as well.
@@ -44,7 +45,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .confusion import PredictionBatch, _require_nonempty
 from .metrics import (
@@ -63,7 +64,6 @@ __all__ = [
     "ShortcutColumns",
     "TrueMetrics",
     "windowed_estimates",
-    "shortcut_columns",
     "true_metrics",
     "render_report",
 ]
@@ -88,76 +88,54 @@ class MonitoringReport:
     estimates: tuple[MetricEstimate, ...]
 
 
-class ShortcutColumns(NamedTuple):
+@dataclass(frozen=True)
+class ShortcutColumns:
     """The shortcut points of every window of a run, by metric.
 
     ``points`` maps each requested metric, in request order, to its column:
     one point per window, None where the metric is undefined.  ``sizes``
     holds each window's size; a window is partial when its size is below
-    ``window_size``.
+    ``window_size``.  :func:`render_report` writes the columns without
+    building an estimate or a report per window; iterating them yields the
+    run's reports, each built when it is reached.
     """
 
     window_size: int
     points: dict[str, list[float | None]]
     sizes: list[int]
 
-
-def _check_windows(batch: PredictionBatch, window_size: int, config: EstimateConfig) -> None:
-    """Raise ValueError for an empty batch, a window size below 1 or a bad
-    request."""
-    _require_nonempty(batch)
-    if window_size < 1:
-        raise ValueError(f"window_size must be at least 1, got {window_size!r}")
-    _check_request(config.metrics, config.method, config.alpha)
-
-
-def shortcut_columns(
-    batch: PredictionBatch,
-    window_size: int,
-    config: EstimateConfig = EstimateConfig(method="shortcut"),
-) -> ShortcutColumns:
-    """The shortcut points of every window of a batch, from one pass over
-    it, as columns that :func:`render_report` writes without building an
-    estimate or a report per window.
-
-    Raises ValueError as :func:`windowed_estimates` does, and for a config
-    whose method is not the shortcut.
-    """
-    _check_windows(batch, window_size, config)
-    if config.method != "shortcut":
-        raise ValueError(f"shortcut columns need the shortcut method, got {config.method!r}")
-    points, sizes = _shortcut_windows(batch, window_size, config.metrics)
-    return ShortcutColumns(window_size, points, sizes)
-
-
-def _column_reports(columns: ShortcutColumns) -> Iterator[MonitoringReport]:
-    """The reports of the columns' windows, each built when it is reached."""
-    metrics = tuple(columns.points)
-    for index, (size, *points) in enumerate(zip(columns.sizes, *columns.points.values())):
-        yield MonitoringReport(
-            window_index=index,
-            window_size=size,
-            partial=size < columns.window_size,
-            estimates=tuple(
-                MetricEstimate(metric=m, method="shortcut", point=p)
-                for m, p in zip(metrics, points)
-            ),
-        )
+    def __iter__(self) -> Iterator[MonitoringReport]:
+        metrics = tuple(self.points)
+        for index, (size, *points) in enumerate(zip(self.sizes, *self.points.values())):
+            yield MonitoringReport(
+                window_index=index,
+                window_size=size,
+                partial=size < self.window_size,
+                estimates=tuple(
+                    MetricEstimate(metric=m, method="shortcut", point=p)
+                    for m, p in zip(metrics, points)
+                ),
+            )
 
 
 def windowed_estimates(
     batch: PredictionBatch, window_size: int, config: EstimateConfig = EstimateConfig()
-) -> Iterator[MonitoringReport]:
+) -> ShortcutColumns | Iterator[MonitoringReport]:
     """Split a batch into consecutive windows and estimate each one.
 
-    The request is checked when this is called; the reports come from a
-    single-pass iterator.  Shortcut points of all windows come from one pass
-    over the batch, :func:`shortcut_columns`; exact windows are sliced and
-    estimated one at a time, each when the iterator reaches it.
+    The request is checked when this is called: ValueError for an empty
+    batch, a window size below 1 or a bad request.  A shortcut run's
+    points all come from one pass over the batch, made here and returned
+    as its :class:`ShortcutColumns`.  An exact run comes back as a
+    single-pass iterator that slices and estimates each window when it
+    reaches it.
     """
+    _require_nonempty(batch)
+    if window_size < 1:
+        raise ValueError(f"window_size must be at least 1, got {window_size!r}")
+    _check_request(config.metrics, config.method, config.alpha)
     if config.method == "shortcut":
-        return _column_reports(shortcut_columns(batch, window_size, config))
-    _check_windows(batch, window_size, config)
+        return ShortcutColumns(window_size, *_shortcut_windows(batch, window_size, config.metrics))
     starts = range(0, batch.n, window_size)
     windows = (
         tuple(
@@ -296,7 +274,7 @@ def _report_chunks(windows: Iterable[tuple], config: EstimateConfig, quote) -> I
 
 
 def render_report(
-    reports: Iterable[MonitoringReport] | ShortcutColumns,
+    reports: Iterable[MonitoringReport],
     config: EstimateConfig,
     emit_distributions: bool = False,
     out: TextIO | None = None,
@@ -305,12 +283,12 @@ def render_report(
     bytes, the text ``json.dumps(document, indent=2, sort_keys=True)`` gives
     for the document it parses to.
 
-    ``reports`` are the run's reports, or the :class:`ShortcutColumns` of a
-    shortcut run, whose text is that of the reports
-    :func:`windowed_estimates` gives for it.  Returns the text, or with
-    ``out`` writes it there piece by piece, each window's text as soon as
-    ``reports`` yields the window, and returns None.  The text does not end
-    in a newline.
+    ``reports`` is what :func:`windowed_estimates` returns, or any run's
+    reports.  The :class:`ShortcutColumns` of a shortcut run are written
+    from their columns, as the text of the reports they yield.  Returns the
+    text, or with ``out`` writes it there piece by piece, each window's
+    text as soon as ``reports`` yields the window, and returns None.  The
+    text does not end in a newline.
     """
     quote = functools.lru_cache(maxsize=None)(json.dumps)
     if isinstance(reports, ShortcutColumns):

@@ -5,11 +5,16 @@ import math
 
 import pytest
 
+from confmetrics import experiments
 from confmetrics.experiments import (
     rows_to_csv,
     run_convergence_experiment,
     run_coverage_experiment,
 )
+
+
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a trial ran")
 
 
 class TestConvergence:
@@ -51,6 +56,11 @@ class TestConvergence:
         with pytest.raises(ValueError, match=r"window sizes must be at least 1, got \[0, -2\]"):
             run_convergence_experiment((10, 0, -2), trials=2)
 
+    def test_rejects_no_window_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_trial_batch", _no_trial)
+        with pytest.raises(ValueError, match=r"need at least one window size$"):
+            run_convergence_experiment((), trials=2)
+
 
 class TestCoverage:
     def test_rows_cover_the_grid(self):
@@ -89,6 +99,21 @@ class TestCoverage:
             run_coverage_experiment((10,), trials=2, seed=-7)
         with pytest.raises(ValueError, match=r"window sizes must be at least 1, got \[0\]"):
             run_coverage_experiment((10, 0), trials=2)
+
+    @pytest.mark.parametrize(
+        "windows,alphas,match",
+        [((), (0.05,), r"need at least one window size$"),
+         ((300,), (), r"need at least one alpha$")],
+        ids=["window", "alpha"],
+    )
+    def test_rejects_no_window_or_alpha_before_any_trial(
+        self, monkeypatch, windows, alphas, match
+    ):
+        # With no alpha, every trial's exact estimates ran and the result
+        # was an empty list.
+        monkeypatch.setattr(experiments, "_trial_batch", _no_trial)
+        with pytest.raises(ValueError, match=match):
+            run_coverage_experiment(windows, trials=50, alphas=alphas)
 
     def test_tiny_alpha_keeps_nearly_everything(self):
         rows = run_coverage_experiment((60,), trials=60, alphas=(0.001,), seed=8)

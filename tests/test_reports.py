@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confmetrics import cli
 from confmetrics import reports as reports_module
 from confmetrics.confusion import PredictionBatch
+from confmetrics.ingest import parse_input
 from confmetrics.intervals import HdiInterval
 from confmetrics.metrics import METRICS, MetricEstimate, estimate_all
 from confmetrics.reports import (
@@ -19,7 +21,6 @@ from confmetrics.reports import (
     TrueMetrics,
     ShortcutColumns,
     render_report,
-    shortcut_columns,
     true_metrics,
     windowed_estimates,
 )
@@ -358,9 +359,9 @@ class TestWriter:
         b = batch(np.concatenate(predictions), np.concatenate(scores))
         window = {"one": 1, "n": b.n, "huge": 2**62}.get(window, window)
         config = EstimateConfig(metrics, "shortcut")
-        columns = shortcut_columns(b, window, config)
+        columns = windowed_estimates(b, window, config)
         assert isinstance(columns, ShortcutColumns)
-        reports = list(windowed_estimates(b, window, config))
+        reports = list(columns)
         document = run_to_json_reference(reports, config, emit_distributions)
         expected = json.dumps(document, indent=2, sort_keys=True)
         assert render_report(reports, config, emit_distributions) == expected
@@ -375,10 +376,27 @@ class TestWriter:
 
         b = random_batch(np.random.default_rng(6), 50)
         config = EstimateConfig(method="shortcut")
-        expected = render_report(windowed_estimates(b, 7, config), config)
+        expected = render_report(list(windowed_estimates(b, 7, config)), config)
         monkeypatch.setattr(reports_module, "MetricEstimate", fails)
         monkeypatch.setattr(reports_module, "MonitoringReport", fails)
-        assert render_report(shortcut_columns(b, 7, config), config) == expected
+        assert render_report(windowed_estimates(b, 7, config), config) == expected
+
+    def test_shortcut_cli_run_builds_no_estimate_or_report(self, tmp_path, monkeypatch):
+        def fails(*args, **kwargs):
+            raise AssertionError("a per-window object was built")
+
+        path = tmp_path / "data.csv"
+        b = random_batch(np.random.default_rng(8), 50)
+        rows = zip(b.predictions.tolist(), b.scores.tolist())
+        path.write_text("prediction,score\n" + "".join(f"{p},{s!r}\n" for p, s in rows))
+        config = EstimateConfig(method="shortcut")
+        expected = render_report(list(windowed_estimates(parse_input(str(path)), 7, config)), config)
+        monkeypatch.setattr(reports_module, "MetricEstimate", fails)
+        monkeypatch.setattr(reports_module, "MonitoringReport", fails)
+        out = tmp_path / "report.json"
+        argv = ["estimate", "--input", str(path), "--method", "shortcut", "--window-size", "7"]
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == expected + "\n"
 
     @pytest.mark.parametrize(
         "window, config, match",
@@ -386,10 +404,9 @@ class TestWriter:
             (0, EstimateConfig(method="shortcut"), "window_size must be at least 1"),
             (5, EstimateConfig(("f1", "f1"), "shortcut"), "requested more than once"),
             (5, EstimateConfig(method="shortcut", alpha=0.1), "alpha applies to the exact"),
-            (5, EstimateConfig(method="exact"), "need the shortcut method"),
         ],
-        ids=["window", "repeated-metric", "alpha", "exact"],
+        ids=["window", "repeated-metric", "alpha"],
     )
     def test_shortcut_columns_reject_a_bad_request(self, window, config, match):
         with pytest.raises(ValueError, match=match):
-            shortcut_columns(random_batch(np.random.default_rng(6), 10), window, config)
+            windowed_estimates(random_batch(np.random.default_rng(6), 10), window, config)
