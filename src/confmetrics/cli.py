@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
 from contextlib import nullcontext
@@ -29,7 +28,6 @@ from .ingest import FORMATS, parse_input
 from .metrics import METRICS
 from .reports import (
     EstimateConfig,
-    ShortcutColumns,
     render_report,
     true_metrics,
     windowed_estimates,
@@ -173,14 +171,10 @@ def _cmd_estimate(args) -> None:
     batch = parse_input(args.input, args.format)
     config = EstimateConfig(metrics=args.metrics, method=args.method, alpha=args.alpha)
     window = args.window_size if args.window_size is not None else batch.n
-    # The shortcut points of every window, or the first exact window, are
-    # estimated before the output is opened, so that a run that fails there
-    # leaves an existing output file as it was.  A shortcut run's columns go
-    # to the writer as they are, with no report built per window; the list's
-    # iterator lets go of the first exact window once the writer is past it.
+    # windowed_estimates makes the shortcut pass, or estimates the first
+    # exact window, before the output is opened, so that a run that fails
+    # there leaves an existing output file as it was.
     reports = windowed_estimates(batch, window, config)
-    if not isinstance(reports, ShortcutColumns):
-        reports = itertools.chain(iter([next(reports)]), reports)
     with _output(args.output) as out:
         render_report(reports, config, args.emit_distributions, out=out)
         out.write("\n")

@@ -20,6 +20,7 @@ guarantees assume the predicted label is a function of the score.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -165,6 +166,11 @@ class ConfusionEstimate:
     @property
     def fn(self) -> CountPMF:
         return self.tn.complement(self.n_neg)
+
+
+def _repeated(values) -> list:
+    """The entries that ``values`` holds more than once, sorted."""
+    return sorted(v for v, count in Counter(values).items() if count > 1)
 
 
 def _require_nonempty(batch: PredictionBatch) -> None:

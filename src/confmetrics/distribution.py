@@ -7,9 +7,8 @@ they were derived, not necessarily in lowest terms; each support point
 appears once, as one representative fraction, and ``support``, ``ratios``
 and equality reduce them when asked.  Float values of the support points
 are computed when asked, each the correctly rounded quotient of its
-fraction.  `fractions.Fraction` values appear only at the edges: the
-mapping constructor takes them, and ``support``, ``items`` and ``as_dict``
-return them.
+fraction.  `fractions.Fraction` values appear only at the edges:
+``support``, ``items`` and ``as_dict`` return them.
 
 A count PMF is a :class:`CountPMF`: a read-only float64 array ``pmf`` whose
 entry k is the probability of exactly ``offset + k`` successes, and the mass

@@ -114,7 +114,7 @@ def _check_plan(window_sizes: tuple[int, ...], trials: int, seed: int) -> None:
     size, a window size below 1 or given twice, or a negative seed."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials!r}")
-    if not window_sizes:
+    if len(window_sizes) == 0:
         raise ValueError("need at least one window size")
     small = [w for w in window_sizes if w < 1]
     if small:
@@ -177,7 +177,7 @@ def run_coverage_experiment(
     :func:`run_convergence_experiment` does.
     """
     _check_plan(window_sizes, trials, seed)
-    if not alphas:
+    if len(alphas) == 0:
         raise ValueError("need at least one alpha")
     _require_distinct(alphas, "alphas")
     for alpha in alphas:

@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .confusion import PredictionBatch
+from .confusion import PredictionBatch, _repeated
 
 __all__ = ["parse_input", "FORMATS"]
 
@@ -122,9 +122,7 @@ def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's dict; raises ValueError naming the keys it repeats."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        repeated = sorted({k for k in keys if keys.count(k) > 1})
-        raise ValueError(f"duplicate keys: {', '.join(repeated)}")
+        raise ValueError(f"duplicate keys: {', '.join(_repeated(k for k, _ in pairs))}")
     return obj
 
 

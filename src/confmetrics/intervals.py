@@ -5,9 +5,11 @@ whichever endpoint carries less probability is dropped, as long as the mass
 dropped so far plus that endpoint's stays below alpha.  On a probability tie
 the upper endpoint is dropped, and the last remaining point is never
 dropped.  Mass a derivation trimmed from the distribution
-(``trimmed_mass``) counts as dropped before the first endpoint.  The
-surviving endpoints bound an interval holding at least (1 - alpha) of the
-mass whenever the probabilities and the trimmed mass sum to at least one.
+(``trimmed_mass``) counts as dropped before the first endpoint.  Rounded
+probabilities can sum to a hair below one, so the walk's last drops are
+then restored, latest first, until the surviving points sum to at least
+1 - alpha; the interval holds at least (1 - alpha) of the mass whenever
+the probabilities alone sum to that.
 
 The greedy walk is a merge of two sequences, the probabilities read upwards
 from the lower end and downwards from the upper end, that always takes the
@@ -69,8 +71,9 @@ def hdi(d: DiscreteDistribution, alpha: float) -> HdiInterval:
     Endpoints are dropped lighter first, the upper one on a tie, while the
     dropped mass stays strictly below alpha, and never the last point, so
     ``lower <= upper`` and the covered mass is positive.  The dropped mass
-    starts at ``d.trimmed_mass``, so the covered mass is at least 1 - alpha
-    unless the probabilities and the trimmed mass themselves sum to less.
+    starts at ``d.trimmed_mass``.  Drops are then undone, latest first,
+    while the covered mass is below 1 - alpha, so it is at least 1 - alpha
+    unless the probabilities themselves sum to less.
     This is the one-alpha case of :func:`hdis`.
     """
     return hdis(d, (alpha,))[0]
@@ -83,8 +86,8 @@ def hdis(d: DiscreteDistribution, alphas: Sequence[float]) -> list[HdiInterval]:
     (see the module docstring), upper end first so that it wins ties.  The
     dropped mass is the cumulative sum along that order, added in the same
     sequence as one point at a time, so each interval matches the
-    two-pointer walk bit for bit; with no trimmed mass the sum starts at
-    0.0, which adds exactly.
+    two-pointer walk, and the undoing of its latest drops, bit for bit;
+    with no trimmed mass the sum starts at 0.0, which adds exactly.
 
     One order, taken over the points the largest alpha can reach, serves
     every alpha.  A point beyond a smaller alpha's reachable run comes, in
@@ -95,7 +98,7 @@ def hdis(d: DiscreteDistribution, alphas: Sequence[float]) -> list[HdiInterval]:
     """
     for alpha in alphas:
         _check_alpha(alpha)
-    if not alphas:
+    if len(alphas) == 0:
         return []
     probs = d.probabilities
     start = np.array([d.trimmed_mass])
@@ -112,14 +115,21 @@ def hdis(d: DiscreteDistribution, alphas: Sequence[float]) -> list[HdiInterval]:
         # Within the first len(probs) - 1 merged points the two ends have
         # not met, so no point appears twice among those dropped.
         n_dropped = min(int(np.searchsorted(dropped_mass, alpha)), probs.size - 1)
-        lo = int(np.count_nonzero(order[:n_dropped] >= high.size))
-        hi = probs.size - 1 - (n_dropped - lo)
+        while True:
+            lo = int(np.count_nonzero(order[:n_dropped] >= high.size))
+            hi = probs.size - 1 - (n_dropped - lo)
+            covered_mass = float(probs[lo : hi + 1].sum())
+            # Rounded probabilities may sum to a hair below one; restore
+            # the latest drops until the kept points hold 1 - alpha.
+            if covered_mass >= 1.0 - alpha or n_dropped == 0:
+                break
+            n_dropped -= 1
         intervals.append(
             HdiInterval(
                 lower=d._value(lo),
                 upper=d._value(hi),
                 alpha=alpha,
-                covered_mass=float(probs[lo : hi + 1].sum()),
+                covered_mass=covered_mass,
             )
         )
     return intervals

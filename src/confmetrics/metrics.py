@@ -72,13 +72,14 @@ window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .confusion import (
     ConfusionEstimate,
     PredictionBatch,
+    _repeated,
     _require_nonempty,
     estimate_confusion,
 )
@@ -303,12 +304,21 @@ def f1_distribution(est: ConfusionEstimate) -> DiscreteDistribution | None:
     return _metric_distribution("f1", est)
 
 
+def _window_sizes(n: int, window_size: int) -> np.ndarray:
+    """The int64 sizes of the consecutive windows of ``window_size`` over
+    ``n`` records, the last one possibly shorter; a window past ``n`` holds
+    them all."""
+    width = min(window_size, n)
+    sizes = np.full(-(-n // width), width, dtype=np.int64)
+    sizes[-1] = n - (sizes.size - 1) * width
+    return sizes
+
+
 def _window_quantities(
     predictions: np.ndarray, outcomes: np.ndarray, window_size: int
 ) -> dict[str, np.ndarray]:
-    """Per-window sums of the five window quantities, over consecutive runs
-    of ``window_size`` records, the last one possibly shorter; a window
-    larger than the records holds them all.
+    """Per-window sums of the five window quantities, over the windows
+    :func:`_window_sizes` lays out.
 
     ``outcomes`` are the records' chances of a positive label: the scores
     give the expected quantities, the 0/1 labels the realized counts.  The
@@ -320,9 +330,9 @@ def _window_quantities(
     the windows around it.
     """
     n = outcomes.size
-    window_size = min(window_size, n)
+    records = _window_sizes(n, window_size)
+    window_size = int(records[0])
     full = n - n % window_size
-    n_windows = -(-n // window_size)
     positive = predictions == 1
 
     def window_sums(values: np.ndarray) -> np.ndarray:
@@ -332,8 +342,6 @@ def _window_quantities(
     n_pos = window_sums(positive)
     bounds = np.cumsum(n_pos).tolist()
     pos = outcomes[positive]
-    records = np.full(n_windows, window_size)
-    records[-1] = n - (n_windows - 1) * window_size
     return {
         "tp": np.array([pos[a:b].sum() for a, b in zip([0] + bounds[:-1], bounds)]),
         "p": window_sums(outcomes),
@@ -350,12 +358,11 @@ def _shortcut_windows(
 ) -> tuple[dict[str, list[float | None]], list[int]]:
     """Shortcut points of every window of the batch, from one pass.
 
-    Windows are consecutive runs of ``window_size`` records, the last one
-    possibly shorter.  Returns one column per requested metric, in request
-    order, holding each window's point (None where the metric is
-    undefined), and the windows' sizes.  The sums come from
-    :func:`_window_quantities` over the scores.  The caller checks that
-    the batch is not empty.
+    Returns one column per requested metric, in request order, holding
+    each window's point (None where the metric is undefined), and the
+    sizes of the windows :func:`_window_sizes` lays out.  The sums come
+    from :func:`_window_quantities` over the scores.  The caller checks
+    that the batch is not empty.
     """
     expected = _window_quantities(batch.predictions, batch.scores, window_size)
     columns = {}
@@ -369,6 +376,16 @@ def _shortcut_windows(
             values = num / den
         columns[metric] = [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
     return columns, expected["n"].tolist()
+
+
+def _column_estimates(points: dict[str, list], sizes: list) -> Iterator[list[MetricEstimate]]:
+    """Each window's shortcut estimates, built when reached, from the
+    columns and sizes :func:`_shortcut_windows` returns."""
+    for index in range(len(sizes)):
+        yield [
+            MetricEstimate(metric=m, method="shortcut", point=column[index])
+            for m, column in points.items()
+        ]
 
 
 @dataclass(frozen=True)
@@ -399,9 +416,8 @@ def true_metrics(batch: PredictionBatch) -> TrueMetrics:
 
 
 def _require_distinct(values, name: str) -> None:
-    """Raise ValueError naming the entries that the sequence ``values``
-    repeats."""
-    repeated = sorted({v for v in values if values.count(v) > 1})
+    """Raise ValueError naming the entries that ``values`` repeats."""
+    repeated = _repeated(values)
     if repeated:
         raise ValueError(f"{name} requested more than once: {repeated}")
 
@@ -460,10 +476,6 @@ def estimate_all(
     _require_nonempty(batch)
     _check_request(metrics, method, alpha)
     if method == "shortcut":
-        columns, _ = _shortcut_windows(batch, batch.n, metrics)
-        return [
-            MetricEstimate(metric=m, method="shortcut", point=column[0])
-            for m, column in columns.items()
-        ]
+        return next(_column_estimates(*_shortcut_windows(batch, batch.n, metrics)))
     est = estimate_confusion(batch)
     return [_exact_estimate(m, est, alpha) for m in metrics]

@@ -5,11 +5,12 @@ window gets one report holding the requested metric estimates.  A final
 window shorter than the configured size is still processed and flagged as
 partial.  :func:`windowed_estimates` is the one entry for both methods.
 The shortcut points of all windows come from one array pass over the
-whole batch, as one column per metric (:class:`ShortcutColumns`); exact
-windows are sliced and estimated one at a time, as the reports are
-consumed.  The realized metrics of a labelled window,
-:func:`true_metrics`, come from :mod:`confmetrics.metrics` and are exported
-here as well.
+whole batch, as one column per metric (:class:`ShortcutColumns`); an
+exact run's first window is estimated when :func:`windowed_estimates` is
+called, and each later one when the reports reach it.  One generator,
+:func:`_reports`, builds the reports of both methods.  The realized
+metrics of a labelled window, :func:`true_metrics`, come from
+:mod:`confmetrics.metrics` and are exported here as well.
 
 Reports serialize to a single JSON document per run.  The writer fills
 templates of the document's fixed layout, and its text is byte for byte
@@ -21,27 +22,22 @@ floats through ``float.__repr__`` and the non-finite ones as
 a run's reports, or the columns of a shortcut run, and lays out the
 windows of both in one code path.  From the columns it fills the estimate
 template once per column and each point's number into it, and builds no
-estimate or report per window.  For the 2000 windows of a 200 000-row
-shortcut run at window 100 (8000 points, 1.9 MB of text), the writer takes
-11-15 ms from the columns; the 8000 estimates and 2000 reports take
-20-40 ms to build and 17-33 ms to write, and building the document and
-dumping it took 80-130 ms (one core of a 2-vCPU machine).  Metric
+estimate or report per window (README.md gives its timings).  Metric
 distributions are included only on request, since the recall and F1
 distributions each hold about 25 support points per window record (about
 25 000 at a window of 1000, 100 000 at 4000).
 
 Reports stream: the writer turns each report into text as it arrives and
-can pass that text on to a stream before the next window is estimated, so
-a run holds about one window's distributions whatever its length.  An
-exact ``estimate`` run over 100 000 rows at window 1000 peaks at 40 MB of
-resident memory, 29 MB of it the import, where building every report
-before writing any took 189 MB; at window 300 with distributions emitted,
-30 000 rows peak at 41 MB for a 132 MB report, where they took 468 MB.
+can pass that text on to a stream before the next window is estimated,
+and lets a window go once the next one arrives, so a run holds the
+distributions of the window being estimated and at most the one before
+it, whatever its length (README.md gives the peak memory of exact runs).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -53,7 +49,9 @@ from .metrics import (
     MetricEstimate,
     TrueMetrics,
     _check_request,
+    _column_estimates,
     _shortcut_windows,
+    _window_sizes,
     estimate_all,
     true_metrics,
 )
@@ -97,7 +95,7 @@ class ShortcutColumns:
     holds each window's size; a window is partial when its size is below
     ``window_size``.  :func:`render_report` writes the columns without
     building an estimate or a report per window; iterating them yields the
-    run's reports, each built when it is reached.
+    run's reports from :func:`_reports`, each built when it is reached.
     """
 
     window_size: int
@@ -105,30 +103,31 @@ class ShortcutColumns:
     sizes: list[int]
 
     def __iter__(self) -> Iterator[MonitoringReport]:
-        metrics = tuple(self.points)
-        for index, (size, *points) in enumerate(zip(self.sizes, *self.points.values())):
-            yield MonitoringReport(
-                window_index=index,
-                window_size=size,
-                partial=size < self.window_size,
-                estimates=tuple(
-                    MetricEstimate(metric=m, method="shortcut", point=p)
-                    for m, p in zip(metrics, points)
-                ),
-            )
+        return _reports(self.window_size, self.sizes, _column_estimates(self.points, self.sizes))
+
+
+def _reports(
+    window_size: int, sizes: list[int], estimates: Iterator[Iterable[MetricEstimate]]
+) -> Iterator[MonitoringReport]:
+    """One report per window size, each holding the next of ``estimates``,
+    which is pulled only when its report is reached."""
+    for index, size in enumerate(sizes):
+        # Not enumerate(zip(sizes, estimates)): enumerate keeps zip's result
+        # tuple to reuse, and with it window 0's estimates for the whole run.
+        yield MonitoringReport(index, size, size < window_size, tuple(next(estimates)))
 
 
 def windowed_estimates(
     batch: PredictionBatch, window_size: int, config: EstimateConfig = EstimateConfig()
-) -> ShortcutColumns | Iterator[MonitoringReport]:
+) -> Iterable[MonitoringReport]:
     """Split a batch into consecutive windows and estimate each one.
 
     The request is checked when this is called: ValueError for an empty
     batch, a window size below 1 or a bad request.  A shortcut run's
     points all come from one pass over the batch, made here and returned
     as its :class:`ShortcutColumns`.  An exact run comes back as a
-    single-pass iterator that slices and estimates each window when it
-    reaches it.
+    single-pass iterator whose first window is estimated here, so that a
+    failure there raises from this call, and each later one when reached.
     """
     _require_nonempty(batch)
     if window_size < 1:
@@ -136,27 +135,15 @@ def windowed_estimates(
     _check_request(config.metrics, config.method, config.alpha)
     if config.method == "shortcut":
         return ShortcutColumns(window_size, *_shortcut_windows(batch, window_size, config.metrics))
-    starts = range(0, batch.n, window_size)
+    sizes = _window_sizes(batch.n, window_size).tolist()
     windows = (
-        tuple(
-            estimate_all(
-                batch[start : start + window_size],
-                config.metrics,
-                config.method,
-                config.alpha,
-            )
-        )
-        for start in starts
+        estimate_all(batch[start : start + size], config.metrics, config.method, config.alpha)
+        for start, size in zip(itertools.accumulate(sizes, initial=0), sizes)
     )
-    return (
-        MonitoringReport(
-            window_index=index,
-            window_size=min(window_size, batch.n - start),
-            partial=batch.n - start < window_size,
-            estimates=estimates,
-        )
-        for index, (start, estimates) in enumerate(zip(starts, windows))
-    )
+    run = _reports(window_size, sizes, windows)
+    # An exhausted list iterator lets go of the first report; chain([...],
+    # run) would keep it in its argument tuple for the whole run.
+    return itertools.chain(iter([next(run)]), run)
 
 
 # The report's layout, as json.dumps(indent=2, sort_keys=True) writes it:

@@ -204,14 +204,17 @@ def greedy_hdi_reference(probs, alpha, trimmed_mass=0.0):
     """Two-pointer greedy HDI: (lo, hi) index bounds and covered mass.
 
     Drops the lighter endpoint (the upper one on a tie) while the dropped
-    mass, which starts at ``trimmed_mass``, stays below alpha.  When alpha
-    exceeds the total mass it drops every point and crosses, returning
-    lo > hi.
+    mass, which starts at ``trimmed_mass``, stays below alpha, then
+    restores the latest drops while the kept points sum to less than
+    1 - alpha.  When alpha exceeds the total mass it drops every point and
+    crosses, returning lo > hi.
     """
     lo = 0
     hi = len(probs) - 1
     tail = trimmed_mass
+    history = []
     while True:
+        history.append((lo, hi))
         p_lo = probs[lo]
         p_hi = probs[hi]
         if p_lo < p_hi:
@@ -226,7 +229,11 @@ def greedy_hdi_reference(probs, alpha, trimmed_mass=0.0):
                 hi -= 1
             else:
                 break
+    history.pop()
     covered = float(probs[lo : hi + 1].sum())
+    while covered < 1.0 - alpha and history:
+        lo, hi = history.pop()
+        covered = float(probs[lo : hi + 1].sum())
     return lo, hi, covered
 
 

@@ -2,7 +2,9 @@
 the acceptance suite)."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 
 from confmetrics import experiments
@@ -60,6 +62,14 @@ class TestConvergence:
         monkeypatch.setattr(experiments, "_trial_batch", _no_trial)
         with pytest.raises(ValueError, match=r"need at least one window size$"):
             run_convergence_experiment((), trials=2)
+
+    def test_repeated_window_found_in_linear_time(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_trial_batch", _no_trial)
+        windows = tuple(range(1, 20001)) + (1,)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^window sizes requested more than once: \[1\]$"):
+            run_convergence_experiment(windows, trials=2)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestCoverage:
@@ -120,6 +130,16 @@ class TestCoverage:
         for row in rows:
             if row.trials >= 30:
                 assert row.coverage >= 0.95
+
+
+@pytest.mark.parametrize("kind", [list, np.array])
+def test_plans_given_as_lists_or_arrays_run_as_tuples(kind):
+    assert run_convergence_experiment(kind([10]), trials=3, seed=1) == (
+        run_convergence_experiment((10,), trials=3, seed=1)
+    )
+    assert run_coverage_experiment((20,), trials=3, alphas=kind([0.05, 0.1]), seed=2) == (
+        run_coverage_experiment((20,), trials=3, alphas=(0.05, 0.1), seed=2)
+    )
 
 
 def test_csv_round_trip():

@@ -1,6 +1,7 @@
 """Tests for CSV and JSONL ingestion."""
 
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -395,6 +396,14 @@ class TestJsonl:
         )
         with pytest.raises(ValueError, match="^line 2: duplicate keys: prediction$"):
             parse_input(path, "jsonl")
+
+    def test_repeated_key_found_in_linear_time(self, tmp_path):
+        keys = ", ".join(f'"k{i}": 0' for i in range(20000))
+        path = write(tmp_path, "a.jsonl", "{" + keys + ', "k0": 1}\n')
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^line 1: duplicate keys: k0$"):
+            parse_input(path, "jsonl")
+        assert time.perf_counter() - start < 2.0
 
     def test_null_label_means_unlabelled(self, tmp_path):
         path = write(

@@ -74,6 +74,17 @@ class TestExamples:
         lo, hi, covered = greedy_hdi_reference(d.probabilities, 0.045, 0.01)
         assert (lo, hi, covered) == (0, 1, interval.covered_mass)
 
+    def test_restores_a_drop_that_leaves_less_than_nominal_mass(self):
+        # The two halves round to one ulp below 0.5: dropping the upper one
+        # stays below alpha = 0.5 yet would keep only 0.49999999999999994.
+        half = np.nextafter(0.5, 0.0)
+        d = make([0, 1], [half, half])
+        interval = hdi(d, 0.5)
+        assert (interval.lower, interval.upper) == (0.0, 1.0)
+        assert interval.covered_mass >= 0.5
+        lo, hi, covered = greedy_hdi_reference(d.probabilities, 0.5)
+        assert (lo, hi, covered) == (0, 1, interval.covered_mass)
+
     def test_zero_trimmed_mass_matches_loop_bit_for_bit(self):
         probs = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
         d = DiscreteDistribution._from_ratio_arrays(
@@ -220,3 +231,8 @@ class TestAgainstLoop:
             np.arange(probs.size), np.full(probs.size, probs.size), probs, trimmed
         )
         assert hdis(d, alpha_list) == [hdi(d, alpha) for alpha in alpha_list]
+
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_alphas_given_as_a_list_or_an_array(self, kind):
+        d = random_distribution(np.random.default_rng(11))
+        assert hdis(d, kind([0.05, 0.1])) == hdis(d, (0.05, 0.1))

@@ -261,6 +261,16 @@ class TestShortcuts:
         assert errors[100] < 1e-3
 
 
+def test_window_sizes_are_the_lengths_of_the_slices():
+    for n in range(1, 301):
+        b = batch(np.ones(n, dtype=int), np.full(n, 0.5))
+        for window in {1, 2, 7, n - 1, n, n + 1, 2**62} - {0}:
+            sizes = metrics._window_sizes(n, window)
+            assert sizes.dtype == np.int64
+            slices = [b[s : s + window].n for s in range(0, n, window)]
+            assert sizes.tolist() == slices, (n, window)
+
+
 @st.composite
 def certain_windows(draw):
     """A labelled window of 1-12 rows whose scores are all 0 or 1, each

@@ -1,8 +1,10 @@
 """Tests for window orchestration, true metrics and report serialization."""
 
+import gc
 import io
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -121,12 +123,44 @@ class TestWindowing:
 
         monkeypatch.setattr(reports_module, "estimate_all", counted)
         reports = windowed_estimates(random_batch(np.random.default_rng(7), 25), 10)
-        assert calls == []
+        assert calls == [10]
         assert next(reports).window_size == 10
         assert calls == [10]
         assert [r.window_size for r in reports] == [10, 5]
         assert calls == [10, 10, 5]
         assert list(reports) == []
+
+    def test_a_failing_first_exact_window_fails_the_call(self, monkeypatch):
+        def fails(*args):
+            raise RuntimeError("first window")
+
+        monkeypatch.setattr(reports_module, "estimate_all", fails)
+        with pytest.raises(RuntimeError, match="first window"):
+            windowed_estimates(random_batch(np.random.default_rng(7), 25), 10)
+
+    def test_each_exact_window_is_let_go_once_passed(self):
+        run = windowed_estimates(
+            random_batch(np.random.default_rng(8), 30), 10, EstimateConfig(alpha=0.1)
+        )
+        report = next(run)
+        estimate = weakref.ref(report.estimates[0])
+        del report
+        next(run)
+        gc.collect()
+        assert estimate() is None
+
+    @pytest.mark.parametrize("window", [1, 7, 50, 2**62])
+    def test_both_methods_lay_out_the_same_windows(self, window):
+        b = random_batch(np.random.default_rng(9), 50)
+        exact, shortcut = (
+            [
+                (r.window_index, r.window_size, r.partial)
+                for r in windowed_estimates(b, window, EstimateConfig(method=method))
+            ]
+            for method in ("exact", "shortcut")
+        )
+        assert exact == shortcut
+        assert len(exact) == -(-50 // window)
 
 
 class TestTrueMetrics:
