@@ -9,9 +9,12 @@ complements.  Each count PMF is a
 :class:`~confmetrics.distribution.CountPMF` built by the Poisson binomial
 product tree: a read-only array over the count range that holds the mass,
 its offset, and the mass trimmed from its tails.  A complement is the
-reversed view of its array.  The estimate holds no expected counts: the
-shortcut estimators in :mod:`confmetrics.metrics` sum a window's scores
-themselves.  All operations are pure and deterministic.
+reversed view of its array.  :func:`estimate_confusions` builds the PMFs
+of many windows, both sides of each, with one shared leaf pass of the
+tree, and each is the same, bit for bit, as its window alone gives.  The
+estimate holds no expected counts: the shortcut estimators in
+:mod:`confmetrics.metrics` sum a window's scores themselves.  All
+operations are pure and deterministic.
 
 A batch may contain rows with the same score but different predicted
 labels; such batches are accepted as-is, even though the theoretical
@@ -26,12 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import CountPMF, poisson_binomial_tree, unit_interval_array
+from .distribution import CountPMF, poisson_binomial_trees, unit_interval_array
 
 __all__ = [
     "PredictionBatch",
     "ConfusionEstimate",
     "estimate_confusion",
+    "estimate_confusions",
 ]
 
 
@@ -179,16 +183,25 @@ def _require_nonempty(batch: PredictionBatch) -> None:
 
 
 def estimate_confusion(batch: PredictionBatch) -> ConfusionEstimate:
-    """Estimate the confusion-count PMFs for one window.
+    """Estimate the confusion-count PMFs for one window: the one-batch call
+    of :func:`estimate_confusions`."""
+    return estimate_confusions([batch])[0]
 
-    A side with no predictions yields a point mass at zero for its counts.
+
+def estimate_confusions(batches: Sequence[PredictionBatch]) -> list[ConfusionEstimate]:
+    """Estimate the confusion-count PMFs of each window, in order.
+
+    The TP and TN PMFs of every window come from one
+    :func:`~confmetrics.distribution.poisson_binomial_trees` call, and each
+    is the same, bit for bit, as that window alone gives.  A side with no
+    predictions yields a point mass at zero for its counts.  Raises
+    ValueError for an empty batch before any PMF is built.
     """
-    _require_nonempty(batch)
-    pos = batch.positive_scores
-    neg = batch.negative_scores
-    return ConfusionEstimate(
-        tp=poisson_binomial_tree(pos),
-        tn=poisson_binomial_tree(1.0 - neg),
-        n_pos=pos.size,
-        n_neg=neg.size,
-    )
+    for batch in batches:
+        _require_nonempty(batch)
+    sides = [(batch.positive_scores, batch.negative_scores) for batch in batches]
+    counts = iter(poisson_binomial_trees([s for pos, neg in sides for s in (pos, 1.0 - neg)]))
+    return [
+        ConfusionEstimate(tp=next(counts), tn=next(counts), n_pos=pos.size, n_neg=neg.size)
+        for pos, neg in sides
+    ]

@@ -14,8 +14,11 @@ A count PMF is a :class:`CountPMF`: a read-only float64 array ``pmf`` whose
 entry k is the probability of exactly ``offset + k`` successes, and the mass
 ``trimmed`` that was cut from its tails and lies outside that range.  The
 count complement m - X of a PMF over 0..m is its reversal.
-:func:`poisson_binomial_tree` builds Poisson binomial PMFs in this form by
-a product tree of trimmed nodes.
+:func:`poisson_binomial_trees` builds the Poisson binomial PMFs of many
+parameter sets in this form, each by a product tree of trimmed nodes, with
+one vectorised leaf pass shared by all the sets; each PMF is the same, bit
+for bit, as its set alone gives, and :func:`poisson_binomial_tree` is the
+one-set call.
 
 Everything here is pure and deterministic; instances never mutate after
 construction and are safe to share across threads.
@@ -23,6 +26,7 @@ construction and are safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -34,6 +38,7 @@ __all__ = [
     "CountPMF",
     "DiscreteDistribution",
     "poisson_binomial_tree",
+    "poisson_binomial_trees",
 ]
 
 # Single library-wide tolerance for "probabilities sum to one" checks.
@@ -44,9 +49,11 @@ PROB_SUM_TOL = 1e-9
 # leaves out at most half of it.
 TRIM_TOL = 1e-15
 
-# Parameters per leaf block of the Poisson binomial product tree.  Blocks of
-# 16 beat the per-score convolution from about 250 parameters on; blocks of
-# 64 were slower than it there.
+# Parameters per leaf block of the Poisson binomial product tree.  On one
+# core, a set built alone beats the per-score convolution from about 100
+# parameters on; in a call with 127 other sets, as a chunk of coverage trials
+# makes, from 10 parameters on (10 us a set against 21 us).  The block size
+# fixes the tree's shape, so changing it changes the PMFs' rounding.
 _BLOCK = 16
 
 # Mass a product-tree node below the root may cut from each of its ends.
@@ -245,19 +252,27 @@ def _trim(pmf: np.ndarray, tol: float) -> tuple[int, int, float]:
     return lo, pmf.size - cut_high, float(cut)
 
 
-def poisson_binomial_tree(params: Sequence[float] | np.ndarray) -> CountPMF:
-    """PMF of a sum of n independent Bernoulli variables as a
-    :class:`CountPMF` with a read-only ``pmf``, built by a product tree.
+def poisson_binomial_trees(
+    param_sets: Sequence[Sequence[float] | np.ndarray],
+) -> list[CountPMF]:
+    """PMFs of the sums of independent Bernoulli variables, one
+    :class:`CountPMF` with a read-only ``pmf`` per parameter set, each
+    built by a product tree.
 
-    One vectorised convolution pass builds the PMFs of blocks of
-    ``_BLOCK`` sorted parameters.  They are merged pairwise, level by level,
-    by direct ``np.convolve`` (an FFT's roundoff would swamp the small tail
-    masses), and each product is cut to its :func:`_trim` range at
-    ``_NODE_TOL`` per end, less than n * 1.25e-25 + 2e-24 in all.  The root
-    is then cut so that at most ``TRIM_TOL / 2`` is left out (for fewer than
-    10**9 parameters).  A count of variance at most n/4 holds its mass
-    within a few standard deviations of its mean, so the result has
-    O(sqrt(n)) entries and the trimmed merges stay short.
+    One vectorised convolution pass builds the PMFs of the blocks of
+    ``_BLOCK`` sorted parameters of every set at once.  Each set's last
+    block is padded with zero parameters, whose steps multiply every entry
+    by exactly 1 and add exactly 0, and a set of fewer than ``_BLOCK``
+    parameters keeps the first n + 1 entries of its leaf; so each set's PMF
+    is the same, bit for bit, whatever other sets share the call.  Each set's
+    leaves are then merged pairwise, level by level, by direct
+    ``np.convolve`` (an FFT's roundoff would swamp the small tail masses),
+    and each product is cut to its :func:`_trim` range at ``_NODE_TOL`` per
+    end, less than n * 1.25e-25 + 2e-24 in all.  The root is then cut so
+    that at most ``TRIM_TOL / 2`` is left out (for fewer than 10**9
+    parameters).  A count of variance at most n/4 holds its mass within a
+    few standard deviations of its mean, so the result has O(sqrt(n))
+    entries and the trimmed merges stay short.
 
     Rounding in the many short block passes drifts the total mass by about
     2e-15 at 2000 parameters, so the root is rescaled to hold exactly one
@@ -265,24 +280,38 @@ def poisson_binomial_tree(params: Sequence[float] | np.ndarray) -> CountPMF:
     result is then as close as one convolution per parameter is, about
     2.5e-16 in total variation at 2000 parameters.  Sorting first makes the
     result independent of input order, bit for bit.  An empty parameter
-    list yields a point mass at zero.
+    set yields a point mass at zero.  Raises ValueError for the first set
+    with a parameter outside [0, 1] before any PMF is built.
     """
-    p = _check_bernoulli_params(params)
-    n = p.size
-    if n == 0:
-        return CountPMF(0, _read_only(np.ones(1)), 0.0)
-    blocks = -(-n // _BLOCK)
-    width = min(n, _BLOCK)
+    sets = [_check_bernoulli_params(params) for params in param_sets]
+    sizes = [params.size for params in sets]
+    # Set i's blocks are rows bounds[i] to bounds[i + 1] of the leaf pass.
+    bounds = list(itertools.accumulate((-(-n // _BLOCK) for n in sizes), initial=0))
+    width = min(max(sizes, default=0), _BLOCK)
     # Padding with zero parameters adds certain failures, which change
     # nothing: (1, 0) is the identity of convolution.
-    p = np.concatenate([p, np.zeros(blocks * _BLOCK - n)]).reshape(blocks, _BLOCK)
+    p = np.zeros(bounds[-1] * _BLOCK)
+    for params, start in zip(sets, bounds):
+        p[start * _BLOCK : start * _BLOCK + params.size] = params
+    p = p.reshape(-1, _BLOCK)
     q = 1.0 - p
-    leaves = np.zeros((blocks, width + 1))
+    leaves = np.zeros((p.shape[0], width + 1))
     leaves[:, 0] = 1.0
     for k in range(width):
         moved = leaves[:, : k + 1] * p[:, k, None]
         leaves[:, : k + 1] *= q[:, k, None]
         leaves[:, 1 : k + 2] += moved
+    return [
+        _merge(leaves[start:stop, : min(n, _BLOCK) + 1])
+        for n, start, stop in zip(sizes, bounds, bounds[1:])
+    ]
+
+
+def _merge(leaves: np.ndarray) -> CountPMF:
+    """The trimmed, rescaled root of the product tree over one set's
+    leaves, as :func:`poisson_binomial_trees` describes it."""
+    if leaves.shape[0] == 0:
+        return CountPMF(0, _read_only(np.ones(1)), 0.0)
     nodes = [(0, leaf) for leaf in leaves]
     cut = 0.0
     while len(nodes) > 1:
@@ -299,3 +328,9 @@ def poisson_binomial_tree(params: Sequence[float] | np.ndarray) -> CountPMF:
     pmf = pmf[start:stop] * ((1.0 - trimmed) / pmf[start:stop].sum())
     return CountPMF(offset + start, _read_only(pmf), trimmed)
 
+
+def poisson_binomial_tree(params: Sequence[float] | np.ndarray) -> CountPMF:
+    """PMF of a sum of n independent Bernoulli variables as a
+    :class:`CountPMF`: the one-set call of :func:`poisson_binomial_trees`,
+    which describes the product tree and its trimming."""
+    return poisson_binomial_trees([params])[0]

@@ -10,8 +10,14 @@ interval.
 
 Every trial derives its random streams from (master seed, window size,
 trial index, purpose) so trials are independent, reproducible, and safe to
-compute concurrently; results are aggregated in ascending trial order
-regardless of execution order.
+compute concurrently.  Each window size's trials run in chunks of
+``_CHUNK``: the chunk's batches are drawn, their count PMFs come from one
+:func:`~confmetrics.confusion.estimate_confusions` call, which shares one
+Poisson binomial leaf pass between all of them, and then each trial in
+ascending order takes its realized metrics, its metric distributions and
+their intervals.  Each trial's PMFs are the same, bit for bit, as a trial
+alone gets, and results are added in ascending trial order as before, so
+the rows do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -19,13 +25,20 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
 from .calibration import reverse_sample_labels, threshold_predictions
-from .confusion import PredictionBatch
+from .confusion import ConfusionEstimate, PredictionBatch, estimate_confusions
 from .intervals import _check_alpha, hdis
-from .metrics import METRICS, _require_distinct, estimate_all, true_metrics
+from .metrics import (
+    METRICS,
+    _named_distribution,
+    _require_distinct,
+    _shortcut_windows,
+    true_metrics,
+)
 from .synthesis import random_beta_params, sample_beta_scores
 
 __all__ = [
@@ -44,6 +57,9 @@ DEFAULT_COVERAGE_WINDOWS = (100, 300, 500)
 DEFAULT_ALPHAS = (0.05, 0.1)
 
 _PARAMS_STREAM, _SCORES_STREAM, _LABELS_STREAM = 0, 1, 2
+
+# Trials whose count PMFs one estimate_confusions call builds.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -97,6 +113,19 @@ def _trial_batch(
     return PredictionBatch.from_arrays(predictions, scores, labels)
 
 
+def _chunks(
+    master: int, window: int, trials: int, with_labels: bool
+) -> Iterator[tuple[PredictionBatch, ConfusionEstimate]]:
+    """Each trial's batch and confusion estimate, in ascending trial order,
+    with ``_CHUNK`` trials' batches drawn and estimated at a time."""
+    for first in range(0, trials, _CHUNK):
+        batches = [
+            _trial_batch(master, window, trial, with_labels)
+            for trial in range(first, min(first + _CHUNK, trials))
+        ]
+        yield from zip(batches, estimate_confusions(batches))
+
+
 def _summary(window: int, metric: str, errors: list[float]) -> ConvergenceRow:
     arr = np.asarray(errors, dtype=np.float64)
     return ConvergenceRow(
@@ -140,15 +169,12 @@ def run_convergence_experiment(
     rows = []
     for window in window_sizes:
         errors: dict[str, list[float]] = {"recall": [], "f1": [], "control": []}
-        for trial in range(trials):
-            batch = _trial_batch(seed, window, trial, with_labels=False)
-            exact_recall, exact_f1 = (
-                e.point for e in estimate_all(batch, metrics=("recall", "f1"))
-            )
-            approx_recall, approx_f1 = (
-                e.point
-                for e in estimate_all(batch, metrics=("recall", "f1"), method="shortcut")
-            )
+        for batch, est in _chunks(seed, window, trials, with_labels=False):
+            exact_recall = _named_distribution("recall", est).expectation()
+            f1 = _named_distribution("f1", est)
+            exact_f1 = None if f1 is None else f1.expectation()
+            points, _ = _shortcut_windows(batch, batch.n, ("recall", "f1"))
+            [approx_recall], [approx_f1] = points.values()
             if approx_recall is not None:
                 errors["recall"].append(exact_recall - approx_recall)
                 errors["control"].append(exact_recall - exact_recall)
@@ -186,17 +212,17 @@ def run_coverage_experiment(
     for window in window_sizes:
         hits = {(m, a): 0 for m in METRICS for a in alphas}
         totals = dict.fromkeys(hits, 0)
-        for trial in range(trials):
-            batch = _trial_batch(seed, window, trial, with_labels=True)
+        for batch, est in _chunks(seed, window, trials, with_labels=True):
             realized = true_metrics(batch)
-            for estimate in estimate_all(batch, alpha=None):
-                actual = getattr(realized, estimate.metric)
-                if estimate.distribution is None or actual is None:
+            for metric in METRICS:
+                dist = _named_distribution(metric, est)
+                actual = getattr(realized, metric)
+                if dist is None or actual is None:
                     continue
-                for alpha, interval in zip(alphas, hdis(estimate.distribution, alphas)):
-                    totals[(estimate.metric, alpha)] += 1
+                for alpha, interval in zip(alphas, hdis(dist, alphas)):
+                    totals[(metric, alpha)] += 1
                     if interval.lower - 1e-12 <= actual <= interval.upper + 1e-12:
-                        hits[(estimate.metric, alpha)] += 1
+                        hits[(metric, alpha)] += 1
         for (metric, alpha), total in totals.items():
             rows.append(
                 CoverageRow(

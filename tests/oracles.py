@@ -19,7 +19,11 @@ for bit when nothing was trimmed.  :func:`run_to_json_reference`
 builds a run's report document as a dict, the form the report writer's
 text is pinned to, and :func:`shortcut_points_reference` computes one
 window's shortcut points by the former per-metric reductions, which the
-one-pass shortcut windows must match bit for bit.  Two helpers stand in
+one-pass shortcut windows must match bit for bit.
+:func:`convergence_rows_reference` and :func:`coverage_rows_reference` run
+the experiments one trial at a time through ``estimate_all`` and ``hdis``,
+as the runners did before they estimated chunks of trials together; the
+runners' rows must equal theirs.  Two helpers stand in
 for library conveniences that only tests needed: :func:`distribution`
 builds a distribution from a mapping of support values to probabilities,
 and :func:`run_to_json` parses a run's report text.
@@ -32,8 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from confmetrics import metrics
+from confmetrics import experiments, metrics
 from confmetrics.confusion import estimate_confusion
+from confmetrics.intervals import hdis
 from confmetrics.distribution import CountPMF, DiscreteDistribution, unit_interval_array
 from confmetrics.reports import render_report
 
@@ -351,3 +356,59 @@ def shortcut_points_reference(batch):
         "recall": float(pos.sum()) / total if total > 0.0 else None,
         "f1": 2.0 * float(pos.sum()) / (total + pos.size) if pos.size else None,
     }
+
+
+def convergence_rows_reference(window_sizes, trials, seed):
+    """The convergence runner's rows, one trial at a time: each trial's
+    exact and shortcut recall and F1 from ``estimate_all``."""
+    rows = []
+    for window in window_sizes:
+        errors = {"recall": [], "f1": [], "control": []}
+        for trial in range(trials):
+            batch = experiments._trial_batch(seed, window, trial, with_labels=False)
+            exact_recall, exact_f1 = (
+                e.point for e in metrics.estimate_all(batch, metrics=("recall", "f1"))
+            )
+            approx_recall, approx_f1 = (
+                e.point
+                for e in metrics.estimate_all(batch, metrics=("recall", "f1"), method="shortcut")
+            )
+            if approx_recall is not None:
+                errors["recall"].append(exact_recall - approx_recall)
+                errors["control"].append(exact_recall - exact_recall)
+            if exact_f1 is not None and approx_f1 is not None:
+                errors["f1"].append(exact_f1 - approx_f1)
+        rows += [experiments._summary(window, m, errors[m]) for m in ("recall", "f1", "control")]
+    return rows
+
+
+def coverage_rows_reference(window_sizes, trials, alphas, seed):
+    """The coverage runner's rows, one trial at a time: each trial's
+    realized metrics, then its ``estimate_all`` distributions and their
+    ``hdis``."""
+    rows = []
+    for window in window_sizes:
+        hits = {(m, a): 0 for m in metrics.METRICS for a in alphas}
+        totals = dict.fromkeys(hits, 0)
+        for trial in range(trials):
+            batch = experiments._trial_batch(seed, window, trial, with_labels=True)
+            realized = metrics.true_metrics(batch)
+            for estimate in metrics.estimate_all(batch):
+                actual = getattr(realized, estimate.metric)
+                if estimate.distribution is None or actual is None:
+                    continue
+                for alpha, interval in zip(alphas, hdis(estimate.distribution, alphas)):
+                    totals[(estimate.metric, alpha)] += 1
+                    if interval.lower - 1e-12 <= actual <= interval.upper + 1e-12:
+                        hits[(estimate.metric, alpha)] += 1
+        rows += [
+            experiments.CoverageRow(
+                window=window,
+                metric=metric,
+                alpha=alpha,
+                trials=total,
+                coverage=hits[(metric, alpha)] / total if total else float("nan"),
+            )
+            for (metric, alpha), total in totals.items()
+        ]
+    return rows

@@ -156,11 +156,19 @@ class TestEstimate:
         assert code == 0
         # The reference report pairs every count of full-length count PMFs
         # built by one convolution per score.
-        monkeypatch.setattr(confusion, "poisson_binomial_tree", poisson_binomial_dp_counts)
+        reference_sets = []
+
+        def dp_trees(param_sets):
+            reference_sets.extend(param_sets)
+            return [poisson_binomial_dp_counts(params) for params in param_sets]
+
+        monkeypatch.setattr(confusion, "poisson_binomial_trees", dp_trees)
         monkeypatch.setattr(metrics, "recall_distribution", recall_distribution_untrimmed)
         monkeypatch.setattr(metrics, "f1_distribution", f1_distribution_untrimmed)
         code, untrimmed, _ = run(capsys, *args)
         assert code == 0
+        # Both sides of each of the four windows took the reference PMFs.
+        assert len(reference_sets) == 8
         got = json.loads(trimmed)["windows"]
         want = json.loads(untrimmed)["windows"]
         assert len(got) == len(want) == 4

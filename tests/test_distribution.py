@@ -15,6 +15,7 @@ from confmetrics.distribution import (
     CountPMF,
     DiscreteDistribution,
     poisson_binomial_tree,
+    poisson_binomial_trees,
 )
 from oracles import (
     distribution,
@@ -291,6 +292,44 @@ class TestProductTree:
         assert flipped.pmf.base is got.pmf
         assert np.array_equal(expand(flipped, 300), expand(got, 300)[::-1])
         assert flipped.trimmed == got.trimmed
+
+
+def bernoulli_set(seed, n):
+    """n seeded parameters, beta-distributed with a few certain ones, so
+    that sets trim, shift their offset or stay whole."""
+    rng = np.random.default_rng(seed)
+    params = rng.beta(rng.uniform(0.1, 10), rng.uniform(0.1, 10), n)
+    params[rng.random(n) < 0.1] = rng.integers(0, 2)
+    return params
+
+
+def same_counts(a, b):
+    return (a.offset, a.trimmed, a.pmf.tobytes()) == (b.offset, b.trimmed, b.pmf.tobytes())
+
+
+class TestSharedLeafPass:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.sampled_from([0, 1, 15, 16, 17, 33, 300]), min_size=1, max_size=7),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_each_set_is_bit_identical_whatever_shares_the_call(self, sizes, seed):
+        sets = [bernoulli_set([seed, k], n) for k, n in enumerate(sizes)]
+        together = poisson_binomial_trees(sets)
+        assert len(together) == len(sets)
+        for params, got in zip(sets, together):
+            assert same_counts(got, poisson_binomial_tree(params))
+        for params, got in zip(sets[::-1], poisson_binomial_trees(sets[::-1])):
+            assert same_counts(got, poisson_binomial_tree(params))
+
+    def test_no_sets_and_empty_sets(self):
+        assert poisson_binomial_trees([]) == []
+        got = poisson_binomial_trees([[], []])
+        assert [(c.offset, c.pmf.tolist(), c.trimmed) for c in got] == [(0, [1.0], 0.0)] * 2
+
+    def test_rejects_a_bad_parameter_in_any_set(self):
+        with pytest.raises(ValueError, match=r"at index 1 outside \[0, 1\]: 1.5"):
+            poisson_binomial_trees([[0.5] * 20, [0.2, 1.5]])
 
 
 class TestMoments:

@@ -13,6 +13,7 @@ from confmetrics.experiments import (
     run_convergence_experiment,
     run_coverage_experiment,
 )
+from oracles import convergence_rows_reference, coverage_rows_reference
 
 
 def _no_trial(*args, **kwargs):
@@ -130,6 +131,28 @@ class TestCoverage:
         for row in rows:
             if row.trials >= 30:
                 assert row.coverage >= 0.95
+
+
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 129])
+def test_chunked_runners_write_the_per_trial_rows(monkeypatch, trials):
+    chunks = []
+    estimate_confusions = experiments.estimate_confusions
+
+    def recorded(batches):
+        chunks.append(len(batches))
+        return estimate_confusions(batches)
+
+    monkeypatch.setattr(experiments, "estimate_confusions", recorded)
+    windows = (1, 17, 40)
+    got = run_coverage_experiment(windows, trials, alphas=(0.05, 0.3), seed=11)
+    want = coverage_rows_reference(windows, trials, alphas=(0.05, 0.3), seed=11)
+    assert rows_to_csv(got) == rows_to_csv(want)
+    per_window = [min(experiments._CHUNK, trials - first)
+                  for first in range(0, trials, experiments._CHUNK)]
+    assert chunks == per_window * len(windows)
+    got = run_convergence_experiment(windows, trials, seed=12)
+    assert rows_to_csv(got) == rows_to_csv(convergence_rows_reference(windows, trials, seed=12))
+    assert chunks == per_window * len(windows) * 2
 
 
 @pytest.mark.parametrize("kind", [list, np.array])

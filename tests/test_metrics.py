@@ -271,6 +271,28 @@ def test_window_sizes_are_the_lengths_of_the_slices():
             assert sizes.tolist() == slices, (n, window)
 
 
+@pytest.mark.parametrize("gather", [metrics._GATHER, 5])
+@pytest.mark.parametrize("window", [1, 7, 100])
+def test_window_tp_sums_equal_per_slice_sums(monkeypatch, window, gather):
+    # Grouped by positive count, the sums must still add each window's
+    # positives in the order and pairing that a slice's sum does.
+    monkeypatch.setattr(metrics, "_GATHER", gather)
+    rng = np.random.default_rng(window)
+    n = 40 * window + window // 2 + 1
+    scores = rng.random(n)
+    predictions = (rng.random(n) < rng.random(n)).astype(np.int8)
+    predictions[: 3 * window] = 0  # windows without positive predictions
+    labels = (rng.random(n) < scores).astype(np.int8)
+    for outcomes in (scores, labels):
+        tp = metrics._window_quantities(predictions, outcomes, window)["tp"]
+        want = np.array(
+            [outcomes[s : s + window][predictions[s : s + window] == 1].sum()
+             for s in range(0, n, window)]
+        )
+        assert tp.dtype == want.dtype and tp.tobytes() == want.tobytes()
+        assert tp[:3].tolist() == [0, 0, 0]
+
+
 @st.composite
 def certain_windows(draw):
     """A labelled window of 1-12 rows whose scores are all 0 or 1, each
