@@ -9,12 +9,17 @@ complements.  Each count PMF is a
 :class:`~confmetrics.distribution.CountPMF` built by the Poisson binomial
 product tree: a read-only array over the count range that holds the mass,
 its offset, and the mass trimmed from its tails.  A complement is the
-reversed view of its array.  :func:`estimate_confusions` builds the PMFs
-of many windows, both sides of each, with one shared leaf pass of the
-tree, and each is the same, bit for bit, as its window alone gives.  The
-estimate holds no expected counts: the shortcut estimators in
-:mod:`confmetrics.metrics` sum a window's scores themselves.  All
-operations are pure and deterministic.
+reversed view of its array.
+
+:func:`estimate_confusions` is the one exact stream: it reads any iterable
+of batches lazily, in chunks that grow until they hold at least
+``_CHUNK_RECORDS`` records, so a batch at least that long forms a chunk by
+itself.  Each chunk's TP and TN PMFs, both sides of every batch, come from
+one shared leaf pass of the tree, and each is the same, bit for bit, as its
+batch alone gives; so peak memory is bounded by the chunk, not the stream,
+and results do not depend on the chunk bound.  The estimate holds no
+expected counts: the shortcut estimators in :mod:`confmetrics.metrics` sum
+a window's scores themselves.  All operations are pure and deterministic.
 
 A batch may contain rows with the same score but different predicted
 labels; such batches are accepted as-is, even though the theoretical
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -185,23 +190,43 @@ def _require_nonempty(batch: PredictionBatch) -> None:
 def estimate_confusion(batch: PredictionBatch) -> ConfusionEstimate:
     """Estimate the confusion-count PMFs for one window: the one-batch call
     of :func:`estimate_confusions`."""
-    return estimate_confusions([batch])[0]
+    return next(estimate_confusions([batch]))[1]
 
 
-def estimate_confusions(batches: Sequence[PredictionBatch]) -> list[ConfusionEstimate]:
-    """Estimate the confusion-count PMFs of each window, in order.
+# The records a chunk of estimate_confusions gathers before its PMFs are
+# built; a longer batch is a chunk by itself.
+_CHUNK_RECORDS = 2**15
 
-    The TP and TN PMFs of every window come from one
+
+def estimate_confusions(
+    batches: Iterable[PredictionBatch],
+) -> Iterator[tuple[PredictionBatch, ConfusionEstimate]]:
+    """Each batch with its confusion-count PMFs, in order, read lazily.
+
+    Batches are taken one chunk at a time: a chunk ends at the first batch
+    that brings it to ``_CHUNK_RECORDS`` records, or at the end of
+    ``batches``.  The TP and TN PMFs of a chunk's batches come from one
     :func:`~confmetrics.distribution.poisson_binomial_trees` call, and each
-    is the same, bit for bit, as that window alone gives.  A side with no
-    predictions yields a point mass at zero for its counts.  Raises
-    ValueError for an empty batch before any PMF is built.
+    is the same, bit for bit, as that batch alone gives.  A side with no
+    predictions yields a point mass at zero for its counts.  An empty batch
+    raises ValueError when the stream reaches it, before its chunk's PMFs
+    are built, so the batches of earlier chunks have been yielded by then.
     """
+    chunk, records = [], 0
     for batch in batches:
         _require_nonempty(batch)
-    sides = [(batch.positive_scores, batch.negative_scores) for batch in batches]
+        chunk.append(batch)
+        records += batch.n
+        if records >= _CHUNK_RECORDS:
+            yield from zip(chunk, _chunk_estimates(chunk))
+            chunk, records = [], 0
+    if chunk:
+        yield from zip(chunk, _chunk_estimates(chunk))
+
+
+def _chunk_estimates(chunk: list[PredictionBatch]) -> list[ConfusionEstimate]:
+    """The confusion estimates of a chunk's batches, from one
+    :func:`~confmetrics.distribution.poisson_binomial_trees` call."""
+    sides = [(batch.positive_scores, batch.negative_scores) for batch in chunk]
     counts = iter(poisson_binomial_trees([s for pos, neg in sides for s in (pos, 1.0 - neg)]))
-    return [
-        ConfusionEstimate(tp=next(counts), tn=next(counts), n_pos=pos.size, n_neg=neg.size)
-        for pos, neg in sides
-    ]
+    return [ConfusionEstimate(next(counts), next(counts), pos.size, neg.size) for pos, neg in sides]

@@ -10,14 +10,16 @@ interval.
 
 Every trial derives its random streams from (master seed, window size,
 trial index, purpose) so trials are independent, reproducible, and safe to
-compute concurrently.  Each window size's trials run in chunks of
-``_CHUNK``: the chunk's batches are drawn, their count PMFs come from one
-:func:`~confmetrics.confusion.estimate_confusions` call, which shares one
-Poisson binomial leaf pass between all of them, and then each trial in
-ascending order takes its realized metrics, its metric distributions and
-their intervals.  Each trial's PMFs are the same, bit for bit, as a trial
-alone gets, and results are added in ascending trial order as before, so
-the rows do not depend on the chunk size.
+compute concurrently.  Each window size's trials are drawn lazily into
+:func:`~confmetrics.confusion.estimate_confusions`, which builds their
+count PMFs in chunks of at least ``confusion._CHUNK_RECORDS`` records (a
+trial at least that long is a chunk by itself), one shared Poisson
+binomial leaf pass per chunk, so memory is bounded by the chunk, not by
+the number of trials.  Each trial in ascending order then takes its
+realized metrics, its metric distributions and their intervals.  Each
+trial's PMFs are the same, bit for bit, as a trial alone gets, and results
+are added in ascending trial order, so the rows do not depend on the
+chunk bound.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
-from typing import Iterator
 
 import numpy as np
 
 from .calibration import reverse_sample_labels, threshold_predictions
-from .confusion import ConfusionEstimate, PredictionBatch, estimate_confusions
+from .confusion import PredictionBatch, estimate_confusions
 from .intervals import _check_alpha, hdis
 from .metrics import (
     METRICS,
+    _exact_estimate,
     _named_distribution,
     _require_distinct,
     _shortcut_windows,
@@ -57,9 +59,6 @@ DEFAULT_COVERAGE_WINDOWS = (100, 300, 500)
 DEFAULT_ALPHAS = (0.05, 0.1)
 
 _PARAMS_STREAM, _SCORES_STREAM, _LABELS_STREAM = 0, 1, 2
-
-# Trials whose count PMFs one estimate_confusions call builds.
-_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -113,19 +112,6 @@ def _trial_batch(
     return PredictionBatch.from_arrays(predictions, scores, labels)
 
 
-def _chunks(
-    master: int, window: int, trials: int, with_labels: bool
-) -> Iterator[tuple[PredictionBatch, ConfusionEstimate]]:
-    """Each trial's batch and confusion estimate, in ascending trial order,
-    with ``_CHUNK`` trials' batches drawn and estimated at a time."""
-    for first in range(0, trials, _CHUNK):
-        batches = [
-            _trial_batch(master, window, trial, with_labels)
-            for trial in range(first, min(first + _CHUNK, trials))
-        ]
-        yield from zip(batches, estimate_confusions(batches))
-
-
 def _summary(window: int, metric: str, errors: list[float]) -> ConvergenceRow:
     arr = np.asarray(errors, dtype=np.float64)
     return ConvergenceRow(
@@ -169,10 +155,9 @@ def run_convergence_experiment(
     rows = []
     for window in window_sizes:
         errors: dict[str, list[float]] = {"recall": [], "f1": [], "control": []}
-        for batch, est in _chunks(seed, window, trials, with_labels=False):
-            exact_recall = _named_distribution("recall", est).expectation()
-            f1 = _named_distribution("f1", est)
-            exact_f1 = None if f1 is None else f1.expectation()
+        batches = (_trial_batch(seed, window, t, with_labels=False) for t in range(trials))
+        for batch, est in estimate_confusions(batches):
+            exact_recall, exact_f1 = (_exact_estimate(m, est, None).point for m in ("recall", "f1"))
             points, _ = _shortcut_windows(batch, batch.n, ("recall", "f1"))
             [approx_recall], [approx_f1] = points.values()
             if approx_recall is not None:
@@ -212,7 +197,8 @@ def run_coverage_experiment(
     for window in window_sizes:
         hits = {(m, a): 0 for m in METRICS for a in alphas}
         totals = dict.fromkeys(hits, 0)
-        for batch, est in _chunks(seed, window, trials, with_labels=True):
+        batches = (_trial_batch(seed, window, t, with_labels=True) for t in range(trials))
+        for batch, est in estimate_confusions(batches):
             realized = true_metrics(batch)
             for metric in METRICS:
                 dist = _named_distribution(metric, est)

@@ -5,9 +5,13 @@ window gets one report holding the requested metric estimates.  A final
 window shorter than the configured size is still processed and flagged as
 partial.  :func:`windowed_estimates` is the one entry for both methods.
 The shortcut points of all windows come from one array pass over the
-whole batch, as one column per metric (:class:`ShortcutColumns`); an
-exact run's first window is estimated when :func:`windowed_estimates` is
-called, and each later one when the reports reach it.  One generator,
+whole batch, as one column per metric (:class:`ShortcutColumns`).  An
+exact run feeds its window slices to the one exact stream,
+:func:`~confmetrics.confusion.estimate_confusions`, which builds their
+count PMFs a chunk of at least ``confusion._CHUNK_RECORDS`` records at a
+time (a longer window is a chunk by itself); each window's estimates are
+derived from its PMFs when its report is reached, and the first one when
+:func:`windowed_estimates` is called.  One generator,
 :func:`_reports`, builds the reports of both methods.  The realized
 metrics of a labelled window, :func:`true_metrics`, come from
 :mod:`confmetrics.metrics` and are exported here as well.
@@ -29,9 +33,10 @@ distributions each hold about 25 support points per window record (about
 
 Reports stream: the writer turns each report into text as it arrives and
 can pass that text on to a stream before the next window is estimated,
-and lets a window go once the next one arrives, so a run holds the
-distributions of the window being estimated and at most the one before
-it, whatever its length (README.md gives the peak memory of exact runs).
+and lets a window go once the next one arrives, so a run holds the count
+PMFs of one chunk and the distributions of the window being estimated and
+at most the one before it, whatever its length (README.md gives the peak
+memory of exact runs).
 """
 
 from __future__ import annotations
@@ -43,16 +48,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from .confusion import PredictionBatch, _require_nonempty
+from .confusion import PredictionBatch, _require_nonempty, estimate_confusions
 from .metrics import (
     METRICS,
     MetricEstimate,
     TrueMetrics,
     _check_request,
     _column_estimates,
+    _exact_estimate,
     _shortcut_windows,
     _window_sizes,
-    estimate_all,
     true_metrics,
 )
 
@@ -126,8 +131,10 @@ def windowed_estimates(
     batch, a window size below 1 or a bad request.  A shortcut run's
     points all come from one pass over the batch, made here and returned
     as its :class:`ShortcutColumns`.  An exact run comes back as a
-    single-pass iterator whose first window is estimated here, so that a
-    failure there raises from this call, and each later one when reached.
+    single-pass iterator of reports, whose count PMFs come from
+    :func:`~confmetrics.confusion.estimate_confusions`; its first window,
+    with its chunk's count PMFs, is estimated here, so that a failure there
+    raises from this call, and each later one when reached.
     """
     _require_nonempty(batch)
     if window_size < 1:
@@ -136,11 +143,12 @@ def windowed_estimates(
     if config.method == "shortcut":
         return ShortcutColumns(window_size, *_shortcut_windows(batch, window_size, config.metrics))
     sizes = _window_sizes(batch.n, window_size).tolist()
-    windows = (
-        estimate_all(batch[start : start + size], config.metrics, config.method, config.alpha)
-        for start, size in zip(itertools.accumulate(sizes, initial=0), sizes)
+    starts = itertools.accumulate(sizes, initial=0)
+    estimates = (
+        [_exact_estimate(m, est, config.alpha) for m in config.metrics]
+        for _, est in estimate_confusions(batch[a : a + n] for a, n in zip(starts, sizes))
     )
-    run = _reports(window_size, sizes, windows)
+    run = _reports(window_size, sizes, estimates)
     # An exhausted list iterator lets go of the first report; chain([...],
     # run) would keep it in its argument tuple for the whole run.
     return itertools.chain(iter([next(run)]), run)

@@ -27,6 +27,7 @@ runners' rows must equal theirs.  Two helpers stand in
 for library conveniences that only tests needed: :func:`distribution`
 builds a distribution from a mapping of support values to probabilities,
 and :func:`run_to_json` parses a run's report text.
+:func:`record_chunks` records the chunks of the exact stream.
 """
 
 import dataclasses
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from confmetrics import experiments, metrics
+from confmetrics import confusion, experiments, metrics
 from confmetrics.confusion import estimate_confusion
 from confmetrics.intervals import hdis
 from confmetrics.distribution import CountPMF, DiscreteDistribution, unit_interval_array
@@ -412,3 +413,19 @@ def coverage_rows_reference(window_sizes, trials, alphas, seed):
             for (metric, alpha), total in totals.items()
         ]
     return rows
+
+
+def record_chunks(monkeypatch) -> list[list[int]]:
+    """Patch the Poisson binomial builder that the exact stream calls; the
+    returned list gets, per call, the record counts of the batches behind
+    it (each batch gives one TP and one TN parameter set)."""
+    calls = []
+    trees = confusion.poisson_binomial_trees
+
+    def recorded(param_sets):
+        sizes = [len(s) for s in param_sets]
+        calls.append([tp + tn for tp, tn in zip(sizes[::2], sizes[1::2])])
+        return trees(param_sets)
+
+    monkeypatch.setattr(confusion, "poisson_binomial_trees", recorded)
+    return calls

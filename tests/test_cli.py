@@ -195,10 +195,12 @@ class TestEstimate:
     def test_failed_first_window_leaves_output_file_untouched(
         self, labelled_csv, tmp_path, capsys, monkeypatch
     ):
-        def fails(*args):
+        # A generator: it raises when the first window is pulled.
+        def fails(batches):
             raise ValueError("window failed")
+            yield
 
-        monkeypatch.setattr(reports, "estimate_all", fails)
+        monkeypatch.setattr(reports, "estimate_confusions", fails)
         out_path = tmp_path / "report.json"
         out_path.write_bytes(b"an earlier report\n")
         code, out, err = run(

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confmetrics import confusion
 from confmetrics.confusion import PredictionBatch, estimate_confusion
-from oracles import expand
+from confmetrics.experiments import run_coverage_experiment
+from confmetrics.reports import windowed_estimates
+from oracles import expand, record_chunks
 
 
 def batch(predictions, scores, labels=None):
@@ -206,6 +209,42 @@ class TestEstimateConfusion:
             k = np.arange(est.n_pos + 1)
             variance = (k * k) @ tp - mean(tp) ** 2
             assert variance / est.n_pos**2 <= 1 / (4 * est.n_pos) + 1e-12
+
+
+class TestStream:
+    @pytest.mark.parametrize(
+        "run, records",
+        [
+            (lambda: run_coverage_experiment((5000,), trials=64, alphas=(0.05,)), 64 * 5000),
+            (
+                lambda: list(windowed_estimates(
+                    batch(np.arange(80_000) % 2, np.random.default_rng(3).random(80_000)), 2000
+                )),
+                80_000,
+            ),
+        ],
+        ids=["coverage-trials", "exact-windows"],
+    )
+    def test_each_chunk_stops_at_the_batch_that_reaches_the_bound(
+        self, monkeypatch, run, records
+    ):
+        calls = record_chunks(monkeypatch)
+        run()
+        assert sum(map(sum, calls)) == records
+        assert len(calls) > 1
+        bound = confusion._CHUNK_RECORDS
+        for chunk in calls:
+            assert sum(chunk[:-1]) < bound, chunk
+        for chunk in calls[:-1]:
+            assert sum(chunk) >= bound, chunk
+
+    def test_windows_of_one_chunk_share_one_call(self, monkeypatch):
+        calls = record_chunks(monkeypatch)
+        rng = np.random.default_rng(4)
+        scores = rng.random(10_000)
+        b = batch((scores >= 0.5).astype(int), scores)
+        assert len(list(windowed_estimates(b, 1000))) == 10
+        assert calls == [[1000] * 10]
 
 
 def test_tp_fraction_estimator_is_unbiased_under_faithful_labels():

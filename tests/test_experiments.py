@@ -7,13 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from confmetrics import experiments
+from confmetrics import confusion, experiments
 from confmetrics.experiments import (
     rows_to_csv,
     run_convergence_experiment,
     run_coverage_experiment,
 )
-from oracles import convergence_rows_reference, coverage_rows_reference
+from oracles import convergence_rows_reference, coverage_rows_reference, record_chunks
 
 
 def _no_trial(*args, **kwargs):
@@ -133,26 +133,28 @@ class TestCoverage:
                 assert row.coverage >= 0.95
 
 
+@pytest.mark.parametrize("chunk_records", [None, 30], ids=["one-chunk", "chunks-of-30"])
 @pytest.mark.parametrize("trials", [1, 63, 64, 65, 129])
-def test_chunked_runners_write_the_per_trial_rows(monkeypatch, trials):
-    chunks = []
-    estimate_confusions = experiments.estimate_confusions
-
-    def recorded(batches):
-        chunks.append(len(batches))
-        return estimate_confusions(batches)
-
-    monkeypatch.setattr(experiments, "estimate_confusions", recorded)
+def test_chunked_runners_write_the_per_trial_rows(monkeypatch, trials, chunk_records):
+    # With chunks of 30 records, windows of 1 and 17 span several chunks,
+    # and each trial of 40 is longer than the bound, a chunk by itself.
+    if chunk_records is not None:
+        monkeypatch.setattr(confusion, "_CHUNK_RECORDS", chunk_records)
     windows = (1, 17, 40)
+    # The references reach the recorded builder too, so they come first.
+    coverage = coverage_rows_reference(windows, trials, alphas=(0.05, 0.3), seed=11)
+    convergence = convergence_rows_reference(windows, trials, seed=12)
+    calls = record_chunks(monkeypatch)
     got = run_coverage_experiment(windows, trials, alphas=(0.05, 0.3), seed=11)
-    want = coverage_rows_reference(windows, trials, alphas=(0.05, 0.3), seed=11)
-    assert rows_to_csv(got) == rows_to_csv(want)
-    per_window = [min(experiments._CHUNK, trials - first)
-                  for first in range(0, trials, experiments._CHUNK)]
-    assert chunks == per_window * len(windows)
+    assert rows_to_csv(got) == rows_to_csv(coverage)
+    per_run = []
+    for window in windows:
+        size = -(-confusion._CHUNK_RECORDS // window)
+        per_run += [min(size, trials - first) for first in range(0, trials, size)]
+    assert [len(chunk) for chunk in calls] == per_run
     got = run_convergence_experiment(windows, trials, seed=12)
-    assert rows_to_csv(got) == rows_to_csv(convergence_rows_reference(windows, trials, seed=12))
-    assert chunks == per_window * len(windows) * 2
+    assert rows_to_csv(got) == rows_to_csv(convergence)
+    assert [len(chunk) for chunk in calls] == per_run * 2
 
 
 @pytest.mark.parametrize("kind", [list, np.array])

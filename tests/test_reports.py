@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmetrics import cli
+from confmetrics import cli, confusion
 from confmetrics import reports as reports_module
 from confmetrics.confusion import PredictionBatch
 from confmetrics.ingest import parse_input
@@ -59,10 +59,17 @@ class TestWindowing:
     )
     @pytest.mark.parametrize("window", [1, 30, 37, 90, 91])
     @pytest.mark.parametrize("method", ["exact", "shortcut"])
-    def test_windows_match_direct_slices(self, method, window, metrics):
+    @pytest.mark.parametrize("chunk_records", [None, 40], ids=["one-chunk", "chunks-of-40"])
+    def test_windows_match_direct_slices(
+        self, monkeypatch, chunk_records, method, window, metrics
+    ):
         # Rows 30-59 hold no positive prediction and rows 60-89 score zero
         # throughout, so windows there leave precision, recall and F1
-        # undefined; windows of 37 and 91 end in a partial window.
+        # undefined; windows of 37 and 91 end in a partial window.  With
+        # chunks of 40 records, an exact run spans several chunks, and a
+        # window of 90 or 91 is longer than the bound.
+        if chunk_records is not None:
+            monkeypatch.setattr(confusion, "_CHUNK_RECORDS", chunk_records)
         rng = np.random.default_rng(2)
         scores = rng.random(90)
         scores[30:60] *= 0.5
@@ -116,13 +123,16 @@ class TestWindowing:
 
     def test_windows_estimated_as_they_are_consumed(self, monkeypatch):
         calls = []
+        exact_estimate = reports_module._exact_estimate
 
-        def counted(*args):
-            calls.append(args[0].n)
-            return estimate_all(*args)
+        def counted(metric, est, alpha):
+            calls.append(est.n_pos + est.n_neg)
+            return exact_estimate(metric, est, alpha)
 
-        monkeypatch.setattr(reports_module, "estimate_all", counted)
-        reports = windowed_estimates(random_batch(np.random.default_rng(7), 25), 10)
+        monkeypatch.setattr(reports_module, "_exact_estimate", counted)
+        reports = windowed_estimates(
+            random_batch(np.random.default_rng(7), 25), 10, EstimateConfig(metrics=("f1",))
+        )
         assert calls == [10]
         assert next(reports).window_size == 10
         assert calls == [10]
@@ -131,10 +141,12 @@ class TestWindowing:
         assert list(reports) == []
 
     def test_a_failing_first_exact_window_fails_the_call(self, monkeypatch):
-        def fails(*args):
+        # A generator: it raises when the first window is pulled.
+        def fails(batches):
             raise RuntimeError("first window")
+            yield
 
-        monkeypatch.setattr(reports_module, "estimate_all", fails)
+        monkeypatch.setattr(reports_module, "estimate_confusions", fails)
         with pytest.raises(RuntimeError, match="first window"):
             windowed_estimates(random_batch(np.random.default_rng(7), 25), 10)
 
