@@ -37,7 +37,6 @@ from .metrics import (
     METRICS,
     MetricEstimate,
     accuracy_distribution,
-    estimate_all,
     f1_distribution,
     precision_distribution,
     recall_distribution,
@@ -47,6 +46,7 @@ from .reports import (
     MonitoringReport,
     ShortcutColumns,
     TrueMetrics,
+    estimate_all,
     render_report,
     true_metrics,
     windowed_estimates,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .confusion import PredictionBatch
+from .confusion import PredictionBatch, _require_integer
 from .distribution import unit_interval_array
 
 __all__ = [
@@ -50,7 +50,9 @@ def ace(batch: PredictionBatch, num_bins: int = DEFAULT_NUM_BINS) -> Calibration
     into ``num_bins`` contiguous bins whose sizes differ by at most one; any
     remainder is spread one record per bin starting from the lowest-score
     bin.  The reported error is the mean absolute per-bin gap between mean
-    score and empirical positive rate.
+    score and empirical positive rate.  Raises ValueError for an empty or
+    unlabelled batch, or a ``num_bins`` that is not an integer (a bool is
+    not) in [1, n].
     """
     n = batch.n
     if n == 0:
@@ -58,6 +60,7 @@ def ace(batch: PredictionBatch, num_bins: int = DEFAULT_NUM_BINS) -> Calibration
     labels = batch.labels
     if labels is None:
         raise ValueError("calibration error needs a true label on every record")
+    _require_integer(num_bins, "num_bins")
     if not 1 <= num_bins <= n:
         raise ValueError(f"num_bins must lie in [1, {n}], got {num_bins!r}")
     order = np.argsort(batch.scores, kind="stable")

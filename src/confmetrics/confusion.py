@@ -182,6 +182,20 @@ def _repeated(values) -> list:
     return sorted(v for v, count in Counter(values).items() if count > 1)
 
 
+def _require_distinct(values, name: str) -> None:
+    """Raise ValueError naming the entries that ``values`` repeats."""
+    repeated = _repeated(values)
+    if repeated:
+        raise ValueError(f"{name} requested more than once: {repeated}")
+
+
+def _require_integer(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is a Python or numpy integer; a
+    bool is not one."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_nonempty(batch: PredictionBatch) -> None:
     if batch.n == 0:
         raise ValueError("estimation needs a nonempty batch")

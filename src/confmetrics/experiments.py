@@ -31,16 +31,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .calibration import reverse_sample_labels, threshold_predictions
-from .confusion import PredictionBatch, estimate_confusions
+from .confusion import PredictionBatch, _require_distinct, _require_integer, estimate_confusions
 from .intervals import _check_alpha, hdis
-from .metrics import (
-    METRICS,
-    _exact_estimate,
-    _named_distribution,
-    _require_distinct,
-    _shortcut_windows,
-    true_metrics,
-)
+from .metrics import METRICS, _exact_estimate, _named_distribution, _shortcut_windows, true_metrics
 from .synthesis import random_beta_params, sample_beta_scores
 
 __all__ = [
@@ -125,16 +118,21 @@ def _summary(window: int, metric: str, errors: list[float]) -> ConvergenceRow:
 
 
 def _check_plan(window_sizes: tuple[int, ...], trials: int, seed: int) -> None:
-    """Raise ValueError, before any trial runs, for no trial, no window
-    size, a window size below 1 or given twice, or a negative seed."""
+    """Raise ValueError, before any trial runs, for a trial count, window
+    size or seed that is not an integer (a bool is not), no trial, no
+    window size, a window size below 1 or given twice, or a negative seed."""
+    _require_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials!r}")
     if len(window_sizes) == 0:
         raise ValueError("need at least one window size")
+    for window in window_sizes:
+        _require_integer(window, "each window size")
     small = [w for w in window_sizes if w < 1]
     if small:
         raise ValueError(f"window sizes must be at least 1, got {small}")
     _require_distinct(window_sizes, "window sizes")
+    _require_integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
 
@@ -148,8 +146,8 @@ def run_convergence_experiment(
 
     Trials where a metric is undefined on both routes (a window with no
     positive predictions) are skipped for that metric.  Raises ValueError
-    for no trial, no window size, a window size below 1 or given twice,
-    or a negative seed.
+    for a trial count, window size or seed that is not an integer or is out
+    of range, or a window size given twice.
     """
     _check_plan(window_sizes, trials, seed)
     rows = []

@@ -59,26 +59,21 @@ points only.
 
 The shortcuts need only per-window sums, so all windows of a stream get
 their shortcut points in one array pass, bit-identical to what a slice of
-each window gives, as one column of points per metric.
+each window gives, as one column of points per metric.  Requests are
+checked, and methods picked, in :mod:`confmetrics.reports`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .confusion import (
-    ConfusionEstimate,
-    PredictionBatch,
-    _repeated,
-    _require_nonempty,
-    estimate_confusion,
-)
+from .confusion import ConfusionEstimate, PredictionBatch
 from .distribution import CountPMF, DiscreteDistribution
-from .intervals import HdiInterval, _check_alpha, hdi
+from .intervals import HdiInterval, hdi
 
 __all__ = [
     "METRICS",
@@ -88,7 +83,6 @@ __all__ = [
     "precision_distribution",
     "recall_distribution",
     "f1_distribution",
-    "estimate_all",
     "true_metrics",
 ]
 
@@ -409,16 +403,6 @@ def _shortcut_windows(
     return columns, expected["n"].tolist()
 
 
-def _column_estimates(points: dict[str, list], sizes: list) -> Iterator[list[MetricEstimate]]:
-    """Each window's shortcut estimates, built when reached, from the
-    columns and sizes :func:`_shortcut_windows` returns."""
-    for index in range(len(sizes)):
-        yield [
-            MetricEstimate(metric=m, method="shortcut", point=column[index])
-            for m, column in points.items()
-        ]
-
-
 @dataclass(frozen=True)
 class TrueMetrics:
     """Realized metrics of a labelled window; None where the defining ratio
@@ -446,13 +430,6 @@ def true_metrics(batch: PredictionBatch) -> TrueMetrics:
     return TrueMetrics(**realized)
 
 
-def _require_distinct(values, name: str) -> None:
-    """Raise ValueError naming the entries that ``values`` repeats."""
-    repeated = _repeated(values)
-    if repeated:
-        raise ValueError(f"{name} requested more than once: {repeated}")
-
-
 def _exact_estimate(
     metric: str, est: ConfusionEstimate, alpha: float | None
 ) -> MetricEstimate:
@@ -468,43 +445,6 @@ def _exact_estimate(
     )
 
 
-def _check_request(metrics: tuple[str, ...], method: str, alpha: float | None) -> None:
-    """Raise ValueError for an unknown method or metric, a repeated metric,
-    an alpha outside (0, 1), or an alpha with the shortcut method."""
-    if method not in ("exact", "shortcut"):
-        raise ValueError(f"method must be 'exact' or 'shortcut', got {method!r}")
-    unknown = [m for m in metrics if m not in METRICS]
-    if unknown:
-        raise ValueError(f"unknown metrics requested: {unknown}")
-    _require_distinct(metrics, "metrics")
-    if alpha is not None:
-        _check_alpha(alpha)
-    if method == "shortcut" and alpha is not None:
-        raise ValueError("alpha applies to the exact method only; shortcuts have no intervals")
-
-
 # Empty: the shortcut points come from _shortcut_windows.  The benchmark's
 # tracer (perfbench/tracing.py) still reads this name.
 _SHORTCUTS: dict = {}
-
-
-def estimate_all(
-    batch: PredictionBatch,
-    metrics: tuple[str, ...] = METRICS,
-    method: str = "exact",
-    alpha: float | None = None,
-) -> list[MetricEstimate]:
-    """Estimate the requested metrics on one window.
-
-    The exact method attaches full distributions, and highest-density
-    intervals when ``alpha`` is given; the shortcut method attaches points
-    only and rejects ``alpha``.  Undefined metrics come back as estimates
-    with ``point=None`` rather than aborting the window.  A metric requested
-    twice is rejected with ValueError.
-    """
-    _require_nonempty(batch)
-    _check_request(metrics, method, alpha)
-    if method == "shortcut":
-        return next(_column_estimates(*_shortcut_windows(batch, batch.n, metrics)))
-    est = estimate_confusion(batch)
-    return [_exact_estimate(m, est, alpha) for m in metrics]

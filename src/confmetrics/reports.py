@@ -3,18 +3,19 @@
 A monitoring stream is cut into consecutive windows of a fixed size; each
 window gets one report holding the requested metric estimates.  A final
 window shorter than the configured size is still processed and flagged as
-partial.  :func:`windowed_estimates` is the one entry for both methods.
-The shortcut points of all windows come from one array pass over the
-whole batch, as one column per metric (:class:`ShortcutColumns`).  An
-exact run feeds its window slices to the one exact stream,
-:func:`~confmetrics.confusion.estimate_confusions`, which builds their
-count PMFs a chunk of at least ``confusion._CHUNK_RECORDS`` records at a
-time (a longer window is a chunk by itself); each window's estimates are
-derived from its PMFs when its report is reached, and the first one when
-:func:`windowed_estimates` is called.  One generator,
-:func:`_reports`, builds the reports of both methods.  The realized
-metrics of a labelled window, :func:`true_metrics`, come from
-:mod:`confmetrics.metrics` and are exported here as well.
+partial.  :func:`windowed_estimates` is the one entry for both methods,
+and the only code that checks a request and picks its method;
+:func:`estimate_all` is its one-window run.  The shortcut points of all
+windows come from one array pass over the whole batch, as one column per
+metric (:class:`ShortcutColumns`).  An exact run feeds its window slices
+to the one exact stream, :func:`~confmetrics.confusion.estimate_confusions`,
+which builds their count PMFs a chunk of at least
+``confusion._CHUNK_RECORDS`` records at a time (a longer window is a chunk
+by itself); each window's estimates are derived from its PMFs when its
+report is reached, and the first one when :func:`windowed_estimates` is
+called.  One generator, :func:`_reports`, builds the reports of both
+methods.  The realized metrics of a labelled window, :func:`true_metrics`,
+come from :mod:`confmetrics.metrics` and are exported here as well.
 
 Reports serialize to a single JSON document per run.  The writer fills
 templates of the document's fixed layout, and its text is byte for byte
@@ -48,13 +49,18 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from .confusion import PredictionBatch, _require_nonempty, estimate_confusions
+from .confusion import (
+    PredictionBatch,
+    _require_distinct,
+    _require_integer,
+    _require_nonempty,
+    estimate_confusions,
+)
+from .intervals import _check_alpha
 from .metrics import (
     METRICS,
     MetricEstimate,
     TrueMetrics,
-    _check_request,
-    _column_estimates,
     _exact_estimate,
     _shortcut_windows,
     _window_sizes,
@@ -67,6 +73,7 @@ __all__ = [
     "ShortcutColumns",
     "TrueMetrics",
     "windowed_estimates",
+    "estimate_all",
     "true_metrics",
     "render_report",
 ]
@@ -108,7 +115,11 @@ class ShortcutColumns:
     sizes: list[int]
 
     def __iter__(self) -> Iterator[MonitoringReport]:
-        return _reports(self.window_size, self.sizes, _column_estimates(self.points, self.sizes))
+        estimates = (
+            [MetricEstimate(m, "shortcut", column[index]) for m, column in self.points.items()]
+            for index in range(len(self.sizes))
+        )
+        return _reports(self.window_size, self.sizes, estimates)
 
 
 def _reports(
@@ -122,21 +133,40 @@ def _reports(
         yield MonitoringReport(index, size, size < window_size, tuple(next(estimates)))
 
 
+def _check_request(metrics: tuple[str, ...], method: str, alpha: float | None) -> None:
+    """Raise ValueError for metrics given as one string, an unknown method or
+    metric, a metric given twice, or an alpha outside (0, 1) or with shortcuts."""
+    if method not in ("exact", "shortcut"):
+        raise ValueError(f"method must be 'exact' or 'shortcut', got {method!r}")
+    if isinstance(metrics, str):
+        raise ValueError(f"metrics must be a sequence of metric names, got the string {metrics!r}")
+    unknown = [m for m in metrics if m not in METRICS]
+    if unknown:
+        raise ValueError(f"unknown metrics requested: {unknown}")
+    _require_distinct(metrics, "metrics")
+    if alpha is not None:
+        _check_alpha(alpha)
+        if method == "shortcut":
+            raise ValueError("alpha applies to the exact method only; shortcuts have no intervals")
+
+
 def windowed_estimates(
     batch: PredictionBatch, window_size: int, config: EstimateConfig = EstimateConfig()
 ) -> Iterable[MonitoringReport]:
     """Split a batch into consecutive windows and estimate each one.
 
     The request is checked when this is called: ValueError for an empty
-    batch, a window size below 1 or a bad request.  A shortcut run's
-    points all come from one pass over the batch, made here and returned
-    as its :class:`ShortcutColumns`.  An exact run comes back as a
-    single-pass iterator of reports, whose count PMFs come from
-    :func:`~confmetrics.confusion.estimate_confusions`; its first window,
-    with its chunk's count PMFs, is estimated here, so that a failure there
-    raises from this call, and each later one when reached.
+    batch, a window size that is not an integer (a bool is not) or is below
+    1, or a bad request.  A shortcut run's points all come from one pass
+    over the batch, made here and returned as its :class:`ShortcutColumns`.
+    An exact run comes back as a single-pass iterator of reports, whose
+    count PMFs come from :func:`~confmetrics.confusion.estimate_confusions`;
+    its first window, with its chunk's count PMFs, is estimated here, so
+    that a failure there raises from this call, and each later one when
+    reached.
     """
     _require_nonempty(batch)
+    _require_integer(window_size, "window_size")
     if window_size < 1:
         raise ValueError(f"window_size must be at least 1, got {window_size!r}")
     _check_request(config.metrics, config.method, config.alpha)
@@ -152,6 +182,20 @@ def windowed_estimates(
     # An exhausted list iterator lets go of the first report; chain([...],
     # run) would keep it in its argument tuple for the whole run.
     return itertools.chain(iter([next(run)]), run)
+
+
+def estimate_all(
+    batch: PredictionBatch,
+    metrics: tuple[str, ...] = METRICS,
+    method: str = "exact",
+    alpha: float | None = None,
+) -> list[MetricEstimate]:
+    """Estimate the requested metrics on one window: the one-window run of
+    :func:`windowed_estimates`, with its checks.  The exact method attaches
+    full distributions, and intervals when ``alpha`` is given; the shortcut
+    method attaches points only.  An undefined metric has ``point=None``."""
+    (report,) = windowed_estimates(batch, batch.n, EstimateConfig(metrics, method, alpha))
+    return list(report.estimates)
 
 
 # The report's layout, as json.dumps(indent=2, sort_keys=True) writes it:

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from confmetrics import confusion, experiments, metrics
+from confmetrics import confusion, experiments, metrics, reports
 from confmetrics.confusion import estimate_confusion
 from confmetrics.intervals import hdis
 from confmetrics.distribution import CountPMF, DiscreteDistribution, unit_interval_array
@@ -368,11 +368,11 @@ def convergence_rows_reference(window_sizes, trials, seed):
         for trial in range(trials):
             batch = experiments._trial_batch(seed, window, trial, with_labels=False)
             exact_recall, exact_f1 = (
-                e.point for e in metrics.estimate_all(batch, metrics=("recall", "f1"))
+                e.point for e in reports.estimate_all(batch, metrics=("recall", "f1"))
             )
             approx_recall, approx_f1 = (
                 e.point
-                for e in metrics.estimate_all(batch, metrics=("recall", "f1"), method="shortcut")
+                for e in reports.estimate_all(batch, metrics=("recall", "f1"), method="shortcut")
             )
             if approx_recall is not None:
                 errors["recall"].append(exact_recall - approx_recall)
@@ -394,7 +394,7 @@ def coverage_rows_reference(window_sizes, trials, alphas, seed):
         for trial in range(trials):
             batch = experiments._trial_batch(seed, window, trial, with_labels=True)
             realized = metrics.true_metrics(batch)
-            for estimate in metrics.estimate_all(batch):
+            for estimate in reports.estimate_all(batch):
                 actual = getattr(realized, estimate.metric)
                 if estimate.distribution is None or actual is None:
                     continue

@@ -22,12 +22,11 @@ from confmetrics.intervals import hdi
 from confmetrics.metrics import (
     METRICS,
     accuracy_distribution,
-    estimate_all,
     f1_distribution,
     precision_distribution,
     recall_distribution,
 )
-from confmetrics.reports import true_metrics
+from confmetrics.reports import estimate_all, true_metrics
 from confmetrics.synthesis import HypersphereConfig, shift_dataset
 from oracles import (
     contiguous_spans,

@@ -82,6 +82,17 @@ class TestAce:
         with pytest.raises(ValueError, match="num_bins"):
             ace(b, 3)
 
+    @pytest.mark.parametrize("bins", [True, 2.0, np.bool_(True), "2"])
+    def test_rejects_bin_count_that_is_not_an_integer(self, bins):
+        # True lies in [1, n]; only a type check rejects it.
+        b = labelled([0.1, 0.9], [0, 1])
+        with pytest.raises(ValueError, match=r"^num_bins must be an integer, got "):
+            ace(b, bins)
+
+    def test_numpy_integer_bin_count_runs_as_an_int(self):
+        b = labelled([0.1, 0.4, 0.6, 0.9], [0, 1, 0, 1])
+        assert ace(b, np.int64(2)) == ace(b, 2)
+
 
 class TestReverseSampling:
     def test_certain_scores(self):

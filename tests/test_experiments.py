@@ -157,6 +157,31 @@ def test_chunked_runners_write_the_per_trial_rows(monkeypatch, trials, chunk_rec
     assert [len(chunk) for chunk in calls] == per_run * 2
 
 
+@pytest.mark.parametrize("runner", [run_convergence_experiment, run_coverage_experiment])
+@pytest.mark.parametrize(
+    "windows, trials, seed, match",
+    [((100.0,), 2, 0, r"^each window size must be an integer, got 100\.0$"),
+     ((10, True), 2, 0, r"^each window size must be an integer, got True$"),
+     ((10,), True, 0, r"^trials must be an integer, got True$"),
+     ((10,), 2.5, 0, r"^trials must be an integer, got 2\.5$"),
+     ((10,), 2, 1.5, r"^seed must be an integer, got 1\.5$")],
+    ids=["float-window", "bool-window", "bool-trials", "float-trials", "float-seed"],
+)
+def test_rejects_plan_that_is_not_integers_before_any_trial(
+    monkeypatch, runner, windows, trials, seed, match
+):
+    # True lies in range for every count; only a type check rejects it.
+    monkeypatch.setattr(experiments, "_trial_batch", _no_trial)
+    with pytest.raises(ValueError, match=match):
+        runner(windows, trials, seed=seed)
+
+
+def test_numpy_integer_plan_runs_as_ints():
+    assert run_convergence_experiment((np.int32(10),), np.int64(3), seed=np.int64(1)) == (
+        run_convergence_experiment((10,), 3, seed=1)
+    )
+
+
 @pytest.mark.parametrize("kind", [list, np.array])
 def test_plans_given_as_lists_or_arrays_run_as_tuples(kind):
     assert run_convergence_experiment(kind([10]), trials=3, seed=1) == (

@@ -16,12 +16,13 @@ from confmetrics import reports as reports_module
 from confmetrics.confusion import PredictionBatch
 from confmetrics.ingest import parse_input
 from confmetrics.intervals import HdiInterval
-from confmetrics.metrics import METRICS, MetricEstimate, estimate_all
+from confmetrics.metrics import METRICS, MetricEstimate
 from confmetrics.reports import (
     EstimateConfig,
     MonitoringReport,
     TrueMetrics,
     ShortcutColumns,
+    estimate_all,
     render_report,
     true_metrics,
     windowed_estimates,
@@ -103,10 +104,18 @@ class TestWindowing:
         # numpy cannot reshape to rows of these widths nor allocate that many
         # windows, so the shortcut pass caps its window at the records.
         b = random_batch(np.random.default_rng(4), 50)
-        (report,) = windowed_estimates(b, window, EstimateConfig(method=method))
+        config = EstimateConfig(method=method, alpha=0.1 if method == "exact" else None)
+        (report,) = windowed_estimates(b, window, config)
         assert (report.window_index, report.window_size, report.partial) == (0, 50, True)
-        direct = estimate_all(b, method=method)
-        assert [e.point for e in report.estimates] == [e.point for e in direct]
+        direct = estimate_all(b, method=method, alpha=config.alpha)
+        assert [e.metric for e in direct] == list(METRICS)
+        assert all((e.hdi is not None) == (method == "exact") for e in direct)
+        for got, expected in zip(report.estimates, direct, strict=True):
+            assert (got.metric, got.method, got.point) == (
+                expected.metric, expected.method, expected.point
+            )
+            assert got.distribution == expected.distribution
+            assert got.hdi == expected.hdi
 
     def test_undefined_metrics_listed(self):
         reports = list(windowed_estimates(batch([0, 0], [0.2, 0.3]), 2))
@@ -115,6 +124,29 @@ class TestWindowing:
     def test_rejects_bad_window_size(self):
         with pytest.raises(ValueError, match="window_size"):
             windowed_estimates(batch([1], [0.5]), 0)
+
+    @pytest.mark.parametrize("window", [True, False, 2.5, 2.0, "2", None])
+    def test_rejects_window_size_that_is_not_an_integer(self, window):
+        # A bool is an int to Python, so only a type check rejects True.
+        with pytest.raises(ValueError, match=r"^window_size must be an integer, got "):
+            windowed_estimates(batch([1, 0], [0.5, 0.4]), window)
+
+    def test_numpy_integer_window_size_runs_as_an_int(self):
+        b = random_batch(np.random.default_rng(5), 7)
+        config = EstimateConfig(method="shortcut")
+        assert list(windowed_estimates(b, np.int64(3), config)) == list(
+            windowed_estimates(b, 3, config)
+        )
+
+    @pytest.mark.parametrize("method", ["exact", "shortcut"])
+    def test_rejects_metrics_given_as_one_string(self, method):
+        # A string is a sequence of letters, each an unknown metric.
+        b = batch([1, 0], [0.5, 0.4])
+        match = r"^metrics must be a sequence of metric names, got the string 'recall'$"
+        with pytest.raises(ValueError, match=match):
+            estimate_all(b, metrics="recall", method=method)
+        with pytest.raises(ValueError, match=match):
+            windowed_estimates(b, 1, EstimateConfig(metrics="recall", method=method))
 
     def test_rejects_bad_request_when_called(self):
         # Nothing is iterated: the check must not wait for the first window.
