@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .confusion import PredictionBatch, _require_integer
-from .distribution import unit_interval_array
+from .distribution import _require_real, unit_interval_array
 
 __all__ = [
     "CalibrationBin",
@@ -94,8 +94,9 @@ def threshold_predictions(
     scores: Sequence[float] | np.ndarray, threshold: float = 0.5
 ) -> np.ndarray:
     """Predicted labels by score thresholding; a score equal to the
-    threshold predicts positive.  Raises ValueError for a threshold outside
-    [0, 1] or NaN."""
+    threshold predicts positive.  Raises ValueError for a threshold that is
+    not a real number in [0, 1]."""
+    _require_real(threshold, "threshold")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
     arr = unit_interval_array(scores, "score")

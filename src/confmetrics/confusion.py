@@ -29,6 +29,7 @@ guarantees assume the predicted label is a function of the score.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -187,6 +188,13 @@ def _require_distinct(values, name: str) -> None:
     repeated = _repeated(values)
     if repeated:
         raise ValueError(f"{name} requested more than once: {repeated}")
+
+
+def _require_sequence(values, name: str, items: str) -> None:
+    """Raise ValueError unless ``values`` is a collection but not a string."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Collection):
+        got = f"the string {values!r}" if isinstance(values, (str, bytes)) else repr(values)
+        raise ValueError(f"{name} must be a sequence of {items}, got {got}")
 
 
 def _require_integer(value, name: str) -> None:

@@ -27,6 +27,7 @@ construction and are safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import numbers
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -216,13 +217,24 @@ class DiscreteDistribution:
         return float(products.sum())
 
 
+def _require_real(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is a real number; a bool is not one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def unit_interval_array(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
     """``values`` as a one-dimensional float64 array; raises ValueError on
-    another shape or on the first entry outside [0, 1], NaN included.
-    ``name`` is the singular noun the messages use for one entry."""
-    arr = np.asarray(values, dtype=np.float64)
+    another shape, on the first entry that is not a real number (entries
+    are looked at only when the dtype is not numeric) and on the first one
+    outside [0, 1], NaN included.  ``name`` names one entry."""
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name}s must form a one-dimensional sequence")
+    if arr.dtype.kind not in "iuf":
+        for i, value in enumerate(values):
+            _require_real(value, f"{name} at index {i}")
+    arr = arr.astype(np.float64, copy=False)
     bad = ~((arr >= 0.0) & (arr <= 1.0))  # also catches NaN
     if bad.any():
         i = int(np.argmax(bad))

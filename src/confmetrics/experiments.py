@@ -31,7 +31,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .calibration import reverse_sample_labels, threshold_predictions
-from .confusion import PredictionBatch, _require_distinct, _require_integer, estimate_confusions
+from .confusion import (
+    PredictionBatch,
+    _require_distinct,
+    _require_integer,
+    _require_sequence,
+    estimate_confusions,
+)
 from .intervals import _check_alpha, hdis
 from .metrics import METRICS, _exact_estimate, _named_distribution, _shortcut_windows, true_metrics
 from .synthesis import random_beta_params, sample_beta_scores
@@ -118,12 +124,14 @@ def _summary(window: int, metric: str, errors: list[float]) -> ConvergenceRow:
 
 
 def _check_plan(window_sizes: tuple[int, ...], trials: int, seed: int) -> None:
-    """Raise ValueError, before any trial runs, for a trial count, window
-    size or seed that is not an integer (a bool is not), no trial, no
-    window size, a window size below 1 or given twice, or a negative seed."""
+    """Raise ValueError, before any trial runs, for window sizes that are
+    not a sequence, a count or seed that is not an integer (a bool is not),
+    no trial or window size, a window size below 1 or given twice, or a
+    negative seed."""
     _require_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials!r}")
+    _require_sequence(window_sizes, "window_sizes", "integers")
     if len(window_sizes) == 0:
         raise ValueError("need at least one window size")
     for window in window_sizes:
@@ -146,8 +154,7 @@ def run_convergence_experiment(
 
     Trials where a metric is undefined on both routes (a window with no
     positive predictions) are skipped for that metric.  Raises ValueError
-    for a trial count, window size or seed that is not an integer or is out
-    of range, or a window size given twice.
+    for a malformed or out-of-range plan, as :func:`_check_plan` lists.
     """
     _check_plan(window_sizes, trials, seed)
     rows = []
@@ -181,11 +188,12 @@ def run_coverage_experiment(
     realized metric and the estimated distribution exist; with no positive
     predictions there is no precision estimate, and with no positive labels
     there is no realized recall.  Raises ValueError, before any trial runs,
-    for no alpha, an alpha outside (0, 1), a window size or alpha given twice,
-    which would count each trial more than once, and as
-    :func:`run_convergence_experiment` does.
+    for alphas that are not a sequence, no alpha, a bad alpha, an alpha
+    given twice, which would count each trial more than once, and for a
+    malformed or out-of-range plan, as :func:`_check_plan` lists.
     """
     _check_plan(window_sizes, trials, seed)
+    _require_sequence(alphas, "alphas", "real numbers")
     if len(alphas) == 0:
         raise ValueError("need at least one alpha")
     _require_distinct(alphas, "alphas")

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import DiscreteDistribution
+from .distribution import DiscreteDistribution, _require_real
 
 __all__ = ["HdiInterval", "hdi", "hdis"]
 
@@ -48,7 +48,8 @@ class HdiInterval:
 
 
 def _check_alpha(alpha: float) -> None:
-    """Raise ValueError for an alpha outside (0, 1)."""
+    """Raise ValueError for an alpha that is not a real number in (0, 1)."""
+    _require_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
 
@@ -94,7 +95,7 @@ def hdis(d: DiscreteDistribution, alphas: Sequence[float]) -> list[HdiInterval]:
     that order, after the last point of the run, where the smaller alpha's
     walk has already stopped (see :func:`_reachable`).  So each walk is a
     prefix of the one order, and its dropped mass a prefix of the one sum.
-    Raises ValueError for an alpha outside (0, 1).
+    Raises ValueError for an alpha that is not a real number in (0, 1).
     """
     for alpha in alphas:
         _check_alpha(alpha)

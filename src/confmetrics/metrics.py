@@ -14,7 +14,10 @@ denominator is 0.
 For a calibrated score s, s = P(label = 1), so a window's expected
 quantities are the sums its realized counts come from, with each label
 replaced by its score.  One builder, :func:`_window_quantities`, takes
-these sums: the shortcut points are the rows on score sums, the realized
+these sums by one rule: a per-record column, masked to 0 where the
+quantity does not count (``tp`` at negative predictions), summed over the
+full windows as the rows of one reshape and over a trailing partial window
+by itself.  The shortcut points are the rows on score sums, the realized
 metrics the rows on label sums.
 
 The exact reader pushes the count PMFs of a :class:`ConfusionEstimate`
@@ -58,9 +61,9 @@ O(1/sqrt(n)) error for recall and F1.  Shortcuts are O(n) and give
 points only.
 
 The shortcuts need only per-window sums, so all windows of a stream get
-their shortcut points in one array pass, bit-identical to what a slice of
-each window gives, as one column of points per metric.  Requests are
-checked, and methods picked, in :mod:`confmetrics.reports`.
+their shortcut points in one array pass, as one column of points per
+metric, each window's bit-identical to what its own slice gives.  Requests
+are checked, and methods picked, in :mod:`confmetrics.reports`.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .confusion import ConfusionEstimate, PredictionBatch
 from .distribution import CountPMF, DiscreteDistribution
@@ -308,53 +310,15 @@ def _window_sizes(n: int, window_size: int) -> np.ndarray:
     return sizes
 
 
-# Most entries one gather of _run_sums copies, unless one run is longer.
-_GATHER = 1 << 16
-
-
-def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sums of the consecutive runs of ``values`` whose lengths are
-    ``lengths``, each equal, bit for bit, to the ``.sum()`` of its slice.
-
-    The runs of one length are gathered as the rows of a 2-D array and
-    summed with ``.sum(axis=1)``, which numpy reduces row by row with the
-    same pairwise sum as a slice; ``np.add.reduceat`` would add each run
-    sequentially.  A gather copies at most ``_GATHER`` entries, or one run
-    if it is longer.  A single run, such as a whole-batch window, is
-    summed directly.
-    """
-    if lengths.size == 1:
-        return np.array([values.sum()])
-    starts = np.cumsum(lengths) - lengths
-    order = np.argsort(lengths, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
-    sums = []
-    for group in groups:
-        length = int(lengths[group[0]])
-        rows = sliding_window_view(values, length)
-        step = max(1, _GATHER // max(length, 1))
-        for first in range(0, group.size, step):
-            sums.append(rows[starts[group[first : first + step]]].sum(axis=1))
-    sums = np.concatenate(sums)
-    out = np.empty_like(sums)
-    out[order] = sums
-    return out
-
-
 def _window_quantities(
     predictions: np.ndarray, outcomes: np.ndarray, window_size: int
 ) -> dict[str, np.ndarray]:
     """Per-window sums of the five window quantities, over the windows
-    :func:`_window_sizes` lays out.
-
+    :func:`_window_sizes` lays out, by the module docstring's one rule.
     ``outcomes`` are the records' chances of a positive label: the scores
-    give the expected quantities, the 0/1 labels the realized counts.  The
-    ``p`` and ``correct`` sums are row sums of the full windows reshaped to
-    rows of the window size, plus one sum over the trailing partial window;
-    ``tp`` sums the compacted outcomes of the positive predictions by
-    :func:`_run_sums`.  Each of these sums equals, bit for bit, the one a
-    slice of the window gives, so a window's values do not depend on the
-    windows around it.
+    give the expected quantities, the 0/1 labels the realized counts.  numpy
+    sums each row of the reshape with the pairwise sum it uses on a slice,
+    so each window's sums equal, bit for bit, the ones its own slice gives.
     """
     n = outcomes.size
     records = _window_sizes(n, window_size)
@@ -368,7 +332,7 @@ def _window_quantities(
 
     n_pos = window_sums(positive)
     return {
-        "tp": _run_sums(outcomes[positive], n_pos),
+        "tp": window_sums(np.where(positive, outcomes, 0)),
         "p": window_sums(outcomes),
         # Each prediction is correct with the chance of a positive label if
         # positive, and its complement if negative.

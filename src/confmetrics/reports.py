@@ -54,6 +54,7 @@ from .confusion import (
     _require_distinct,
     _require_integer,
     _require_nonempty,
+    _require_sequence,
     estimate_confusions,
 )
 from .intervals import _check_alpha
@@ -134,12 +135,12 @@ def _reports(
 
 
 def _check_request(metrics: tuple[str, ...], method: str, alpha: float | None) -> None:
-    """Raise ValueError for metrics given as one string, an unknown method or
-    metric, a metric given twice, or an alpha outside (0, 1) or with shortcuts."""
+    """Raise ValueError for an unknown method, metrics that are not a
+    sequence (a string is not), an unknown or repeated metric, or an alpha
+    that is not a real number in (0, 1) or comes with shortcuts."""
     if method not in ("exact", "shortcut"):
         raise ValueError(f"method must be 'exact' or 'shortcut', got {method!r}")
-    if isinstance(metrics, str):
-        raise ValueError(f"metrics must be a sequence of metric names, got the string {metrics!r}")
+    _require_sequence(metrics, "metrics", "metric names")
     unknown = [m for m in metrics if m not in METRICS]
     if unknown:
         raise ValueError(f"unknown metrics requested: {unknown}")

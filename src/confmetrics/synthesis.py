@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import threshold_predictions
-from .confusion import PredictionBatch
+from .confusion import PredictionBatch, _require_integer
 
 __all__ = [
     "BetaParams",
@@ -64,7 +64,9 @@ def random_beta_params(seed) -> BetaParams:
 
 
 def sample_beta_scores(n: int, params: BetaParams, seed) -> np.ndarray:
-    """n independent Beta(alpha_shape, beta_shape) confidence scores."""
+    """n independent Beta(alpha_shape, beta_shape) confidence scores, for
+    an integer n of at least 1."""
+    _require_integer(n, "n")
     if n < 1:
         raise ValueError(f"need at least one score, got n={n!r}")
     rng = np.random.default_rng(seed)
@@ -99,6 +101,8 @@ class HypersphereConfig:
     easy_fraction: float = 0.8
 
     def __post_init__(self):
+        for name in ("n_dims", "n_points", "seed"):
+            _require_integer(getattr(self, name), name)
         if self.n_dims < 1:
             raise ValueError("n_dims must be at least 1")
         if self.n_points < 1:

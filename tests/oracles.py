@@ -18,8 +18,8 @@ must stay within the trimming bound of these references, and equal them bit
 for bit when nothing was trimmed.  :func:`run_to_json_reference`
 builds a run's report document as a dict, the form the report writer's
 text is pinned to, and :func:`shortcut_points_reference` computes one
-window's shortcut points by the former per-metric reductions, which the
-one-pass shortcut windows must match bit for bit.
+window's shortcut points from reductions of that window's own arrays,
+which the one-pass shortcut windows must match bit for bit.
 :func:`convergence_rows_reference` and :func:`coverage_rows_reference` run
 the experiments one trial at a time through ``estimate_all`` and ``hdis``,
 as the runners did before they estimated chunks of trials together; the
@@ -345,17 +345,24 @@ def run_to_json_reference(reports, config, emit_distributions=False):
 
 
 def shortcut_points_reference(batch):
-    """The shortcut points of one window as the library computed them
-    before it computed all windows in one pass: one numpy reduction of the
-    window's own arrays per metric."""
-    pos = batch.positive_scores
+    """The shortcut points of one window from one numpy reduction of the
+    window's own arrays per quantity.
+
+    The expected true positives are the sum of the scores masked to 0 at
+    the negative predictions, not the sum of the positive scores alone:
+    the library sums every window quantity as a full-length column, and
+    the two sums can differ in the last place, because numpy's pairwise sum
+    pairs different terms when the zeros are in place."""
+    positive = batch.predictions == 1
+    n_pos = int(positive.sum())
+    tp = float(np.where(positive, batch.scores, 0.0).sum())
     total = float(batch.scores.sum())
-    correct = np.where(batch.predictions == 1, batch.scores, 1.0 - batch.scores)
+    correct = np.where(positive, batch.scores, 1.0 - batch.scores)
     return {
         "accuracy": float(correct.mean()),
-        "precision": float(pos.mean()) if pos.size else None,
-        "recall": float(pos.sum()) / total if total > 0.0 else None,
-        "f1": 2.0 * float(pos.sum()) / (total + pos.size) if pos.size else None,
+        "precision": tp / n_pos if n_pos else None,
+        "recall": tp / total if total > 0.0 else None,
+        "f1": 2.0 * tp / (total + n_pos) if n_pos else None,
     }
 
 

@@ -113,6 +113,10 @@ class TestReverseSampling:
         with pytest.raises(ValueError, match="index 1"):
             reverse_sample_labels([0.5, 1.4], 0)
 
+    def test_rejects_score_that_is_not_a_real_number(self):
+        with pytest.raises(ValueError, match=r"^score at index 1 must be a real number, got '0\.3'$"):
+            reverse_sample_labels([0.5, "0.3"], 0)
+
 
 class TestThresholding:
     def test_threshold_is_inclusive(self):
@@ -136,3 +140,12 @@ class TestThresholding:
         # A NaN threshold used to predict every record negative.
         with pytest.raises(ValueError, match="threshold must lie in"):
             threshold_predictions([0.2, 0.8], threshold)
+
+    @pytest.mark.parametrize("threshold", ["0.5", None, True, 0.5j])
+    def test_rejects_threshold_that_is_not_a_real_number(self, threshold):
+        with pytest.raises(ValueError, match=r"^threshold must be a real number, got "):
+            threshold_predictions([0.2, 0.8], threshold)
+
+    def test_rejects_score_that_is_not_a_real_number(self):
+        with pytest.raises(ValueError, match=r"^score at index 0 must be a real number, got b'1'$"):
+            threshold_predictions([b"1"])

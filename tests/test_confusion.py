@@ -1,5 +1,7 @@
 """Tests for confusion-count estimation from scored predictions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,11 +63,26 @@ class TestStrictInput:
             ([1, 0], [0.5, 0.5], [1], "equal length"),
             ([1, 0], [0.5, np.nan], None, "score at index 1"),
             ([1, 0], [0.5, -0.1], None, "score at index 1"),
+            # Scores that are not real numbers: a string or bytes was read as
+            # its number, None as NaN, and a complex score raised TypeError.
+            ([1], ["0.5"], None, "^score at index 0 must be a real number, got '0.5'$"),
+            ([1], [b"0.5"], None, "^score at index 0 must be a real number, got b'0.5'$"),
+            ([1, 0], [0.5, None], None, "^score at index 1 must be a real number, got None$"),
+            ([1], [0.5j], None, "^score at index 0 must be a real number, got 0.5j$"),
+            ([1], [True], None, "^score at index 0 must be a real number, got True$"),
+            ([1, 0], np.array([0.5, 0.25j]), None, "^score at index 0 must be a real number"),
         ],
     )
     def test_from_arrays_rejects(self, predictions, scores, labels, message):
         with pytest.raises(ValueError, match=message):
             batch(predictions, scores, labels)
+
+    def test_real_scores_of_any_numeric_type_accepted(self):
+        for scores in ([0, 1], np.array([0.5], dtype=np.float32), np.array([1], dtype=np.uint8),
+                       [np.float64(0.25)], [Fraction(1, 2)]):
+            b = batch([1] * len(scores), scores)
+            assert b.scores.dtype == np.float64
+            assert b.scores.tolist() == [float(s) for s in scores]
 
     def test_float_and_bool_zeros_and_ones_accepted(self):
         b = batch(np.array([1.0, 0.0]), [0.5, 0.5], np.array([False, True]))

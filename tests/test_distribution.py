@@ -181,6 +181,13 @@ class TestPoissonBinomial:
         with pytest.raises(ValueError, match="index 2"):
             builder([0.5, 0.5, 1.5])
 
+    def test_rejects_parameter_that_is_not_a_real_number(self):
+        match = r"^Bernoulli parameter at index 1 must be a real number, got None$"
+        with pytest.raises(ValueError, match=match):
+            poisson_binomial_tree([0.5, None])
+        with pytest.raises(ValueError, match=match):
+            poisson_binomial_trees([[0.5], [0.5, None]])
+
     @pytest.mark.parametrize(
         "builder", [poisson_binomial_dp, poisson_binomial_cf, poisson_binomial_tree_full]
     )

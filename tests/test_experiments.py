@@ -114,14 +114,20 @@ class TestCoverage:
     @pytest.mark.parametrize(
         "windows,alphas,match",
         [((), (0.05,), r"need at least one window size$"),
-         ((300,), (), r"need at least one alpha$")],
-        ids=["window", "alpha"],
+         ((300,), (), r"need at least one alpha$"),
+         (300, (0.05,), r"^window_sizes must be a sequence of integers, got 300$"),
+         (None, (0.05,), r"^window_sizes must be a sequence of integers, got None$"),
+         ((300,), None, r"^alphas must be a sequence of real numbers, got None$"),
+         ((300,), 0.05, r"^alphas must be a sequence of real numbers, got 0\.05$"),
+         ((300,), ("0.05",), r"^alpha must be a real number, got '0\.05'$")],
+        ids=["window", "alpha", "int-windows", "none-windows", "none-alphas",
+             "float-alphas", "string-alpha"],
     )
     def test_rejects_no_window_or_alpha_before_any_trial(
         self, monkeypatch, windows, alphas, match
     ):
         # With no alpha, every trial's exact estimates ran and the result
-        # was an empty list.
+        # was an empty list; the last five raised TypeError.
         monkeypatch.setattr(experiments, "_trial_batch", _no_trial)
         with pytest.raises(ValueError, match=match):
             run_coverage_experiment(windows, trials=50, alphas=alphas)

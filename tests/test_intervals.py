@@ -101,7 +101,8 @@ class TestExamples:
 
     def test_rejects_alpha_out_of_range(self):
         d = make([0, 1], [0.5, 0.5])
-        for alpha in (0.0, 1.0, -0.2, 1.7):
+        # A string alpha used to raise TypeError from the range check.
+        for alpha in (0.0, 1.0, -0.2, 1.7, "0.1", None, True, 0.1j):
             with pytest.raises(ValueError, match="alpha"):
                 hdi(d, alpha)
             with pytest.raises(ValueError, match="alpha"):

@@ -226,9 +226,9 @@ class TestShortcuts:
 
     @pytest.mark.parametrize("n", [1, 7, 8, 100, 129, 1000, 5000])
     def test_points_equal_per_window_reductions(self, n):
-        # Bit identity with the former per-function reductions keeps report
-        # bytes unchanged; past 8 and 128 values numpy's pairwise summation
-        # changes its order, which a sum in another order would not match.
+        # Bit identity with one reduction of the window's own arrays per
+        # quantity; past 8 and 128 values numpy's pairwise summation changes
+        # its order, which a sum in another order would not match.
         rng = np.random.default_rng(n)
         scores = rng.random(n)
         b = batch((scores >= 0.3).astype(int), scores)
@@ -270,12 +270,11 @@ def test_window_sizes_are_the_lengths_of_the_slices():
             assert sizes.tolist() == slices, (n, window)
 
 
-@pytest.mark.parametrize("gather", [metrics._GATHER, 5])
 @pytest.mark.parametrize("window", [1, 7, 100])
-def test_window_tp_sums_equal_per_slice_sums(monkeypatch, window, gather):
-    # Grouped by positive count, the sums must still add each window's
-    # positives in the order and pairing that a slice's sum does.
-    monkeypatch.setattr(metrics, "_GATHER", gather)
+def test_window_sums_equal_per_slice_sums(window):
+    # Each window's sums are taken as if its slice stood alone: the reshape's
+    # rows must add each window's terms in the order and pairing that the
+    # slice's own sum does, and the trailing partial window likewise.
     rng = np.random.default_rng(window)
     n = 40 * window + window // 2 + 1
     scores = rng.random(n)
@@ -283,13 +282,19 @@ def test_window_tp_sums_equal_per_slice_sums(monkeypatch, window, gather):
     predictions[: 3 * window] = 0  # windows without positive predictions
     labels = (rng.random(n) < scores).astype(np.int8)
     for outcomes in (scores, labels):
-        tp = metrics._window_quantities(predictions, outcomes, window)["tp"]
-        want = np.array(
-            [outcomes[s : s + window][predictions[s : s + window] == 1].sum()
+        sums = metrics._window_quantities(predictions, outcomes, window)
+        tp = np.array(
+            [np.where(predictions[s : s + window] == 1, outcomes[s : s + window], 0).sum()
              for s in range(0, n, window)]
         )
-        assert tp.dtype == want.dtype and tp.tobytes() == want.tobytes()
-        assert tp[:3].tolist() == [0, 0, 0]
+        assert sums["tp"].dtype == tp.dtype and sums["tp"].tobytes() == tp.tobytes()
+        assert sums["tp"][:3].tolist() == [0, 0, 0]
+        for index, start in enumerate(range(0, n, window)):
+            alone = metrics._window_quantities(
+                predictions[start : start + window], outcomes[start : start + window], window
+            )
+            for name, column in sums.items():
+                assert column[index : index + 1].tobytes() == alone[name].tobytes(), (index, name)
 
 
 @st.composite

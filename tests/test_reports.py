@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confmetrics import cli, confusion
+from confmetrics import metrics as metrics_module
 from confmetrics import reports as reports_module
-from confmetrics.confusion import PredictionBatch
+from confmetrics.confusion import PredictionBatch, estimate_confusion
 from confmetrics.ingest import parse_input
-from confmetrics.intervals import HdiInterval
+from confmetrics.intervals import HdiInterval, hdi
 from confmetrics.metrics import METRICS, MetricEstimate
 from confmetrics.reports import (
     EstimateConfig,
@@ -27,7 +28,7 @@ from confmetrics.reports import (
     true_metrics,
     windowed_estimates,
 )
-from oracles import run_to_json, run_to_json_reference
+from oracles import run_to_json, run_to_json_reference, shortcut_points_reference
 
 
 def batch(predictions, scores, labels=None):
@@ -82,15 +83,26 @@ class TestWindowing:
         undefined = set()
         for index, report in enumerate(reports):
             window_batch = b[index * window : (index + 1) * window]
-            direct = estimate_all(window_batch, config.metrics, config.method, config.alpha)
             assert (report.window_index, report.window_size) == (index, window_batch.n)
             assert report.partial == (window_batch.n < window)
             assert [e.metric for e in report.estimates] == list(metrics)
-            for got, expected in zip(report.estimates, direct, strict=True):
-                assert (got.metric, got.method) == (expected.metric, expected.method)
-                assert got.point == expected.point
-                assert got.distribution == expected.distribution
-                assert got.hdi == expected.hdi
+            # References built from the slice alone, outside the windowed run.
+            if method == "exact":
+                est = estimate_confusion(window_batch)
+            else:
+                points = shortcut_points_reference(window_batch)
+            for got in report.estimates:
+                assert got.method == method
+                if method == "shortcut":
+                    assert (got.point, got.distribution, got.hdi) == (points[got.metric], None, None)
+                    continue
+                dist = getattr(metrics_module, f"{got.metric}_distribution")(est)
+                assert got.distribution == dist
+                if dist is None:
+                    assert (got.point, got.hdi) == (None, None)
+                else:
+                    assert got.point == dist.expectation()
+                    assert got.hdi == hdi(dist, config.alpha)
             undefined.update(e.metric for e in report.estimates if e.undefined)
         if window < 90:
             # The exact recall distribution puts the mass of no true
@@ -137,6 +149,20 @@ class TestWindowing:
         assert list(windowed_estimates(b, np.int64(3), config)) == list(
             windowed_estimates(b, 3, config)
         )
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"alpha": "0.05"}, r"^alpha must be a real number, got '0\.05'$"),
+         ({"alpha": True}, r"^alpha must be a real number, got True$"),
+         ({"metrics": None}, r"^metrics must be a sequence of metric names, got None$"),
+         ({"metrics": iter(["recall"])}, r"^metrics must be a sequence of metric names, got <")],
+        ids=["string-alpha", "bool-alpha", "no-metrics", "metrics-iterator"],
+    )
+    def test_rejects_request_of_the_wrong_types(self, kwargs, match):
+        # The string alpha and None metrics used to raise TypeError; an
+        # iterator of metrics was used up by the checks, leaving no metric.
+        with pytest.raises(ValueError, match=match):
+            estimate_all(batch([1, 0], [0.5, 0.4]), **kwargs)
 
     @pytest.mark.parametrize("method", ["exact", "shortcut"])
     def test_rejects_metrics_given_as_one_string(self, method):

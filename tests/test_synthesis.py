@@ -50,6 +50,11 @@ class TestBetaScores:
         with pytest.raises(ValueError):
             sample_beta_scores(0, BetaParams(1, 1), 0)
 
+    @pytest.mark.parametrize("n", [10.0, True, "10"])
+    def test_rejects_sample_size_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            sample_beta_scores(n, BetaParams(1, 1), 0)
+
 
 class TestScoreFunction:
     def test_on_surface_probability_is_one(self):
@@ -119,6 +124,26 @@ class TestHypersphere:
             HypersphereConfig(n_dims=2, n_points=10, seed=0, radius=0.5)
         with pytest.raises(ValueError, match=r"seed must be non-negative, got -1$"):
             HypersphereConfig(n_dims=2, n_points=10, seed=-1)
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [((2, 10.5, 1), r"^n_points must be an integer, got 10\.5$"),
+         ((True, 10, 1), r"^n_dims must be an integer, got True$"),
+         ((2, 10, "1"), r"^seed must be an integer, got '1'$"),
+         ((2.0, 10, 1), r"^n_dims must be an integer, got 2\.0$")],
+        ids=["float-points", "bool-dims", "string-seed", "float-dims"],
+    )
+    def test_rejects_counts_that_are_not_integers(self, counts, match):
+        # A float point count used to construct and fail in the sampler with
+        # numpy's TypeError; a string seed raised TypeError.
+        with pytest.raises(ValueError, match=match):
+            HypersphereConfig(*counts)
+
+    def test_numpy_integer_counts_run_as_ints(self):
+        got = hypersphere_dataset(HypersphereConfig(np.int64(3), np.int32(40), np.uint8(2)))
+        want = hypersphere_dataset(HypersphereConfig(3, 40, 2))
+        assert np.array_equal(got.features, want.features)
+        assert got.batch.scores.tolist() == want.batch.scores.tolist()
 
     @pytest.mark.parametrize("field", ["radius", "decay"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
