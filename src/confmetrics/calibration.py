@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .confusion import PredictionBatch, _require_integer
-from .distribution import _require_real, unit_interval_array
+from ._checks import _require_integer, _require_nonempty, _require_real, _rng, unit_interval_array
+from .confusion import PredictionBatch
 
 __all__ = [
     "CalibrationBin",
@@ -54,18 +54,12 @@ def ace(batch: PredictionBatch, num_bins: int = DEFAULT_NUM_BINS) -> Calibration
     unlabelled batch, or a ``num_bins`` that is not an integer (a bool is
     not) in [1, n].
     """
+    _require_nonempty(batch, "ace", labelled=True)
     n = batch.n
-    if n == 0:
-        raise ValueError("calibration error needs a nonempty batch")
-    labels = batch.labels
-    if labels is None:
-        raise ValueError("calibration error needs a true label on every record")
-    _require_integer(num_bins, "num_bins")
-    if not 1 <= num_bins <= n:
-        raise ValueError(f"num_bins must lie in [1, {n}], got {num_bins!r}")
+    _require_integer(num_bins, "num_bins", 1, n)
     order = np.argsort(batch.scores, kind="stable")
     scores = batch.scores[order]
-    positives = labels[order].astype(np.float64)
+    positives = batch.labels[order].astype(np.float64)
     base, remainder = divmod(n, num_bins)
     sizes = np.full(num_bins, base, dtype=np.int64)
     sizes[:remainder] += 1
@@ -84,9 +78,10 @@ def ace(batch: PredictionBatch, num_bins: int = DEFAULT_NUM_BINS) -> Calibration
 
 def reverse_sample_labels(scores: Sequence[float] | np.ndarray, seed) -> np.ndarray:
     """Draw one label per score from Bernoulli(score), deterministically for
-    a given seed."""
+    a given seed.  Raises ValueError for a score that is not a real number
+    in [0, 1], and for a seed that numpy does not take."""
     arr = unit_interval_array(scores, "score")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return (rng.random(arr.size) < arr).astype(np.int64)
 
 
@@ -96,8 +91,6 @@ def threshold_predictions(
     """Predicted labels by score thresholding; a score equal to the
     threshold predicts positive.  Raises ValueError for a threshold that is
     not a real number in [0, 1]."""
-    _require_real(threshold, "threshold")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
+    _require_real(threshold, "threshold", 0, 1)
     arr = unit_interval_array(scores, "score")
     return (arr >= threshold).astype(np.int64)

@@ -28,14 +28,13 @@ guarantees assume the predicted label is a function of the score.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .distribution import CountPMF, poisson_binomial_trees, unit_interval_array
+from ._checks import _binary_array, _require_nonempty, unit_interval_array
+from .distribution import CountPMF, poisson_binomial_trees
 
 __all__ = [
     "PredictionBatch",
@@ -43,22 +42,6 @@ __all__ = [
     "estimate_confusion",
     "estimate_confusions",
 ]
-
-
-def _binary_array(values, name: str, n: int) -> np.ndarray:
-    """``values`` as a read-only int8 array of n zeros and ones."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name}s must form a one-dimensional sequence")
-    if arr.size != n:
-        raise ValueError(f"{name}s and scores must have equal length")
-    bad = (arr != 0) & (arr != 1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"{name} at index {i} must be 0 or 1, got {arr.tolist()[i]!r}")
-    arr = arr.astype(np.int8)
-    arr.flags.writeable = False
-    return arr
 
 
 class PredictionBatch:
@@ -82,7 +65,8 @@ class PredictionBatch:
         """Validated batch of one-dimensional columns of equal length.
 
         Raises ValueError for a prediction or label that is not exactly 0 or
-        1, and for a score outside [0, 1] or NaN.
+        1, and for a score that is not a real number in [0, 1] (NaN and a
+        bool are not).
         """
         scores = unit_interval_array(scores, "score").copy()
         scores.flags.writeable = False
@@ -176,37 +160,6 @@ class ConfusionEstimate:
     @property
     def fn(self) -> CountPMF:
         return self.tn.complement(self.n_neg)
-
-
-def _repeated(values) -> list:
-    """The entries that ``values`` holds more than once, sorted."""
-    return sorted(v for v, count in Counter(values).items() if count > 1)
-
-
-def _require_distinct(values, name: str) -> None:
-    """Raise ValueError naming the entries that ``values`` repeats."""
-    repeated = _repeated(values)
-    if repeated:
-        raise ValueError(f"{name} requested more than once: {repeated}")
-
-
-def _require_sequence(values, name: str, items: str) -> None:
-    """Raise ValueError unless ``values`` is a collection but not a string."""
-    if isinstance(values, (str, bytes)) or not isinstance(values, Collection):
-        got = f"the string {values!r}" if isinstance(values, (str, bytes)) else repr(values)
-        raise ValueError(f"{name} must be a sequence of {items}, got {got}")
-
-
-def _require_integer(value, name: str) -> None:
-    """Raise ValueError unless ``value`` is a Python or numpy integer; a
-    bool is not one."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_nonempty(batch: PredictionBatch) -> None:
-    if batch.n == 0:
-        raise ValueError("estimation needs a nonempty batch")
 
 
 def estimate_confusion(batch: PredictionBatch) -> ConfusionEstimate:

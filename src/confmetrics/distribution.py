@@ -27,11 +27,12 @@ construction and are safe to share across threads.
 from __future__ import annotations
 
 import itertools
-import numbers
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from ._checks import unit_interval_array
 
 __all__ = [
     "PROB_SUM_TOL",
@@ -217,38 +218,6 @@ class DiscreteDistribution:
         return float(products.sum())
 
 
-def _require_real(value, name: str) -> None:
-    """Raise ValueError unless ``value`` is a real number; a bool is not one."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def unit_interval_array(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
-    """``values`` as a one-dimensional float64 array; raises ValueError on
-    another shape, on the first entry that is not a real number (entries
-    are looked at only when the dtype is not numeric) and on the first one
-    outside [0, 1], NaN included.  ``name`` names one entry."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name}s must form a one-dimensional sequence")
-    if arr.dtype.kind not in "iuf":
-        for i, value in enumerate(values):
-            _require_real(value, f"{name} at index {i}")
-    arr = arr.astype(np.float64, copy=False)
-    bad = ~((arr >= 0.0) & (arr <= 1.0))  # also catches NaN
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"{name} at index {i} outside [0, 1]: {float(arr[i])!r}")
-    return arr
-
-
-def _check_bernoulli_params(params: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = unit_interval_array(params, "Bernoulli parameter")
-    # Sorting the parameters does not change the distribution but makes the
-    # result independent of input order, bit for bit.
-    return np.sort(arr)
-
-
 def _trim(pmf: np.ndarray, tol: float) -> tuple[int, int, float]:
     """Bounds ``lo, hi`` of the shortest ``pmf[lo:hi]`` outside which each
     end holds at most ``tol`` of the mass, and the mass outside it.  Each
@@ -295,7 +264,7 @@ def poisson_binomial_trees(
     set yields a point mass at zero.  Raises ValueError for the first set
     with a parameter outside [0, 1] before any PMF is built.
     """
-    sets = [_check_bernoulli_params(params) for params in param_sets]
+    sets = [np.sort(unit_interval_array(params, "Bernoulli parameter")) for params in param_sets]
     sizes = [params.size for params in sets]
     # Set i's blocks are rows bounds[i] to bounds[i + 1] of the leaf pass.
     bounds = list(itertools.accumulate((-(-n // _BLOCK) for n in sizes), initial=0))

@@ -30,15 +30,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._checks import _check_alpha, _require_distinct, _require_integer, _require_sequence
 from .calibration import reverse_sample_labels, threshold_predictions
-from .confusion import (
-    PredictionBatch,
-    _require_distinct,
-    _require_integer,
-    _require_sequence,
-    estimate_confusions,
-)
-from .intervals import _check_alpha, hdis
+from .confusion import PredictionBatch, estimate_confusions
+from .intervals import hdis
 from .metrics import METRICS, _exact_estimate, _named_distribution, _shortcut_windows, true_metrics
 from .synthesis import random_beta_params, sample_beta_scores
 
@@ -125,24 +120,15 @@ def _summary(window: int, metric: str, errors: list[float]) -> ConvergenceRow:
 
 def _check_plan(window_sizes: tuple[int, ...], trials: int, seed: int) -> None:
     """Raise ValueError, before any trial runs, for window sizes that are
-    not a sequence, a count or seed that is not an integer (a bool is not),
-    no trial or window size, a window size below 1 or given twice, or a
-    negative seed."""
-    _require_integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials!r}")
-    _require_sequence(window_sizes, "window_sizes", "integers")
-    if len(window_sizes) == 0:
-        raise ValueError("need at least one window size")
+    not a nonempty sequence, a count or seed that is not an integer (a bool
+    is not), no trial, a window size below 1 or given twice, or a negative
+    seed."""
+    _require_integer(trials, "trials", 1)
+    _require_sequence(window_sizes, "window_sizes", "integers", nonempty=True)
     for window in window_sizes:
-        _require_integer(window, "each window size")
-    small = [w for w in window_sizes if w < 1]
-    if small:
-        raise ValueError(f"window sizes must be at least 1, got {small}")
+        _require_integer(window, "each window size", 1)
     _require_distinct(window_sizes, "window sizes")
-    _require_integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    _require_integer(seed, "seed", 0)
 
 
 def run_convergence_experiment(
@@ -193,12 +179,10 @@ def run_coverage_experiment(
     malformed or out-of-range plan, as :func:`_check_plan` lists.
     """
     _check_plan(window_sizes, trials, seed)
-    _require_sequence(alphas, "alphas", "real numbers")
-    if len(alphas) == 0:
-        raise ValueError("need at least one alpha")
-    _require_distinct(alphas, "alphas")
+    _require_sequence(alphas, "alphas", "real numbers", nonempty=True)
     for alpha in alphas:
         _check_alpha(alpha)
+    _require_distinct(alphas, "alphas")
     rows = []
     for window in window_sizes:
         hits = {(m, a): 0 for m in METRICS for a in alphas}

@@ -44,7 +44,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .confusion import PredictionBatch, _repeated
+from ._checks import _repeated
+from .confusion import PredictionBatch
 
 __all__ = ["parse_input", "FORMATS"]
 

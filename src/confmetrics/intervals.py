@@ -32,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, _require_real
+from ._checks import _check_alpha, _require_sequence
+from .distribution import DiscreteDistribution
 
 __all__ = ["HdiInterval", "hdi", "hdis"]
 
@@ -45,13 +46,6 @@ class HdiInterval:
     upper: float
     alpha: float
     covered_mass: float
-
-
-def _check_alpha(alpha: float) -> None:
-    """Raise ValueError for an alpha that is not a real number in (0, 1)."""
-    _require_real(alpha, "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
 
 
 def _reachable(probs: np.ndarray, alpha: float, start: np.ndarray) -> np.ndarray:
@@ -95,8 +89,10 @@ def hdis(d: DiscreteDistribution, alphas: Sequence[float]) -> list[HdiInterval]:
     that order, after the last point of the run, where the smaller alpha's
     walk has already stopped (see :func:`_reachable`).  So each walk is a
     prefix of the one order, and its dropped mass a prefix of the one sum.
-    Raises ValueError for an alpha that is not a real number in (0, 1).
+    Raises ValueError for alphas that are not a sequence, or an alpha that
+    is not a real number in (0, 1).
     """
+    _require_sequence(alphas, "alphas", "real numbers")
     for alpha in alphas:
         _check_alpha(alpha)
     if len(alphas) == 0:

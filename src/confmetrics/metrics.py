@@ -73,6 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import _require_nonempty
 from .confusion import ConfusionEstimate, PredictionBatch
 from .distribution import CountPMF, DiscreteDistribution
 from .intervals import HdiInterval, hdi
@@ -380,13 +381,10 @@ class TrueMetrics:
 
 def true_metrics(batch: PredictionBatch) -> TrueMetrics:
     """Realized confusion-matrix metrics of a labelled window: each row on
-    the window's label sums, which are exact integers."""
-    if batch.n == 0:
-        raise ValueError("true metrics need a nonempty batch")
-    labels = batch.labels
-    if labels is None:
-        raise ValueError("true metrics need a true label on every record")
-    counts = _window_quantities(batch.predictions, labels, batch.n)
+    the window's label sums, which are exact integers.  Raises ValueError
+    for an empty or unlabelled batch."""
+    _require_nonempty(batch, "true_metrics", labelled=True)
+    counts = _window_quantities(batch.predictions, batch.labels, batch.n)
     realized = {}
     for metric, row in _ROWS.items():
         num, den = (int(x[0]) for x in row.ratio(counts))

@@ -49,15 +49,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from .confusion import (
-    PredictionBatch,
+from ._checks import (
+    _check_alpha,
     _require_distinct,
     _require_integer,
     _require_nonempty,
     _require_sequence,
-    estimate_confusions,
 )
-from .intervals import _check_alpha
+from .confusion import PredictionBatch, estimate_confusions
 from .metrics import (
     METRICS,
     MetricEstimate,
@@ -134,23 +133,6 @@ def _reports(
         yield MonitoringReport(index, size, size < window_size, tuple(next(estimates)))
 
 
-def _check_request(metrics: tuple[str, ...], method: str, alpha: float | None) -> None:
-    """Raise ValueError for an unknown method, metrics that are not a
-    sequence (a string is not), an unknown or repeated metric, or an alpha
-    that is not a real number in (0, 1) or comes with shortcuts."""
-    if method not in ("exact", "shortcut"):
-        raise ValueError(f"method must be 'exact' or 'shortcut', got {method!r}")
-    _require_sequence(metrics, "metrics", "metric names")
-    unknown = [m for m in metrics if m not in METRICS]
-    if unknown:
-        raise ValueError(f"unknown metrics requested: {unknown}")
-    _require_distinct(metrics, "metrics")
-    if alpha is not None:
-        _check_alpha(alpha)
-        if method == "shortcut":
-            raise ValueError("alpha applies to the exact method only; shortcuts have no intervals")
-
-
 def windowed_estimates(
     batch: PredictionBatch, window_size: int, config: EstimateConfig = EstimateConfig()
 ) -> Iterable[MonitoringReport]:
@@ -158,8 +140,11 @@ def windowed_estimates(
 
     The request is checked when this is called: ValueError for an empty
     batch, a window size that is not an integer (a bool is not) or is below
-    1, or a bad request.  A shortcut run's points all come from one pass
-    over the batch, made here and returned as its :class:`ShortcutColumns`.
+    1, an unknown method, metrics that are not a sequence (a string is
+    not), an unknown or repeated metric, or an alpha that is not a real
+    number in (0, 1) or comes with shortcuts.  A shortcut run's points all
+    come from one pass over the batch, made here and returned as its
+    :class:`ShortcutColumns`.
     An exact run comes back as a single-pass iterator of reports, whose
     count PMFs come from :func:`~confmetrics.confusion.estimate_confusions`;
     its first window, with its chunk's count PMFs, is estimated here, so
@@ -167,10 +152,18 @@ def windowed_estimates(
     reached.
     """
     _require_nonempty(batch)
-    _require_integer(window_size, "window_size")
-    if window_size < 1:
-        raise ValueError(f"window_size must be at least 1, got {window_size!r}")
-    _check_request(config.metrics, config.method, config.alpha)
+    _require_integer(window_size, "window_size", 1)
+    if config.method not in ("exact", "shortcut"):
+        raise ValueError(f"method must be 'exact' or 'shortcut', got {config.method!r}")
+    _require_sequence(config.metrics, "metrics", "metric names")
+    unknown = [m for m in config.metrics if m not in METRICS]
+    if unknown:
+        raise ValueError(f"unknown metrics requested: {unknown}")
+    _require_distinct(config.metrics, "metrics")
+    if config.alpha is not None:
+        _check_alpha(config.alpha)
+        if config.method == "shortcut":
+            raise ValueError("alpha applies to the exact method only; shortcuts have no intervals")
     if config.method == "shortcut":
         return ShortcutColumns(window_size, *_shortcut_windows(batch, window_size, config.metrics))
     sizes = _window_sizes(batch.n, window_size).tolist()

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _require, _require_integer, _require_real, _rng
 from .calibration import threshold_predictions
-from .confusion import PredictionBatch, _require_integer
+from .confusion import PredictionBatch
 
 __all__ = [
     "BetaParams",
@@ -52,25 +53,23 @@ class BetaParams:
     beta_shape: float
 
     def __post_init__(self):
-        if not (self.alpha_shape > 0 and self.beta_shape > 0):
-            raise ValueError("beta shape parameters must be positive")
+        for name in ("alpha_shape", "beta_shape"):
+            _require_real(getattr(self, name), name, 0, math.inf, strict=True)
 
 
 def random_beta_params(seed) -> BetaParams:
     """Shape parameters drawn uniformly from [0.1, 10]^2."""
-    rng = np.random.default_rng(seed)
-    a, b = rng.uniform(*_SHAPE_RANGE, size=2)
+    a, b = _rng(seed).uniform(*_SHAPE_RANGE, size=2)
     return BetaParams(float(a), float(b))
 
 
 def sample_beta_scores(n: int, params: BetaParams, seed) -> np.ndarray:
     """n independent Beta(alpha_shape, beta_shape) confidence scores, for
-    an integer n of at least 1."""
-    _require_integer(n, "n")
-    if n < 1:
-        raise ValueError(f"need at least one score, got n={n!r}")
-    rng = np.random.default_rng(seed)
-    return rng.beta(params.alpha_shape, params.beta_shape, size=n)
+    an integer n of at least 1, :class:`BetaParams` and a seed that numpy
+    takes."""
+    _require_integer(n, "n", 1)
+    _require(params, "params", kind=BetaParams, what="a BetaParams")
+    return _rng(seed).beta(params.alpha_shape, params.beta_shape, size=n)
 
 
 def positive_probability(distance, decay: float = _DEFAULT_DECAY):
@@ -101,20 +100,11 @@ class HypersphereConfig:
     easy_fraction: float = 0.8
 
     def __post_init__(self):
-        for name in ("n_dims", "n_points", "seed"):
-            _require_integer(getattr(self, name), name)
-        if self.n_dims < 1:
-            raise ValueError("n_dims must be at least 1")
-        if self.n_points < 1:
-            raise ValueError("n_points must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        for name, low in (("n_dims", 1), ("n_points", 1), ("seed", 0)):
+            _require_integer(getattr(self, name), name, low)
         for name in ("radius", "decay"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not 0.0 <= self.easy_fraction <= 1.0:
-            raise ValueError("easy_fraction must lie in [0, 1]")
+            _require_real(getattr(self, name), name, 0, math.inf, strict=True)
+        _require_real(self.easy_fraction, "easy_fraction", 0, 1)
         # Far pool points are placed up to one radius away from the surface,
         # so the score at that distance must already be inside the easy band;
         # otherwise the easy pool is not realisable inside the sphere.

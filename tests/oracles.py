@@ -38,9 +38,10 @@ from fractions import Fraction
 import numpy as np
 
 from confmetrics import confusion, experiments, metrics, reports
+from confmetrics._checks import unit_interval_array
 from confmetrics.confusion import estimate_confusion
 from confmetrics.intervals import hdis
-from confmetrics.distribution import CountPMF, DiscreteDistribution, unit_interval_array
+from confmetrics.distribution import CountPMF, DiscreteDistribution
 from confmetrics.reports import render_report
 
 

@@ -189,7 +189,7 @@ class TestEstimate:
             capsys, "estimate", "--input", labelled_csv, "--alpha", "1.5", "--output", out_path
         )
         assert code == 1 and out == ""
-        assert "alpha must lie strictly between 0 and 1" in err
+        assert "alpha must lie in (0, 1), got 1.5" in err
         assert out_path.read_bytes() == b"an earlier report\n"
 
     def test_failed_first_window_leaves_output_file_untouched(
@@ -367,13 +367,13 @@ class TestSimulate:
         "argv,message",
         [
             (("--seed", "-1", "simulate", "coverage", "--windows", "10"),
-             "seed must be non-negative, got -1"),
+             "seed must be at least 0, got -1"),
             (("--seed", "-1", "simulate", "convergence", "--windows", "10"),
-             "seed must be non-negative, got -1"),
+             "seed must be at least 0, got -1"),
             (("simulate", "coverage", "--windows", "10,0"),
-             "window sizes must be at least 1, got [0]"),
+             "each window size must be at least 1, got 0"),
             (("simulate", "convergence", "--windows", "10,-3"),
-             "window sizes must be at least 1, got [-3]"),
+             "each window size must be at least 1, got -3"),
         ],
         ids=["coverage-seed", "convergence-seed", "coverage-window", "convergence-window"],
     )
@@ -407,7 +407,7 @@ class TestSimulate:
             "--trials", "2",
         )
         assert code == 1 and out == ""
-        assert err == f"error: alpha must lie strictly between 0 and 1, got {float(bad)!r}\n"
+        assert err == f"error: alpha must lie in (0, 1), got {float(bad)!r}\n"
 
 
 class TestGenerate:
@@ -446,12 +446,12 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "flag,value,message",
         [
-            ("--radius", "nan", "radius must be finite and positive"),
-            ("--radius", "inf", "radius must be finite and positive"),
-            ("--decay", "nan", "decay must be finite and positive"),
-            ("--decay", "inf", "decay must be finite and positive"),
-            ("--threshold", "nan", "threshold must lie in [0, 1]"),
-            ("--threshold", "1.5", "threshold must lie in [0, 1]"),
+            ("--radius", "nan", "radius must lie in (0, inf), got nan"),
+            ("--radius", "inf", "radius must lie in (0, inf), got inf"),
+            ("--decay", "nan", "decay must lie in (0, inf), got nan"),
+            ("--decay", "inf", "decay must lie in (0, inf), got inf"),
+            ("--threshold", "nan", "threshold must lie in [0, 1], got nan"),
+            ("--threshold", "1.5", "threshold must lie in [0, 1], got 1.5"),
         ],
         ids=["radius-nan", "radius-inf", "decay-nan", "decay-inf", "threshold-nan",
              "threshold-above-1"],
@@ -468,7 +468,7 @@ class TestGenerate:
             capsys, "--seed", "-1", "generate", "hypersphere", "--dims", "2", "--points", "20"
         )
         assert code == 1 and out == ""
-        assert err == "error: seed must be non-negative, got -1\n"
+        assert err == "error: seed must be at least 0, got -1\n"
 
 
 @pytest.mark.parametrize(

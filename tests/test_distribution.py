@@ -335,7 +335,8 @@ class TestSharedLeafPass:
         assert [(c.offset, c.pmf.tolist(), c.trimmed) for c in got] == [(0, [1.0], 0.0)] * 2
 
     def test_rejects_a_bad_parameter_in_any_set(self):
-        with pytest.raises(ValueError, match=r"at index 1 outside \[0, 1\]: 1.5"):
+        match = r"^Bernoulli parameter at index 1 must lie in \[0, 1\], got 1\.5$"
+        with pytest.raises(ValueError, match=match):
             poisson_binomial_trees([[0.5] * 20, [0.2, 1.5]])
 
 

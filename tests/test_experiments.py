@@ -54,14 +54,15 @@ class TestConvergence:
             run_convergence_experiment((10, 20, 10), trials=2)
 
     def test_rejects_negative_seed_or_window_below_one(self):
-        with pytest.raises(ValueError, match=r"seed must be non-negative, got -1$"):
+        with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
             run_convergence_experiment((10,), trials=2, seed=-1)
-        with pytest.raises(ValueError, match=r"window sizes must be at least 1, got \[0, -2\]"):
+        with pytest.raises(ValueError, match=r"^each window size must be at least 1, got 0$"):
             run_convergence_experiment((10, 0, -2), trials=2)
 
     def test_rejects_no_window_before_any_trial(self, monkeypatch):
         monkeypatch.setattr(experiments, "_trial_batch", _no_trial)
-        with pytest.raises(ValueError, match=r"need at least one window size$"):
+        match = r"^window_sizes must be a nonempty sequence of integers, got \(\)$"
+        with pytest.raises(ValueError, match=match):
             run_convergence_experiment((), trials=2)
 
     def test_repeated_window_found_in_linear_time(self, monkeypatch):
@@ -106,19 +107,19 @@ class TestCoverage:
             run_coverage_experiment(windows, trials=2, alphas=alphas)
 
     def test_rejects_negative_seed_or_window_below_one(self):
-        with pytest.raises(ValueError, match=r"seed must be non-negative, got -7$"):
+        with pytest.raises(ValueError, match=r"^seed must be at least 0, got -7$"):
             run_coverage_experiment((10,), trials=2, seed=-7)
-        with pytest.raises(ValueError, match=r"window sizes must be at least 1, got \[0\]"):
+        with pytest.raises(ValueError, match=r"^each window size must be at least 1, got 0$"):
             run_coverage_experiment((10, 0), trials=2)
 
     @pytest.mark.parametrize(
         "windows,alphas,match",
-        [((), (0.05,), r"need at least one window size$"),
-         ((300,), (), r"need at least one alpha$"),
-         (300, (0.05,), r"^window_sizes must be a sequence of integers, got 300$"),
-         (None, (0.05,), r"^window_sizes must be a sequence of integers, got None$"),
-         ((300,), None, r"^alphas must be a sequence of real numbers, got None$"),
-         ((300,), 0.05, r"^alphas must be a sequence of real numbers, got 0\.05$"),
+        [((), (0.05,), r"^window_sizes must be a nonempty sequence of integers, got \(\)$"),
+         ((300,), (), r"^alphas must be a nonempty sequence of real numbers, got \(\)$"),
+         (300, (0.05,), r"^window_sizes must be a nonempty sequence of integers, got 300$"),
+         (None, (0.05,), r"^window_sizes must be a nonempty sequence of integers, got None$"),
+         ((300,), None, r"^alphas must be a nonempty sequence of real numbers, got None$"),
+         ((300,), 0.05, r"^alphas must be a nonempty sequence of real numbers, got 0\.05$"),
          ((300,), ("0.05",), r"^alpha must be a real number, got '0\.05'$")],
         ids=["window", "alpha", "int-windows", "none-windows", "none-alphas",
              "float-alphas", "string-alpha"],

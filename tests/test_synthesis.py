@@ -122,7 +122,7 @@ class TestHypersphere:
             HypersphereConfig(n_dims=2, n_points=10, seed=0, easy_fraction=1.5)
         with pytest.raises(ValueError, match="radius"):
             HypersphereConfig(n_dims=2, n_points=10, seed=0, radius=0.5)
-        with pytest.raises(ValueError, match=r"seed must be non-negative, got -1$"):
+        with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
             HypersphereConfig(n_dims=2, n_points=10, seed=-1)
 
     @pytest.mark.parametrize(
@@ -150,5 +150,5 @@ class TestHypersphere:
     def test_rejects_nonfinite_or_nonpositive_radius_and_decay(self, field, value):
         # NaN and inf used to pass a plain `<= 0` check and fail later in
         # the sampler with an OverflowError or NaN scores.
-        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \(0, inf\), got {value!r}$"):
             HypersphereConfig(n_dims=2, n_points=10, seed=0, **{field: value})
