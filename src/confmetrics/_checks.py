@@ -82,13 +82,20 @@ def _rng(seed) -> np.random.Generator:
     raise ValueError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
 
 
-def unit_interval_array(values, name: str) -> np.ndarray:
-    """``values`` as a one-dimensional float64 array; raises ValueError on
-    another shape, and naming the index of the first entry that is not a
-    real number in [0, 1].  ``name`` names one entry.  Entries are looked at
-    one by one unless they form a numpy integer or float array or are all
-    Python floats and ints: numpy reads a bool among floats as a number,
-    and fails on an integer beyond the float range."""
+def _require_binary(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is a real number equal to 0 or 1;
+    a Python or numpy bool is not one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+
+
+def _entries(values, name: str, check, bad) -> np.ndarray:
+    """``values`` as a one-dimensional array; raises ValueError on another
+    shape, and by ``check(entry, "<name> at index <i>")`` on an entry.
+    Entries go to ``check`` one by one unless they form a numpy integer or
+    float array or are all Python floats and ints (numpy reads a bool among
+    numbers as a number, and fails on an integer beyond the float range);
+    then ``bad`` marks rejects in one array pass, and ``check`` gets the first."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name}s must form a one-dimensional sequence")
@@ -96,26 +103,27 @@ def unit_interval_array(values, name: str) -> np.ndarray:
         not isinstance(values, np.ndarray) and not {float, int}.issuperset(map(type, values))
     ):
         for i, value in enumerate(values):
-            _require_real(value, f"{name} at index {i}", 0, 1)
-    arr = arr.astype(np.float64, copy=False)
-    bad = ~((arr >= 0.0) & (arr <= 1.0))  # also catches NaN
-    if bad.any():
-        i = int(np.argmax(bad))
-        _require_real(float(arr[i]), f"{name} at index {i}", 0, 1)
+            check(value, f"{name} at index {i}")
+    else:
+        rejected = bad(arr)
+        if rejected.any():
+            i = int(np.argmax(rejected))
+            check(arr[i].item(), f"{name} at index {i}")
     return arr
+
+
+def unit_interval_array(values, name: str) -> np.ndarray:
+    """``values`` as a one-dimensional float64 array of reals in [0, 1]."""
+    check = functools.partial(_require_real, low=0, high=1)
+    arr = _entries(values, name, check, lambda arr: ~((arr >= 0.0) & (arr <= 1.0)))  # NaN too
+    return arr.astype(np.float64, copy=False)
 
 
 def _binary_array(values, name: str, n: int) -> np.ndarray:
     """``values`` as a read-only int8 array of n zeros and ones."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name}s must form a one-dimensional sequence")
+    arr = _entries(values, name, _require_binary, lambda arr: (arr != 0) & (arr != 1))
     if arr.size != n:
         raise ValueError(f"{name}s and scores must have equal length")
-    bad = (arr != 0) & (arr != 1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"{name} at index {i} must be 0 or 1, got {arr.tolist()[i]!r}")
     arr = arr.astype(np.int8)
     arr.flags.writeable = False
     return arr

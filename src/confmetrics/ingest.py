@@ -9,7 +9,9 @@ in an object, each field must be a JSON number, never a string or a
 boolean, and an absent or null label means unlabelled.  Unknown columns or
 keys are ignored with a warning.  Malformed content is rejected with the
 1-based line number of the offending row.  Files are read as UTF-8; a
-leading byte-order mark is skipped.
+leading byte-order mark is skipped.  One function, :func:`_row`, checks a
+row of either format, field by field in the order prediction, score,
+label; only how a raw field becomes a number depends on the format.
 
 A CSV file takes one of two routes to the same result.  A plain file is
 checked and converted by array operations over its bytes.  Plain means:
@@ -81,42 +83,39 @@ _EXACT_INT = _U64(2**53)
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
-def _parse_binary(raw, field: str, line: int) -> int:
-    try:
-        value = int(str(raw).strip())
-    except (TypeError, ValueError):
-        raise ValueError(f"line {line}: {field} must be 0 or 1, got {raw!r}") from None
-    if value not in (0, 1):
-        raise ValueError(f"line {line}: {field} must be 0 or 1, got {raw!r}")
-    return value
+def _row(prediction, score, label, line: int, number) -> tuple[int, float, int | None]:
+    """A row's fields, checked in the order prediction, score, label; raises
+    ValueError naming ``line`` and the first malformed field.  The format's
+    ``number(raw, kind)`` gives a raw field as a number, ``kind`` being int
+    or float, or None.  A label of None means unlabelled."""
 
+    def binary(raw, field: str) -> int:
+        value = number(raw, int)
+        if value not in (0, 1):  # None is not in it either
+            raise ValueError(f"line {line}: {field} must be 0 or 1, got {raw!r}")
+        return int(value)
 
-def _parse_score(raw, line: int) -> float:
-    try:
-        value = float(str(raw).strip())
-    except (TypeError, ValueError):
-        raise ValueError(f"line {line}: score must be a decimal, got {raw!r}") from None
+    true_prediction = binary(prediction, "prediction")
+    value = number(score, float)
+    if value is None:
+        raise ValueError(f"line {line}: score must be a decimal, got {score!r}")
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"line {line}: score must lie in [0, 1], got {raw!r}")
-    return value
+        raise ValueError(f"line {line}: score must lie in [0, 1], got {score!r}")
+    return true_prediction, float(value), None if label is None else binary(label, "label")
 
 
-def _parse_row(prediction, score, label, line: int) -> tuple[int, float, int | None]:
-    true_label = None
-    if label is not None and str(label).strip() != "":
-        true_label = _parse_binary(label, "label", line)
-    return _parse_binary(prediction, "prediction", line), _parse_score(score, line), true_label
+def _text_number(raw: str, kind: type) -> int | float | None:
+    """A CSV field's stripped text converted by ``kind``, or None."""
+    try:
+        return kind(raw.strip())
+    except ValueError:
+        return None
 
 
-def _is_json_number(raw) -> bool:
-    # json.loads yields bool for true/false, and bool is an int subclass.
-    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
-
-
-def _json_binary(raw, field: str, line: int) -> int:
-    if not _is_json_number(raw) or raw not in (0, 1):
-        raise ValueError(f"line {line}: {field} must be 0 or 1, got {raw!r}")
-    return int(raw)
+def _json_number(raw, kind: type) -> int | float | None:
+    """A JSON value that is a number, whatever ``kind``, or None: json.loads
+    yields bool for true and false, and bool is an int subclass."""
+    return raw if isinstance(raw, (int, float)) and not isinstance(raw, bool) else None
 
 
 def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -125,20 +124,6 @@ def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
     if len(obj) < len(pairs):
         raise ValueError(f"duplicate keys: {', '.join(_repeated(k for k, _ in pairs))}")
     return obj
-
-
-def _json_row(obj: dict, line: int) -> tuple[int, float, int | None]:
-    score = obj["score"]
-    if not _is_json_number(score):
-        raise ValueError(f"line {line}: score must be a decimal, got {score!r}")
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"line {line}: score must lie in [0, 1], got {score!r}")
-    label = obj.get("label")
-    return (
-        _json_binary(obj["prediction"], "prediction", line),
-        float(score),
-        None if label is None else _json_binary(label, "label", line),
-    )
 
 
 def _warn_unknown(names, source: str) -> None:
@@ -184,9 +169,9 @@ def _parse_csv_rows(path: Path) -> Columns:
                 raise ValueError(f"line {line}: more fields than header columns")
             if None in row.values():  # the value DictReader gives missing fields
                 raise ValueError(f"line {line}: fewer fields than header columns")
-            rows.append(
-                _parse_row(row.get("prediction"), row.get("score"), row.get("label"), line)
-            )
+            label = row.get("label")  # blank means unlabelled
+            label = label if label and label.strip() else None
+            rows.append(_row(row["prediction"], row["score"], label, line, _text_number))
     return _columns(rows)
 
 
@@ -355,7 +340,9 @@ def _parse_jsonl(path: Path) -> Columns:
             if missing:
                 raise ValueError(f"line {line_num}: missing keys: {', '.join(missing)}")
             unknown_keys.update(set(obj) - set(_KNOWN))
-            rows.append(_json_row(obj, line_num))
+            rows.append(
+                _row(obj["prediction"], obj["score"], obj.get("label"), line_num, _json_number)
+            )
     _warn_unknown(unknown_keys, "JSONL keys")
     return _columns(rows)
 

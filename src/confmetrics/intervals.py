@@ -97,6 +97,7 @@ def hdis(d: DiscreteDistribution, alphas: Sequence[float]) -> list[HdiInterval]:
         _check_alpha(alpha)
     if len(alphas) == 0:
         return []
+    alphas = [float(alpha) for alpha in alphas]  # 1 - alpha in float64, not float32
     probs = d.probabilities
     start = np.array([d.trimmed_mass])
     widest = max(alphas)

@@ -240,12 +240,12 @@ def _array(elements: list[str], indent: str) -> str:
 
 
 def _number(value: float | None) -> str:
-    """A float or None as ``json`` writes it.  ``float.__repr__`` writes an
-    ``np.float64`` as the plain number its ``repr`` would wrap."""
+    """A real number or None as ``json`` writes the number's float, which
+    for an ``np.float64`` is the plain number its ``repr`` would wrap."""
     if value is None:
         return "null"
     if math.isfinite(value):
-        return float.__repr__(value)
+        return repr(float(value))
     if value != value:
         return "NaN"
     return "Infinity" if value > 0 else "-Infinity"

@@ -15,7 +15,10 @@ derivations (:func:`recall_distribution_untrimmed`,
 0..n_pos x 0..n_neg count grid through the metric formula, as the library
 did before it trimmed the count PMFs' tails; the library's trimmed results
 must stay within the trimming bound of these references, and equal them bit
-for bit when nothing was trimmed.  :func:`run_to_json_reference`
+for bit when nothing was trimmed.  :func:`pair_mass_reference` reads one
+recall or F1 probability from the count PMFs without forming the pair grid,
+which the whole-file derivation must match bit for bit at sizes where the
+untrimmed references cannot run.  :func:`run_to_json_reference`
 builds a run's report document as a dict, the form the report writer's
 text is pinned to, and :func:`shortcut_points_reference` computes one
 window's shortcut points from reductions of that window's own arrays,
@@ -33,6 +36,7 @@ and :func:`run_to_json` parses a run's report text.
 import dataclasses
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +290,37 @@ def f1_distribution_untrimmed(est):
     if est.n_pos == 0:
         return None
     return _count_pairs_untrimmed(est, 2, est.n_pos)
+
+
+def pair_mass_reference(est, scale, fixed, num, den):
+    """The probability that ``scale * i / (i + j + fixed)``, over the pairs
+    of i true positives and j false negatives in the estimate's kept count
+    ranges, takes the positive value num/den, read without the pair grid.
+
+    With a/b the value in lowest terms, the pair (i, j) lies on it when
+    scale * b * i = a * (i + j + fixed), at j = ((scale * b - a) * i -
+    a * fixed) / a; so row i >= 1 holds at most one such pair, and row 0
+    none.  That j is an integer just when a divides scale * b * i, which,
+    as a and b are coprime, is when a / gcd(a, scale) divides i.  The grid
+    adds a value's masses in pair order, which is row-major, so the
+    sequential sum of ``tp.pmf[i] * fn.pmf[j]`` over ascending i is its
+    probability, bit for bit.  The index arithmetic is in Python ints,
+    since numpy's int64 products wrap silently.
+    """
+    g = math.gcd(num, den)
+    a, b = num // g, den // g
+    step = a // math.gcd(a, scale)
+    tp, fn = est.tp, est.fn
+    first = -(-max(tp.offset, 1) // step) * step
+    rows, columns = [], []
+    for i in range(first, tp.offset + tp.pmf.size, step):
+        j = ((scale * b - a) * i - a * fixed) // a
+        if fn.offset <= j < fn.offset + fn.pmf.size:
+            rows.append(i - tp.offset)
+            columns.append(j - fn.offset)
+    if not rows:
+        return 0.0
+    return float(np.cumsum(tp.pmf[rows] * fn.pmf[columns])[-1])
 
 
 def tv_distance_between(a, b):

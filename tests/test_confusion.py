@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmetrics import confusion
+from confmetrics import _checks, confusion
 from confmetrics.confusion import PredictionBatch, estimate_confusion
 from confmetrics.experiments import run_coverage_experiment
 from confmetrics.reports import windowed_estimates
@@ -71,6 +71,13 @@ class TestStrictInput:
             ([1], [0.5j], None, "^score at index 0 must be a real number, got 0.5j$"),
             ([1], [True], None, "^score at index 0 must be a real number, got True$"),
             ([1, 0], np.array([0.5, 0.25j]), None, "^score at index 0 must be a real number"),
+            # A bool prediction or label is rejected, as a bool score is,
+            # among numbers or in a bool array, where numpy reads 0 or 1.
+            ([1, True], [0.5, 0.5], None, "^prediction at index 1 must be 0 or 1, got True$"),
+            (np.array([True, False]), [0.5, 0.5], None,
+             "^prediction at index 0 must be 0 or 1, got (np\\.)?True_?$"),
+            ([1, 1], [0.5, 0.5], [False, 1], "^label at index 0 must be 0 or 1, got False$"),
+            ([1], [0.5], np.array([True]), "^label at index 0 must be 0 or 1, got (np\\.)?True_?$"),
         ],
     )
     def test_from_arrays_rejects(self, predictions, scores, labels, message):
@@ -84,10 +91,20 @@ class TestStrictInput:
             assert b.scores.dtype == np.float64
             assert b.scores.tolist() == [float(s) for s in scores]
 
-    def test_float_and_bool_zeros_and_ones_accepted(self):
-        b = batch(np.array([1.0, 0.0]), [0.5, 0.5], np.array([False, True]))
+    def test_float_zeros_and_ones_accepted(self):
+        b = batch(np.array([1.0, 0.0]), [0.5, 0.5], [0.0, np.float32(1)])
         assert b.predictions.tolist() == [1, 0]
         assert b.labels.tolist() == [0, 1]
+
+    def test_numpy_number_arrays_take_no_per_entry_check(self, monkeypatch):
+        def refuse(value, name):
+            raise AssertionError(f"{name} was checked on its own")
+
+        monkeypatch.setattr(_checks, "_require_binary", refuse)
+        monkeypatch.setattr(_checks, "_require_real", refuse)
+        n = 200_000
+        b = batch(np.ones(n, dtype=np.uint8), np.full(n, 0.5), np.zeros(n, dtype=np.int64))
+        assert (b.n, b.predictions.dtype, b.labels.dtype) == (n, np.int8, np.int8)
 
     def test_arrays_are_read_only_copies(self):
         scores = np.array([0.2, 0.9])

@@ -424,6 +424,32 @@ class TestJsonl:
             parse_input(path, "jsonl")
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((2, 1.5, 7), "line 3: prediction must be 0 or 1, got {}"),
+        ((1, 1.5, 7), "line 3: score must lie in [0, 1], got {}"),
+    ],
+)
+def test_both_formats_check_a_rows_fields_in_one_order(tmp_path, fields, message):
+    # Prediction, score, label: both files name the same first bad field at
+    # the same line, with the raw value's repr, text in CSV and a number in
+    # JSONL.
+    bad = "%s,%s,%s" % fields
+    csv_path = write(tmp_path, "a.csv", f"prediction,score,label\n0,0.1,0\n{bad}\n")
+    json_path = write(tmp_path, "a.jsonl", "".join(
+        '{"prediction": %s, "score": %s, "label": %s}\n' % tuple(row.split(","))
+        for row in ["0,0.1,0", "1,0.9,1", bad]
+    ))
+    raw = fields[0] if "prediction" in message else fields[1]
+    with pytest.raises(ValueError) as from_csv:
+        parse_input(csv_path)
+    with pytest.raises(ValueError) as from_jsonl:
+        parse_input(json_path, "jsonl")
+    assert str(from_csv.value) == message.format(repr(str(raw)))
+    assert str(from_jsonl.value) == message.format(repr(raw))
+
+
 def test_rejects_unknown_format(tmp_path):
     path = write(tmp_path, "a.csv", "prediction,score\n1,0.5\n")
     with pytest.raises(ValueError, match="format"):

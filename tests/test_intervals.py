@@ -85,6 +85,15 @@ class TestExamples:
         lo, hi, covered = greedy_hdi_reference(d.probabilities, 0.5)
         assert (lo, hi, covered) == (0, 1, interval.covered_mass)
 
+    def test_restores_against_one_minus_alpha_in_float64(self):
+        # Dropping the lower point stays below alpha, and keeps 0.9499999991:
+        # above float32(1 - alpha) = 0.949999988, but below 1 - float(alpha).
+        alpha = np.float32(0.05)
+        interval = hdi(make([0, 1], [0.05, 0.9499999991]), alpha)
+        assert (interval.lower, interval.upper) == (0.0, 1.0)
+        assert interval.covered_mass >= 1 - float(alpha)
+        assert type(interval.alpha) is float and interval.alpha == float(alpha)
+
     def test_zero_trimmed_mass_matches_loop_bit_for_bit(self):
         probs = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
         d = DiscreteDistribution._from_ratio_arrays(

@@ -20,13 +20,14 @@ from confmetrics.metrics import (
     recall_distribution,
 )
 from confmetrics.reports import estimate_all, true_metrics
-from confmetrics.synthesis import HypersphereConfig, shift_dataset
+from confmetrics.synthesis import HypersphereConfig, hypersphere_dataset, shift_dataset
 from oracles import (
     aggregate_ratio_masses_reference,
     enumerate_metric_distributions,
     estimate_confusion_dp,
     expand,
     f1_distribution_untrimmed,
+    pair_mass_reference,
     poisson_binomial_dp,
     random_small_batch,
     recall_distribution_untrimmed,
@@ -464,6 +465,28 @@ TRIMMING_WINDOWS = [
     for kind in ("certain", "all-zero", "all-one", "no-positive", "no-negative")
     for n in (1, 40)
 ]
+
+
+def test_whole_file_recall_and_f1_masses_equal_the_pair_free_reader():
+    # A whole-file window far beyond the untrimmed references' reach.  Half
+    # of the points are drawn from those whose value two or more rows can
+    # reach, so that sums of several pairs are read as well as single ones.
+    b = hypersphere_dataset(HypersphereConfig(n_dims=3, n_points=100_000, seed=7)).batch
+    est = estimate_confusion(b)
+    rng = np.random.default_rng(11)
+    for dist, scale, fixed in (
+        (recall_distribution(est), 1, 0),
+        (f1_distribution(est), 2, est.n_pos),
+    ):
+        nums, dens = dist._reduced()
+        rows_apart = nums // np.gcd(nums, scale)
+        positive = np.flatnonzero(nums > 0)
+        several = np.flatnonzero((nums > 0) & (2 * rows_apart < est.tp.pmf.size))
+        picked = np.concatenate(
+            [rng.choice(positive, 1000, replace=False), rng.choice(several, 1000, replace=False)]
+        ).tolist()
+        got = [pair_mass_reference(est, scale, fixed, int(nums[k]), int(dens[k])) for k in picked]
+        assert got == dist.probabilities[picked].tolist()
 
 
 class TestTrimming:

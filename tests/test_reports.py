@@ -5,6 +5,7 @@ import io
 import json
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -433,6 +434,24 @@ class TestWriter:
             text = render_report(reports, config, emit)
             assert text == json.dumps(document, indent=2, sort_keys=True)
             assert run_to_json(reports, config, emit) == document
+
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(1, 20), np.float32(0.05), np.float16(0.05)],
+        ids=["fraction", "float32", "float16"],
+    )
+    def test_any_real_alpha_is_written_and_held_as_its_float(self, alpha):
+        b = random_batch(np.random.default_rng(9), 300)
+        config = EstimateConfig(alpha=alpha)
+        reports = list(windowed_estimates(b, 100, config))
+        out = io.StringIO()
+        render_report(reports, config, out=out)
+        for text in (render_report(reports, config), out.getvalue()):
+            document = json.loads(text)
+            assert document["config"]["alpha"] == float(alpha)
+            written = [e["hdi"] for w in document["windows"] for e in w["estimates"] if e["hdi"]]
+            assert written and all(h["alpha"] == float(alpha) for h in written)
+        covered = [e.hdi.covered_mass for r in reports for e in r.estimates if e.hdi]
+        assert covered and all(mass >= 1 - float(alpha) for mass in covered)
 
     @settings(deadline=None, max_examples=200)
     @given(
