@@ -44,7 +44,7 @@ from .metrics import (
 from .reports import (
     EstimateConfig,
     MonitoringReport,
-    ShortcutColumns,
+    Run,
     TrueMetrics,
     estimate_all,
     render_report,
@@ -97,7 +97,7 @@ __all__ = [
     "parse_input",
     "EstimateConfig",
     "MonitoringReport",
-    "ShortcutColumns",
+    "Run",
     "TrueMetrics",
     "windowed_estimates",
     "true_metrics",

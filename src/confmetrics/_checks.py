@@ -9,25 +9,30 @@ from __future__ import annotations
 
 import functools
 import numbers
+import operator
 from collections import Counter
 from collections.abc import Collection
 
 import numpy as np
 
 
-def _require(value, name: str, low=None, high=None, strict=False, *, kind, what: str) -> None:
+def _require(value, name: str, low=None, high=None, strict=False, *, kind, what: str):
     """Raise ValueError unless ``value`` is an instance of ``kind`` (a bool
     never is), described as ``what``, and is at least ``low`` or, with
     ``high`` given, lies in [low, high], or in (low, high) when ``strict``;
-    NaN lies in no interval."""
+    NaN lies in no interval.  Returns ``value``, a numpy integer as its
+    Python int: numpy refuses to compare or combine a numpy integer with a
+    Python int outside the integer's type."""
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{name} must be {what}, got {value!r}")
+    number = operator.index(value) if isinstance(value, np.integer) else value
     if high is None:
-        if low is not None and not value >= low:
+        if low is not None and not number >= low:
             raise ValueError(f"{name} must be at least {low}, got {value!r}")
-    elif not (low < value < high if strict else low <= value <= high):
+    elif not (low < number < high if strict else low <= number <= high):
         interval = f"({low}, {high})" if strict else f"[{low}, {high}]"
         raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+    return number
 
 
 # numpy floats and integers are real numbers, and numpy integers integers.

@@ -56,7 +56,7 @@ def ace(batch: PredictionBatch, num_bins: int = DEFAULT_NUM_BINS) -> Calibration
     """
     _require_nonempty(batch, "ace", labelled=True)
     n = batch.n
-    _require_integer(num_bins, "num_bins", 1, n)
+    num_bins = _require_integer(num_bins, "num_bins", 1, n)
     order = np.argsort(batch.scores, kind="stable")
     scores = batch.scores[order]
     positives = batch.labels[order].astype(np.float64)

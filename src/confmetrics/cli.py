@@ -174,9 +174,9 @@ def _cmd_estimate(args) -> None:
     # windowed_estimates makes the shortcut pass, or estimates the first
     # exact window, before the output is opened, so that a run that fails
     # there leaves an existing output file as it was.
-    reports = windowed_estimates(batch, window, config)
+    run = windowed_estimates(batch, window, config)
     with _output(args.output) as out:
-        render_report(reports, config, args.emit_distributions, out=out)
+        render_report(run, args.emit_distributions, out=out)
         out.write("\n")
 
 

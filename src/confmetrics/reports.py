@@ -4,18 +4,19 @@ A monitoring stream is cut into consecutive windows of a fixed size; each
 window gets one report holding the requested metric estimates.  A final
 window shorter than the configured size is still processed and flagged as
 partial.  :func:`windowed_estimates` is the one entry for both methods,
-and the only code that checks a request and picks its method;
-:func:`estimate_all` is its one-window run.  The shortcut points of all
-windows come from one array pass over the whole batch, as one column per
-metric (:class:`ShortcutColumns`).  An exact run feeds its window slices
-to the one exact stream, :func:`~confmetrics.confusion.estimate_confusions`,
-which builds their count PMFs a chunk of at least
-``confusion._CHUNK_RECORDS`` records at a time (a longer window is a chunk
-by itself); each window's estimates are derived from its PMFs when its
-report is reached, and the first one when :func:`windowed_estimates` is
-called.  One generator, :func:`_reports`, builds the reports of both
-methods.  The realized metrics of a labelled window, :func:`true_metrics`,
-come from :mod:`confmetrics.metrics` and are exported here as well.
+and the only code that checks a request and picks its method; it returns
+the windows' estimates as one :class:`Run`, which carries the request it
+answers, and :func:`estimate_all` is its one-window run.  The shortcut
+points of all windows come from one array pass over the whole batch, as
+one column per metric.  An exact run feeds its window slices to the one
+exact stream, :func:`~confmetrics.confusion.estimate_confusions`, which
+builds their count PMFs a chunk of at least ``confusion._CHUNK_RECORDS``
+records at a time (a longer window is a chunk by itself); each window's
+estimates are derived from its PMFs when the run reaches it, and the
+first one when :func:`windowed_estimates` is called.  Iterating a run
+yields its reports.  The realized metrics of a labelled window,
+:func:`true_metrics`, come from :mod:`confmetrics.metrics` and are
+exported here as well.
 
 Reports serialize to a single JSON document per run.  The writer fills
 templates of the document's fixed layout, and its text is byte for byte
@@ -23,21 +24,22 @@ what ``json.dumps(document, indent=2, sort_keys=True)`` writes for the
 document it parses to: keys sorted, two spaces of indentation per level,
 floats through ``float.__repr__`` and the non-finite ones as
 ``NaN``/``Infinity``, strings through ``json.dumps``.  With
-``indent`` set, ``json`` runs its pure-Python encoder.  The writer takes
-a run's reports, or the columns of a shortcut run, and lays out the
-windows of both in one code path.  From the columns it fills the estimate
-template once per column and each point's number into it, and builds no
-estimate or report per window (README.md gives its timings).  Metric
-distributions are included only on request, since the recall and F1
-distributions each hold about 25 support points per window record (about
-25 000 at a window of 1000, 100 000 at 4000).
+``indent`` set, ``json`` runs its pure-Python encoder.  The writer heads
+the document with the run's own config and lays out the windows of both
+methods in one loop over the run's window sizes, building no report per
+window.  From a shortcut run's columns it fills the estimate template
+once per column and each point's number into it, and builds no estimate
+either (README.md gives its timings).  Metric distributions are included
+only on request, since the recall and F1 distributions each hold about
+25 support points per window record (about 25 000 at a window of 1000,
+100 000 at 4000).
 
-Reports stream: the writer turns each report into text as it arrives and
-can pass that text on to a stream before the next window is estimated,
-and lets a window go once the next one arrives, so a run holds the count
-PMFs of one chunk and the distributions of the window being estimated and
-at most the one before it, whatever its length (README.md gives the peak
-memory of exact runs).
+Reports stream: the writer turns each exact window's estimates into text
+as they arrive and can pass that text on to a stream before the next
+window is estimated, and lets a window go once the next one arrives, so
+a run holds the count PMFs of one chunk and the distributions of the
+window being estimated and at most the one before it, whatever its
+length (README.md gives the peak memory of exact runs).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 from ._checks import (
     _check_alpha,
@@ -70,7 +72,7 @@ from .metrics import (
 __all__ = [
     "EstimateConfig",
     "MonitoringReport",
-    "ShortcutColumns",
+    "Run",
     "TrueMetrics",
     "windowed_estimates",
     "estimate_all",
@@ -99,60 +101,57 @@ class MonitoringReport:
 
 
 @dataclass(frozen=True)
-class ShortcutColumns:
-    """The shortcut points of every window of a run, by metric.
+class Run:
+    """The estimates of every window of one run, under the request they
+    answer.
 
-    ``points`` maps each requested metric, in request order, to its column:
-    one point per window, None where the metric is undefined.  ``sizes``
-    holds each window's size; a window is partial when its size is below
-    ``window_size``.  :func:`render_report` writes the columns without
-    building an estimate or a report per window; iterating them yields the
-    run's reports from :func:`_reports`, each built when it is reached.
+    ``sizes`` holds each window's size; a window is partial when its size
+    is below ``window_size``.  A shortcut run holds its ``columns``: each
+    requested metric, in request order, mapped to one point per window,
+    None where the metric is undefined.  An exact run has no columns; its
+    ``estimates`` yield each window's estimates in order, from one pass
+    over the batch, so it can be read once.  Iterating a run yields its
+    reports, each built when it is reached.
     """
 
+    config: EstimateConfig
     window_size: int
-    points: dict[str, list[float | None]]
     sizes: list[int]
+    columns: dict[str, list[float | None]] | None
+    estimates: Iterator[list[MetricEstimate]] | None = None
 
     def __iter__(self) -> Iterator[MonitoringReport]:
-        estimates = (
-            [MetricEstimate(m, "shortcut", column[index]) for m, column in self.points.items()]
-            for index in range(len(self.sizes))
-        )
-        return _reports(self.window_size, self.sizes, estimates)
-
-
-def _reports(
-    window_size: int, sizes: list[int], estimates: Iterator[Iterable[MetricEstimate]]
-) -> Iterator[MonitoringReport]:
-    """One report per window size, each holding the next of ``estimates``,
-    which is pulled only when its report is reached."""
-    for index, size in enumerate(sizes):
-        # Not enumerate(zip(sizes, estimates)): enumerate keeps zip's result
-        # tuple to reuse, and with it window 0's estimates for the whole run.
-        yield MonitoringReport(index, size, size < window_size, tuple(next(estimates)))
+        estimates = self.estimates
+        if self.columns is not None:
+            estimates = (
+                [MetricEstimate(m, "shortcut", column[index]) for m, column in self.columns.items()]
+                for index in range(len(self.sizes))
+            )
+        for index, size in enumerate(self.sizes):
+            # Not enumerate(zip(sizes, estimates)): enumerate keeps zip's
+            # result tuple to reuse, and with it window 0's estimates for
+            # the whole run.
+            yield MonitoringReport(index, size, size < self.window_size, tuple(next(estimates)))
 
 
 def windowed_estimates(
     batch: PredictionBatch, window_size: int, config: EstimateConfig = EstimateConfig()
-) -> Iterable[MonitoringReport]:
-    """Split a batch into consecutive windows and estimate each one.
+) -> Run:
+    """Split a batch into consecutive windows and estimate each one, as the
+    :class:`Run` of ``config``.
 
     The request is checked when this is called: ValueError for an empty
     batch, a window size that is not an integer (a bool is not) or is below
     1, an unknown method, metrics that are not a sequence (a string is
     not), an unknown or repeated metric, or an alpha that is not a real
     number in (0, 1) or comes with shortcuts.  A shortcut run's points all
-    come from one pass over the batch, made here and returned as its
-    :class:`ShortcutColumns`.
-    An exact run comes back as a single-pass iterator of reports, whose
-    count PMFs come from :func:`~confmetrics.confusion.estimate_confusions`;
-    its first window, with its chunk's count PMFs, is estimated here, so
-    that a failure there raises from this call, and each later one when
-    reached.
+    come from one pass over the batch, made here.  An exact run's count
+    PMFs come from :func:`~confmetrics.confusion.estimate_confusions`; its
+    first window, with its chunk's count PMFs, is estimated here, so that a
+    failure there raises from this call, and each later one when reached.
     """
     _require_nonempty(batch)
-    _require_integer(window_size, "window_size", 1)
+    window_size = _require_integer(window_size, "window_size", 1)
     if config.method not in ("exact", "shortcut"):
         raise ValueError(f"method must be 'exact' or 'shortcut', got {config.method!r}")
     _require_sequence(config.metrics, "metrics", "metric names")
@@ -165,17 +164,18 @@ def windowed_estimates(
         if config.method == "shortcut":
             raise ValueError("alpha applies to the exact method only; shortcuts have no intervals")
     if config.method == "shortcut":
-        return ShortcutColumns(window_size, *_shortcut_windows(batch, window_size, config.metrics))
+        columns, sizes = _shortcut_windows(batch, window_size, config.metrics)
+        return Run(config, window_size, sizes, columns)
     sizes = _window_sizes(batch.n, window_size).tolist()
     starts = itertools.accumulate(sizes, initial=0)
     estimates = (
         [_exact_estimate(m, est, config.alpha) for m in config.metrics]
         for _, est in estimate_confusions(batch[a : a + n] for a, n in zip(starts, sizes))
     )
-    run = _reports(window_size, sizes, estimates)
-    # An exhausted list iterator lets go of the first report; chain([...],
-    # run) would keep it in its argument tuple for the whole run.
-    return itertools.chain(iter([next(run)]), run)
+    # An exhausted list iterator lets go of the first window; chain([...],
+    # estimates) would keep it in its argument tuple for the whole run.
+    first = iter([next(estimates)])
+    return Run(config, window_size, sizes, None, itertools.chain(first, estimates))
 
 
 def estimate_all(
@@ -284,63 +284,51 @@ def _column_texts(metric: str, points: list[float | None], quote) -> list[str]:
     return [undefined if p is None else head + _number(p) + tail for p in points]
 
 
-def _report_chunks(windows: Iterable[tuple], config: EstimateConfig, quote) -> Iterator[str]:
+def _report_chunks(run: Run, texts: Iterator[list[str]], quote) -> Iterator[str]:
     """The report's text in order: the head, one piece per window, the tail.
-    ``windows`` yields each window's estimate texts, partial flag, index and
-    size."""
+    ``texts`` yields each window's estimate texts."""
+    config = run.config
     yield _HEAD % (
         _number(config.alpha),
         quote(config.method),
         _array([quote(m) for m in config.metrics], "    "),
     )
-    first = True
-    for estimates, partial, index, size in windows:
+    for index, size in enumerate(run.sizes):
         yield _WINDOW % (
-            "[\n    " if first else ",\n    ",
-            _array(estimates, "      "),
-            _bool(partial),
+            ",\n    " if index else "[\n    ",
+            _array(next(texts), "      "),
+            _bool(size < run.window_size),
             index,
             size,
         )
-        first = False
-    yield "[]\n}" if first else "\n  ]\n}"
+    yield "\n  ]\n}" if run.sizes else "[]\n}"
 
 
 def render_report(
-    reports: Iterable[MonitoringReport],
-    config: EstimateConfig,
-    emit_distributions: bool = False,
-    out: TextIO | None = None,
+    run: Run, emit_distributions: bool = False, out: TextIO | None = None
 ) -> str | None:
-    """Deterministic JSON text for a run; identical inputs give identical
-    bytes, the text ``json.dumps(document, indent=2, sort_keys=True)`` gives
-    for the document it parses to.
+    """Deterministic JSON text for a run, headed by the run's config;
+    identical inputs give identical bytes, the text ``json.dumps(document,
+    indent=2, sort_keys=True)`` gives for the document it parses to.
 
-    ``reports`` is what :func:`windowed_estimates` returns, or any run's
-    reports.  The :class:`ShortcutColumns` of a shortcut run are written
-    from their columns, as the text of the reports they yield.  Returns the
-    text, or with ``out`` writes it there piece by piece, each window's
-    text as soon as ``reports`` yields the window, and returns None.  The
-    text does not end in a newline.
+    A shortcut run is written from its columns, an exact run from its
+    estimates, read as the writer reaches each window; neither builds a
+    report per window.  Returns the text, or with ``out`` writes it there
+    piece by piece, each window's text as soon as its estimates arrive, and
+    returns None.  The text does not end in a newline.
     """
     quote = functools.lru_cache(maxsize=None)(json.dumps)
-    if isinstance(reports, ShortcutColumns):
-        texts = [_column_texts(m, points, quote) for m, points in reports.points.items()]
-        windows = (
-            (estimates, size < reports.window_size, index, size)
-            for index, (size, *estimates) in enumerate(zip(reports.sizes, *texts))
+    if run.columns is None:
+        # The loop variable holds each window until the next one arrives:
+        # letting it go sooner multiplied the page faults of exact runs.
+        texts = (
+            [_estimate_text(e, emit_distributions, quote) for e in estimates]
+            for estimates in run.estimates
         )
     else:
-        windows = (
-            (
-                [_estimate_text(e, emit_distributions, quote) for e in r.estimates],
-                r.partial,
-                r.window_index,
-                r.window_size,
-            )
-            for r in reports
-        )
-    chunks = _report_chunks(windows, config, quote)
+        columns = [_column_texts(m, points, quote) for m, points in run.columns.items()]
+        texts = ([column[index] for column in columns] for index in range(len(run.sizes)))
+    chunks = _report_chunks(run, texts, quote)
     if out is None:
         return "".join(chunks)
     out.writelines(chunks)

@@ -351,9 +351,9 @@ def _estimate_to_json_reference(estimate, emit_distributions):
     }
 
 
-def run_to_json(reports, config, emit_distributions=False):
+def run_to_json(run, emit_distributions=False):
     """One run's report document: the parsed ``render_report`` text."""
-    return json.loads(render_report(reports, config, emit_distributions))
+    return json.loads(render_report(run, emit_distributions))
 
 
 def run_to_json_reference(reports, config, emit_distributions=False):

@@ -4,12 +4,14 @@ result and never a silent coercion."""
 
 import re
 
+import numpy as np
 import pytest
 
-from confmetrics.calibration import reverse_sample_labels
+from confmetrics.calibration import ace, reverse_sample_labels
 from confmetrics.confusion import PredictionBatch, estimate_confusion
 from confmetrics.intervals import hdis
 from confmetrics.metrics import accuracy_distribution
+from confmetrics.reports import EstimateConfig, windowed_estimates
 from confmetrics.synthesis import (
     BetaParams,
     HypersphereConfig,
@@ -84,3 +86,30 @@ MALFORMED = {
 def test_malformed_argument_raises_value_error_naming_it(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _labelled(n):
+    rng = np.random.default_rng(11)
+    scores = rng.random(n)
+    return PredictionBatch.from_arrays((scores >= 0.5).astype(int), scores, rng.integers(0, 2, n))
+
+
+# No np.uint64 bin count: numpy compared it with the row count, which its
+# type holds, and it ran at the parent too.
+@pytest.mark.parametrize(
+    "use, cast",
+    [(use, cast) for use in ("exact", "shortcut") for cast in (np.uint8, np.uint64, np.int8)]
+    + [("ace", np.uint8), ("ace", np.int8)],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_numpy_integer_sizes_run_as_the_equal_int(use, cast):
+    # numpy refuses to combine a numpy integer with a Python int outside its
+    # type, so an unconverted size overflowed on -1000 or on the 1000 rows.
+    b = _labelled(1000)
+    if use == "ace":
+        assert ace(b, cast(15)) == ace(b, 15)
+        return
+    config = EstimateConfig(method=use)
+    reports = list(windowed_estimates(b, cast(99), config))
+    assert reports == list(windowed_estimates(b, 99, config))
+    assert [type(r.partial) for r in reports] == [bool] * 11 and reports[-1].partial

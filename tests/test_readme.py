@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -25,3 +26,8 @@ def test_library_tour_runs_and_gives_the_recall_it_states():
     rows = [line.split() for line in printed.getvalue().splitlines()]
     assert [row[0] for row in rows] == ["accuracy", "precision", "recall", "f1"]
     assert round(float(rows[2][1]), decimals) == float(stated)
+    config = namespace["cm"].EstimateConfig(alpha=0.05)
+    assert namespace["run"].config == config
+    assert json.loads(namespace["text"])["config"] == {
+        "alpha": 0.05, "method": "exact", "metrics": list(config.metrics)
+    }

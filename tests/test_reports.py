@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confmetrics import cli, confusion
@@ -22,8 +22,8 @@ from confmetrics.metrics import METRICS, MetricEstimate
 from confmetrics.reports import (
     EstimateConfig,
     MonitoringReport,
+    Run,
     TrueMetrics,
-    ShortcutColumns,
     estimate_all,
     render_report,
     true_metrics,
@@ -189,9 +189,9 @@ class TestWindowing:
             return exact_estimate(metric, est, alpha)
 
         monkeypatch.setattr(reports_module, "_exact_estimate", counted)
-        reports = windowed_estimates(
+        reports = iter(windowed_estimates(
             random_batch(np.random.default_rng(7), 25), 10, EstimateConfig(metrics=("f1",))
-        )
+        ))
         assert calls == [10]
         assert next(reports).window_size == 10
         assert calls == [10]
@@ -210,9 +210,9 @@ class TestWindowing:
             windowed_estimates(random_batch(np.random.default_rng(7), 25), 10)
 
     def test_each_exact_window_is_let_go_once_passed(self):
-        run = windowed_estimates(
+        run = iter(windowed_estimates(
             random_batch(np.random.default_rng(8), 30), 10, EstimateConfig(alpha=0.1)
-        )
+        ))
         report = next(run)
         estimate = weakref.ref(report.estimates[0])
         del report
@@ -299,7 +299,7 @@ class TestSerialization:
 
     def test_document_shape(self):
         b = batch([1, 1, 0], [0.8, 0.6, 0.3])
-        doc = run_to_json(windowed_estimates(b, 3, self.CONFIG), self.CONFIG)
+        doc = run_to_json(windowed_estimates(b, 3, self.CONFIG))
         assert set(doc) == {"windows", "config"}
         window = doc["windows"][0]
         assert window["window_index"] == 0
@@ -319,8 +319,7 @@ class TestSerialization:
 
     def test_distributions_emitted_on_request(self):
         b = batch([1, 1, 0], [0.8, 0.6, 0.3])
-        reports = windowed_estimates(b, 3, self.CONFIG)
-        doc = run_to_json(reports, self.CONFIG, emit_distributions=True)
+        doc = run_to_json(windowed_estimates(b, 3, self.CONFIG), emit_distributions=True)
         entry = doc["windows"][0]["estimates"][0]
         assert entry["metric"] == "accuracy"
         # triples of numerator, denominator, probability
@@ -335,7 +334,7 @@ class TestSerialization:
 
     def test_undefined_estimate_serialized_with_null_point(self):
         b = batch([0, 0], [0.2, 0.3])
-        doc = run_to_json(windowed_estimates(b, 2, self.CONFIG), self.CONFIG)
+        doc = run_to_json(windowed_estimates(b, 2, self.CONFIG))
         by_name = {e["metric"]: e for e in doc["windows"][0]["estimates"]}
         assert by_name["precision"]["point"] is None
         assert by_name["precision"]["undefined"] is True
@@ -343,8 +342,8 @@ class TestSerialization:
     def test_rendering_is_deterministic(self):
         rng = np.random.default_rng(3)
         b = random_batch(rng, 40)
-        first = render_report(windowed_estimates(b, 20, self.CONFIG), self.CONFIG)
-        second = render_report(windowed_estimates(b, 20, self.CONFIG), self.CONFIG)
+        first = render_report(windowed_estimates(b, 20, self.CONFIG))
+        second = render_report(windowed_estimates(b, 20, self.CONFIG))
         assert first == second
         json.loads(first)  # also valid JSON
 
@@ -359,7 +358,7 @@ def test_peak_memory_holds_one_window_not_the_run():
         b = random_batch(rng, n)
         tracemalloc.start()
         try:
-            render_report(windowed_estimates(b, 1000, config), config)
+            render_report(windowed_estimates(b, 1000, config))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -387,12 +386,11 @@ _ESTIMATES = st.builds(
     hdi=st.none()
     | st.builds(HdiInterval, lower=_NUMBERS, upper=_NUMBERS, alpha=_NUMBERS, covered_mass=_FLOATS),
 )
-_REPORTS = st.builds(
-    MonitoringReport,
-    window_index=st.integers(0, 10**6),
-    window_size=st.integers(1, 10**6),
-    partial=st.booleans(),
-    estimates=st.lists(_ESTIMATES, max_size=5).map(tuple),
+# A run's window size and each window's size and estimates; a window's
+# index and partial flag follow from the sizes.
+_RUNS = st.tuples(
+    st.integers(1, 10**6),
+    st.lists(st.tuples(st.integers(1, 10**6), st.lists(_ESTIMATES, max_size=5)), max_size=4),
 )
 # Empty, subset and permuted metric requests.
 _METRIC_REQUESTS = st.permutations(METRICS).flatmap(
@@ -408,14 +406,43 @@ _CONFIGS = st.builds(
 
 class TestWriter:
     @settings(deadline=None, max_examples=200)
-    @given(st.lists(_REPORTS, max_size=4), _CONFIGS, st.booleans())
-    def test_writes_the_text_of_json_dumps(self, reports, config, emit_distributions):
+    @given(_RUNS, _CONFIGS, st.booleans())
+    def test_writes_the_text_of_json_dumps(self, drawn, config, emit_distributions):
+        window_size, windows = drawn
+        sizes = [size for size, _ in windows]
+
+        def run():
+            return Run(config, window_size, sizes, None, iter([e for _, e in windows]))
+
+        reports = [
+            MonitoringReport(index, size, size < window_size, tuple(estimates))
+            for index, (size, estimates) in enumerate(windows)
+        ]
+        assert list(run()) == reports
         document = run_to_json_reference(reports, config, emit_distributions)
         expected = json.dumps(document, indent=2, sort_keys=True)
-        assert render_report(reports, config, emit_distributions) == expected
+        assert render_report(run(), emit_distributions) == expected
         out = io.StringIO()
-        assert render_report(iter(reports), config, emit_distributions, out=out) is None
+        assert render_report(run(), emit_distributions, out=out) is None
         assert out.getvalue() == expected
+
+    @settings(deadline=None, max_examples=100)
+    @given(_CONFIGS, st.integers(1, 13) | st.just(2**62))
+    def test_the_header_is_the_runs_own_config(self, config, window):
+        assume(config.method == "exact" or config.alpha is None)
+        b = random_batch(np.random.default_rng(10), 12)
+        document = json.loads(render_report(windowed_estimates(b, window, config)))
+        alpha = None if config.alpha is None else float(config.alpha)
+        assert document["config"] == {
+            "alpha": alpha, "method": config.method, "metrics": list(config.metrics)
+        }
+        assert len(document["windows"]) == -(-12 // window)
+        for written in document["windows"]:
+            estimates = written["estimates"]
+            assert [(e["metric"], e["method"]) for e in estimates] == [
+                (m, config.method) for m in config.metrics
+            ]
+            assert all(e["hdi"]["alpha"] == alpha for e in estimates if e["hdi"] is not None)
 
     @pytest.mark.parametrize(
         "config, window",
@@ -431,9 +458,9 @@ class TestWriter:
         reports = list(windowed_estimates(b, window, config))
         for emit in (False, True):
             document = run_to_json_reference(reports, config, emit)
-            text = render_report(reports, config, emit)
+            text = render_report(windowed_estimates(b, window, config), emit)
             assert text == json.dumps(document, indent=2, sort_keys=True)
-            assert run_to_json(reports, config, emit) == document
+            assert run_to_json(windowed_estimates(b, window, config), emit) == document
 
     @pytest.mark.parametrize(
         "alpha", [Fraction(1, 20), np.float32(0.05), np.float16(0.05)],
@@ -442,14 +469,14 @@ class TestWriter:
     def test_any_real_alpha_is_written_and_held_as_its_float(self, alpha):
         b = random_batch(np.random.default_rng(9), 300)
         config = EstimateConfig(alpha=alpha)
-        reports = list(windowed_estimates(b, 100, config))
         out = io.StringIO()
-        render_report(reports, config, out=out)
-        for text in (render_report(reports, config), out.getvalue()):
+        render_report(windowed_estimates(b, 100, config), out=out)
+        for text in (render_report(windowed_estimates(b, 100, config)), out.getvalue()):
             document = json.loads(text)
             assert document["config"]["alpha"] == float(alpha)
             written = [e["hdi"] for w in document["windows"] for e in w["estimates"] if e["hdi"]]
             assert written and all(h["alpha"] == float(alpha) for h in written)
+        reports = list(windowed_estimates(b, 100, config))
         covered = [e.hdi.covered_mass for r in reports for e in r.estimates if e.hdi]
         assert covered and all(mass >= 1 - float(alpha) for mass in covered)
 
@@ -482,15 +509,14 @@ class TestWriter:
         b = batch(np.concatenate(predictions), np.concatenate(scores))
         window = {"one": 1, "n": b.n, "huge": 2**62}.get(window, window)
         config = EstimateConfig(metrics, "shortcut")
-        columns = windowed_estimates(b, window, config)
-        assert isinstance(columns, ShortcutColumns)
-        reports = list(columns)
+        run = windowed_estimates(b, window, config)
+        assert isinstance(run, Run) and run.estimates is None
+        reports = list(run)
         document = run_to_json_reference(reports, config, emit_distributions)
         expected = json.dumps(document, indent=2, sort_keys=True)
-        assert render_report(reports, config, emit_distributions) == expected
-        assert render_report(columns, config, emit_distributions) == expected
+        assert render_report(run, emit_distributions) == expected
         out = io.StringIO()
-        assert render_report(columns, config, emit_distributions, out=out) is None
+        assert render_report(run, emit_distributions, out=out) is None
         assert out.getvalue() == expected
 
     def test_shortcut_columns_build_no_estimate_or_report(self, monkeypatch):
@@ -499,12 +525,16 @@ class TestWriter:
 
         b = random_batch(np.random.default_rng(6), 50)
         config = EstimateConfig(method="shortcut")
-        expected = render_report(list(windowed_estimates(b, 7, config)), config)
+        expected = render_report(windowed_estimates(b, 7, config))
         monkeypatch.setattr(reports_module, "MetricEstimate", fails)
         monkeypatch.setattr(reports_module, "MonitoringReport", fails)
-        assert render_report(windowed_estimates(b, 7, config), config) == expected
+        assert render_report(windowed_estimates(b, 7, config)) == expected
 
-    def test_shortcut_cli_run_builds_no_estimate_or_report(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _cli_run_without(tmp_path, monkeypatch, method, *names):
+        """Run ``estimate`` at window 7 with the ``reports`` names given made
+        to fail when called, and check it writes what the library does."""
+
         def fails(*args, **kwargs):
             raise AssertionError("a per-window object was built")
 
@@ -512,14 +542,23 @@ class TestWriter:
         b = random_batch(np.random.default_rng(8), 50)
         rows = zip(b.predictions.tolist(), b.scores.tolist())
         path.write_text("prediction,score\n" + "".join(f"{p},{s!r}\n" for p, s in rows))
-        config = EstimateConfig(method="shortcut")
-        expected = render_report(list(windowed_estimates(parse_input(str(path)), 7, config)), config)
-        monkeypatch.setattr(reports_module, "MetricEstimate", fails)
-        monkeypatch.setattr(reports_module, "MonitoringReport", fails)
+        expected = render_report(
+            windowed_estimates(parse_input(str(path)), 7, EstimateConfig(method=method))
+        )
+        for name in names:
+            monkeypatch.setattr(reports_module, name, fails)
         out = tmp_path / "report.json"
-        argv = ["estimate", "--input", str(path), "--method", "shortcut", "--window-size", "7"]
+        argv = ["estimate", "--input", str(path), "--method", method, "--window-size", "7"]
         assert cli.main([*argv, "--output", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == expected + "\n"
+
+    def test_shortcut_cli_run_builds_no_estimate_or_report(self, tmp_path, monkeypatch):
+        self._cli_run_without(tmp_path, monkeypatch, "shortcut", "MetricEstimate", "MonitoringReport")
+
+    def test_exact_cli_run_builds_no_report(self, tmp_path, monkeypatch):
+        # Its estimates come from the metrics module; only reports could be
+        # built here.
+        self._cli_run_without(tmp_path, monkeypatch, "exact", "MonitoringReport")
 
     @pytest.mark.parametrize(
         "window, config, match",
