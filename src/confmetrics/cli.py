@@ -3,8 +3,11 @@
 One verb per capability: ``estimate`` produces per-window metric reports
 from a prediction file, ``true-metrics`` and ``ace`` evaluate labelled
 files, ``simulate`` runs the convergence and coverage experiments, and
-``generate`` writes synthetic datasets.  Diagnostics go to stderr and the
-exit code is nonzero on any error; data goes to ``--output`` or stdout.
+``generate`` writes synthetic datasets.  The CLI converts argument text
+and decides nothing: the rules of a request, and the defaults the
+library gives, come from the modules that own them.  Diagnostics go to
+stderr; text that cannot be converted exits 2, a request the library
+rejects exits 1, and data goes to ``--output`` or stdout.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .experiments import (
     run_coverage_experiment,
 )
 from .ingest import FORMATS, parse_input
-from .metrics import METRICS
 from .reports import (
+    METHODS,
     EstimateConfig,
     render_report,
     true_metrics,
@@ -37,28 +40,17 @@ from .synthesis import HypersphereConfig, hypersphere_dataset, shift_dataset
 __all__ = ["main", "build_parser"]
 
 
-def _comma_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _comma(kind, what: str):
+    """An argument type: comma-separated ``what``, each part read by
+    ``kind``; text that ``kind`` rejects is an argument error."""
 
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
 
-def _comma_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _comma_metrics(text: str) -> tuple[str, ...]:
-    metrics = tuple(part.strip() for part in text.split(","))
-    unknown = [m for m in metrics if m not in METRICS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown metrics {unknown}; choose from {', '.join(METRICS)}"
-        )
-    return metrics
+    return parse
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -91,15 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate.add_argument(
         "--metrics",
-        type=_comma_metrics,
-        default=METRICS,
+        type=_comma(str.strip, "metric names"),
+        default=EstimateConfig.metrics,
         help="comma-separated metric names (default all four)",
     )
-    estimate.add_argument("--method", choices=("exact", "shortcut"), default="exact")
+    estimate.add_argument("--method", choices=METHODS, default=EstimateConfig.method)
     estimate.add_argument(
         "--alpha",
         type=float,
-        default=None,
+        default=EstimateConfig.alpha,
         help="attach (1-alpha) highest-density intervals (exact method only)",
     )
     estimate.add_argument(
@@ -121,18 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     convergence = simulations.add_parser(
         "convergence", help="shortcut-vs-exact approximation error by window size"
     )
-    convergence.add_argument(
-        "--windows", type=_comma_ints, default=DEFAULT_CONVERGENCE_WINDOWS
-    )
+    windows = _comma(int, "integers")
+    convergence.add_argument("--windows", type=windows, default=DEFAULT_CONVERGENCE_WINDOWS)
     convergence.add_argument("--trials", type=int, default=1000)
     convergence.add_argument("--output", default=None, help="CSV output (default stdout)")
 
     coverage = simulations.add_parser(
         "coverage", help="highest-density interval coverage under reverse sampling"
     )
-    coverage.add_argument("--windows", type=_comma_ints, default=DEFAULT_COVERAGE_WINDOWS)
+    coverage.add_argument("--windows", type=windows, default=DEFAULT_COVERAGE_WINDOWS)
     coverage.add_argument("--trials", type=int, default=2000)
-    coverage.add_argument("--alphas", type=_comma_floats, default=DEFAULT_ALPHAS)
+    coverage.add_argument("--alphas", type=_comma(float, "numbers"), default=DEFAULT_ALPHAS)
     coverage.add_argument("--output", default=None, help="CSV output (default stdout)")
 
     generate = commands.add_parser("generate", help="write a synthetic dataset")
@@ -143,10 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sphere.add_argument("--dims", type=int, required=True)
     sphere.add_argument("--points", type=int, required=True)
-    sphere.add_argument("--radius", type=float, default=3.0)
-    sphere.add_argument("--decay", type=float, default=None,
+    sphere.add_argument("--radius", type=float, default=HypersphereConfig.radius)
+    sphere.add_argument("--decay", type=float, default=HypersphereConfig.decay,
                         help="label-probability decay rate (default ln sqrt 2)")
-    sphere.add_argument("--easy-fraction", type=float, default=0.8)
+    sphere.add_argument("--easy-fraction", type=float, default=HypersphereConfig.easy_fraction)
     sphere.add_argument("--threshold", type=float, default=0.5)
     sphere.add_argument(
         "--shifted", action="store_true", help="swap easy and hard pool proportions"
@@ -180,16 +171,16 @@ def _cmd_estimate(args) -> None:
         out.write("\n")
 
 
+def _emit_json(record, output: str | None) -> None:
+    _emit(json.dumps(dataclasses.asdict(record), indent=2, sort_keys=True), output)
+
+
 def _cmd_true_metrics(args) -> None:
-    batch = parse_input(args.input, args.format)
-    _emit(json.dumps(dataclasses.asdict(true_metrics(batch)), indent=2, sort_keys=True),
-          args.output)
+    _emit_json(true_metrics(parse_input(args.input, args.format)), args.output)
 
 
 def _cmd_ace(args) -> None:
-    batch = parse_input(args.input, args.format)
-    report = ace(batch, args.bins)
-    _emit(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True), args.output)
+    _emit_json(ace(parse_input(args.input, args.format), args.bins), args.output)
 
 
 def _cmd_simulate(args) -> None:
@@ -201,14 +192,13 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_generate(args) -> None:
-    kwargs = {} if args.decay is None else {"decay": args.decay}
     config = HypersphereConfig(
         n_dims=args.dims,
         n_points=args.points,
         seed=args.seed,
         radius=args.radius,
+        decay=args.decay,
         easy_fraction=args.easy_fraction,
-        **kwargs,
     )
     generator = shift_dataset if args.shifted else hypersphere_dataset
     batch = generator(config, args.threshold).batch

@@ -118,17 +118,17 @@ def _summary(window: int, metric: str, errors: list[float]) -> ConvergenceRow:
     )
 
 
-def _check_plan(window_sizes: tuple[int, ...], trials: int, seed: int) -> None:
-    """Raise ValueError, before any trial runs, for window sizes that are
-    not a nonempty sequence, a count or seed that is not an integer (a bool
-    is not), no trial, a window size below 1 or given twice, or a negative
-    seed."""
-    _require_integer(trials, "trials", 1)
+def _check_plan(window_sizes: tuple[int, ...], trials: int, seed: int) -> tuple[list, int, int]:
+    """The window sizes, trial count and seed, each numpy integer as its
+    Python int.  Raises ValueError, before any trial runs, for window sizes
+    that are not a nonempty sequence, a count or seed that is not an integer
+    (a bool is not), no trial, a window size below 1 or given twice, or a
+    negative seed."""
+    trials = _require_integer(trials, "trials", 1)
     _require_sequence(window_sizes, "window_sizes", "integers", nonempty=True)
-    for window in window_sizes:
-        _require_integer(window, "each window size", 1)
+    window_sizes = [_require_integer(window, "each window size", 1) for window in window_sizes]
     _require_distinct(window_sizes, "window sizes")
-    _require_integer(seed, "seed", 0)
+    return window_sizes, trials, _require_integer(seed, "seed", 0)
 
 
 def run_convergence_experiment(
@@ -142,7 +142,7 @@ def run_convergence_experiment(
     positive predictions) are skipped for that metric.  Raises ValueError
     for a malformed or out-of-range plan, as :func:`_check_plan` lists.
     """
-    _check_plan(window_sizes, trials, seed)
+    window_sizes, trials, seed = _check_plan(window_sizes, trials, seed)
     rows = []
     for window in window_sizes:
         errors: dict[str, list[float]] = {"recall": [], "f1": [], "control": []}
@@ -178,7 +178,7 @@ def run_coverage_experiment(
     given twice, which would count each trial more than once, and for a
     malformed or out-of-range plan, as :func:`_check_plan` lists.
     """
-    _check_plan(window_sizes, trials, seed)
+    window_sizes, trials, seed = _check_plan(window_sizes, trials, seed)
     _require_sequence(alphas, "alphas", "real numbers", nonempty=True)
     for alpha in alphas:
         _check_alpha(alpha)

@@ -70,6 +70,7 @@ from .metrics import (
 )
 
 __all__ = [
+    "METHODS",
     "EstimateConfig",
     "MonitoringReport",
     "Run",
@@ -79,6 +80,8 @@ __all__ = [
     "true_metrics",
     "render_report",
 ]
+
+METHODS = ("exact", "shortcut")
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,10 @@ class Run:
     requested metric, in request order, mapped to one point per window,
     None where the metric is undefined.  An exact run has no columns; its
     ``estimates`` yield each window's estimates in order, from one pass
-    over the batch, so it can be read once.  Iterating a run yields its
-    reports, each built when it is reached.
+    over the batch, so it is read once: its first reader, an iteration
+    once started or :func:`render_report` when called, takes the whole
+    stream, and a later reader raises ValueError.  Iterating a run yields
+    its reports, each built when it is reached.
     """
 
     config: EstimateConfig
@@ -120,9 +125,18 @@ class Run:
     columns: dict[str, list[float | None]] | None
     estimates: Iterator[list[MetricEstimate]] | None = None
 
-    def __iter__(self) -> Iterator[MonitoringReport]:
+    def _take(self) -> Iterator[list[MetricEstimate]]:
+        """The exact estimate stream, handed to its first reader only."""
         estimates = self.estimates
-        if self.columns is not None:
+        if estimates is None:
+            raise ValueError("an exact run is read once; estimate it again to read it again")
+        object.__setattr__(self, "estimates", None)
+        return estimates
+
+    def __iter__(self) -> Iterator[MonitoringReport]:
+        if self.columns is None:
+            estimates = self._take()
+        else:
             estimates = (
                 [MetricEstimate(m, "shortcut", column[index]) for m, column in self.columns.items()]
                 for index in range(len(self.sizes))
@@ -152,12 +166,12 @@ def windowed_estimates(
     """
     _require_nonempty(batch)
     window_size = _require_integer(window_size, "window_size", 1)
-    if config.method not in ("exact", "shortcut"):
-        raise ValueError(f"method must be 'exact' or 'shortcut', got {config.method!r}")
+    if config.method not in METHODS:
+        raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, got {config.method!r}")
     _require_sequence(config.metrics, "metrics", "metric names")
     unknown = [m for m in config.metrics if m not in METRICS]
     if unknown:
-        raise ValueError(f"unknown metrics requested: {unknown}")
+        raise ValueError(f"unknown metrics requested: {unknown}; choose from {', '.join(METRICS)}")
     _require_distinct(config.metrics, "metrics")
     if config.alpha is not None:
         _check_alpha(config.alpha)
@@ -315,7 +329,8 @@ def render_report(
     estimates, read as the writer reaches each window; neither builds a
     report per window.  Returns the text, or with ``out`` writes it there
     piece by piece, each window's text as soon as its estimates arrive, and
-    returns None.  The text does not end in a newline.
+    returns None.  The text does not end in a newline.  An exact run that
+    has been read already raises ValueError, before anything is written.
     """
     quote = functools.lru_cache(maxsize=None)(json.dumps)
     if run.columns is None:
@@ -323,7 +338,7 @@ def render_report(
         # letting it go sooner multiplied the page faults of exact runs.
         texts = (
             [_estimate_text(e, emit_distributions, quote) for e in estimates]
-            for estimates in run.estimates
+            for estimates in run._take()
         )
     else:
         columns = [_column_texts(m, points, quote) for m, points in run.columns.items()]

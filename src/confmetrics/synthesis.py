@@ -101,7 +101,7 @@ class HypersphereConfig:
 
     def __post_init__(self):
         for name, low in (("n_dims", 1), ("n_points", 1), ("seed", 0)):
-            _require_integer(getattr(self, name), name, low)
+            object.__setattr__(self, name, _require_integer(getattr(self, name), name, low))
         for name in ("radius", "decay"):
             _require_real(getattr(self, name), name, 0, math.inf, strict=True)
         _require_real(self.easy_fraction, "easy_fraction", 0, 1)

@@ -11,7 +11,9 @@ import pytest
 
 import confmetrics
 from confmetrics import confusion, experiments, metrics, reports
-from confmetrics.cli import main
+from confmetrics.cli import build_parser, main
+from confmetrics.reports import EstimateConfig
+from confmetrics.synthesis import HypersphereConfig
 from oracles import (
     f1_distribution_untrimmed,
     poisson_binomial_dp_counts,
@@ -110,6 +112,18 @@ class TestEstimate:
         code, out, err = run(capsys, "estimate", "--input", path, "--format", "jsonl")
         assert code == 1 and out == ""
         assert "error: line 1: duplicate keys: prediction" in err.splitlines()
+
+    def test_unknown_metric_is_rejected_by_the_library_after_the_input(
+        self, labelled_csv, tmp_path, capsys
+    ):
+        code, out, err = run(capsys, "estimate", "--input", labelled_csv, "--metrics", "foo")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: unknown metrics requested: ['foo']; "
+            "choose from accuracy, precision, recall, f1\n"
+        )
+        code, _, err = run(capsys, "estimate", "--input", tmp_path / "none.csv", "--metrics", "foo")
+        assert code == 1 and "none.csv" in err and "unknown metrics" not in err
 
     def test_alpha_with_shortcut_fails(self, labelled_csv, capsys):
         code, out, err = run(
@@ -469,6 +483,36 @@ class TestGenerate:
         )
         assert code == 1 and out == ""
         assert err == "error: seed must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("simulate", "coverage", "--windows", "10,x"),
+         "argument --windows: expected comma-separated integers, got '10,x'"),
+        (("simulate", "convergence", "--windows", "10,"),
+         "argument --windows: expected comma-separated integers, got '10,'"),
+        (("simulate", "coverage", "--alphas", "0.1,y"),
+         "argument --alphas: expected comma-separated numbers, got '0.1,y'"),
+    ],
+    ids=["coverage-windows", "convergence-windows", "coverage-alphas"],
+)
+def test_malformed_list_text_is_an_argument_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as raised:
+        main(list(argv))
+    assert raised.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_defaults_are_the_librarys():
+    parser = build_parser()
+    args = parser.parse_args(["estimate", "--input", "f.csv"])
+    assert EstimateConfig(args.metrics, args.method, args.alpha) == EstimateConfig()
+    args = parser.parse_args(["generate", "hypersphere", "--dims", "2", "--points", "9"])
+    config = HypersphereConfig(2, 9, 0)
+    assert (args.radius, args.decay, args.easy_fraction) == (
+        config.radius, config.decay, config.easy_fraction
+    )
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,12 @@ class TestRecords:
         b = batch([1, 0], [0.5, 0.5], [1, 0])
         assert b.labels.tolist() == [1, 0]
 
+    def test_prediction_counts_length_and_repr(self):
+        b = batch([1, 0, 1], [0.9, 0.2, 0.6])
+        assert (b.n_pos, b.n_neg, len(b)) == (2, 1, 3)
+        assert repr(b) == "PredictionBatch(n=3, n_pos=2, labelled=False)"
+        assert repr(batch([0], [0.1], [1])) == "PredictionBatch(n=1, n_pos=0, labelled=True)"
+
 
 class TestStrictInput:
     @pytest.mark.parametrize(

@@ -122,6 +122,11 @@ class TestConstruction:
         assert make(1e-15) == make(1e-15)
         assert make(1e-15) != make(0.0)
 
+    def test_equality_with_another_type_is_left_to_it(self):
+        d = distribution({Fraction(1, 2): 1.0})
+        assert d.__eq__(0.5) is NotImplemented
+        assert d != 0.5 and d != [(1, 2, 1.0)]
+
     def test_probabilities_are_read_only(self):
         d = distribution({0: 0.5, 1: 0.5})
         with pytest.raises(ValueError):

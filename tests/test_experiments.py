@@ -187,6 +187,12 @@ def test_numpy_integer_plan_runs_as_ints():
     assert run_convergence_experiment((np.int32(10),), np.int64(3), seed=np.int64(1)) == (
         run_convergence_experiment((10,), 3, seed=1)
     )
+    # The rows carry the window as a Python int, not the numpy scalar.
+    rows = [
+        *run_convergence_experiment((np.uint8(10),), np.uint8(2), seed=np.uint8(0)),
+        *run_coverage_experiment((np.uint8(10),), np.uint8(2), (0.1,), seed=np.uint8(0)),
+    ]
+    assert {type(row.window) for row in rows} == {int}
 
 
 @pytest.mark.parametrize("kind", [list, np.array])
@@ -197,6 +203,11 @@ def test_plans_given_as_lists_or_arrays_run_as_tuples(kind):
     assert run_coverage_experiment((20,), trials=3, alphas=kind([0.05, 0.1]), seed=2) == (
         run_coverage_experiment((20,), trials=3, alphas=(0.05, 0.1), seed=2)
     )
+
+
+def test_csv_of_no_rows_is_rejected():
+    with pytest.raises(ValueError, match="^no rows to write$"):
+        rows_to_csv([])
 
 
 def test_csv_round_trip():

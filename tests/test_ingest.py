@@ -58,6 +58,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 2"):
             parse_input(path)
 
+    @pytest.mark.parametrize("text", ["", "\ufeff"], ids=["empty", "byte-order-mark"])
+    def test_file_without_a_header_line_rejected(self, tmp_path, text):
+        path = write(tmp_path, "a.csv", text)
+        with pytest.raises(ValueError, match="^line 1: missing CSV header$"):
+            parse_input(path)
+
     def test_missing_header_column(self, tmp_path):
         path = write(tmp_path, "a.csv", "prediction\n1\n")
         with pytest.raises(ValueError, match="line 1"):
@@ -363,6 +369,12 @@ class TestJsonl:
     def test_invalid_json_names_line(self, tmp_path):
         path = write(tmp_path, "a.jsonl", '{"prediction": 1, "score": 0.8}\n{oops\n')
         with pytest.raises(ValueError, match="line 2"):
+            parse_input(path, "jsonl")
+
+    @pytest.mark.parametrize("line", ["[1, 0.8]", "0.8", "null"])
+    def test_line_that_is_not_an_object_names_line(self, tmp_path, line):
+        path = write(tmp_path, "a.jsonl", '{"prediction": 1, "score": 0.8}\n' + line + "\n")
+        with pytest.raises(ValueError, match="^line 2: expected a JSON object$"):
             parse_input(path, "jsonl")
 
     def test_missing_key_names_line(self, tmp_path):

@@ -242,6 +242,9 @@ class TestAgainstLoop:
         )
         assert hdis(d, alpha_list) == [hdi(d, alpha) for alpha in alpha_list]
 
+    def test_no_alphas_give_no_intervals(self):
+        assert hdis(random_distribution(np.random.default_rng(12)), ()) == []
+
     @pytest.mark.parametrize("kind", [list, np.array])
     def test_alphas_given_as_a_list_or_an_array(self, kind):
         d = random_distribution(np.random.default_rng(11))

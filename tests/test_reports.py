@@ -175,6 +175,18 @@ class TestWindowing:
         with pytest.raises(ValueError, match=match):
             windowed_estimates(b, 1, EstimateConfig(metrics="recall", method=method))
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [(EstimateConfig(method="bogus"), "method must be 'exact' or 'shortcut', got 'bogus'"),
+         (EstimateConfig(("recall", "foo")),
+          "unknown metrics requested: ['foo']; choose from accuracy, precision, recall, f1")],
+        ids=["method", "metric"],
+    )
+    def test_rejects_unknown_names_naming_the_valid_ones(self, config, message):
+        with pytest.raises(ValueError) as raised:
+            windowed_estimates(batch([1, 0], [0.5, 0.4]), 1, config)
+        assert str(raised.value) == message
+
     def test_rejects_bad_request_when_called(self):
         # Nothing is iterated: the check must not wait for the first window.
         with pytest.raises(ValueError, match="alpha"):
@@ -219,6 +231,36 @@ class TestWindowing:
         next(run)
         gc.collect()
         assert estimate() is None
+
+    READ_ONCE = "^an exact run is read once; estimate it again to read it again$"
+
+    @staticmethod
+    def _six_rows(method="exact"):
+        b = random_batch(np.random.default_rng(12), 6)
+        return windowed_estimates(b, 2, EstimateConfig(method=method))
+
+    @pytest.mark.parametrize("second", [list, render_report], ids=["iterate", "write"])
+    def test_an_exact_run_read_whole_cannot_be_read_again(self, second):
+        # Both used to raise "RuntimeError: generator raised StopIteration".
+        run = self._six_rows()
+        assert len(list(run)) == 3
+        with pytest.raises(ValueError, match=self.READ_ONCE):
+            second(run)
+
+    def test_a_started_exact_run_writes_nothing_for_a_second_reader(self):
+        # The writer used to write window 1's estimates under window_index
+        # 0, and window 2's under 1, before it failed.
+        run = self._six_rows()
+        assert next(iter(run)).window_index == 0
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=self.READ_ONCE):
+            render_report(run, out=out)
+        assert out.getvalue() == ""
+
+    def test_a_shortcut_run_reads_the_same_each_time(self):
+        run = self._six_rows("shortcut")
+        assert list(run) == list(run) and len(list(run)) == 3
+        assert render_report(run) == render_report(run)
 
     @pytest.mark.parametrize("window", [1, 7, 50, 2**62])
     def test_both_methods_lay_out_the_same_windows(self, window):

@@ -144,6 +144,13 @@ class TestHypersphere:
         want = hypersphere_dataset(HypersphereConfig(3, 40, 2))
         assert np.array_equal(got.features, want.features)
         assert got.batch.scores.tolist() == want.batch.scores.tolist()
+        config = HypersphereConfig(np.uint8(3), np.uint8(20), np.uint8(1))
+        assert [type(v) for v in (config.n_dims, config.n_points, config.seed)] == [int] * 3
+        got = hypersphere_dataset(config)
+        want = hypersphere_dataset(HypersphereConfig(3, 20, 1))
+        assert got.config == want.config
+        assert np.array_equal(got.features, want.features)
+        assert got.batch.labels.tolist() == want.batch.labels.tolist()
 
     @pytest.mark.parametrize("field", ["radius", "decay"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
