@@ -7,16 +7,19 @@ files, ``simulate`` runs the convergence and coverage experiments, and
 and decides nothing: the rules of a request, and the defaults the
 library gives, come from the modules that own them.  Diagnostics go to
 stderr; text that cannot be converted exits 2, a request the library
-rejects exits 1, and data goes to ``--output`` or stdout.
+rejects exits 1, a reader of stdout that stops early ends the run
+quietly with 141, and data goes to ``--output`` or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 from .calibration import DEFAULT_NUM_BINS, ace
 from .experiments import (
@@ -162,13 +165,16 @@ def _cmd_estimate(args) -> None:
     batch = parse_input(args.input, args.format)
     config = EstimateConfig(metrics=args.metrics, method=args.method, alpha=args.alpha)
     window = args.window_size if args.window_size is not None else batch.n
-    # windowed_estimates makes the shortcut pass, or estimates the first
-    # exact window, before the output is opened, so that a run that fails
-    # there leaves an existing output file as it was.
+
+    def writelines(chunks) -> None:
+        # A run that fails by window 0, the first piece, leaves the output
+        # unopened; an exhausted list iterator then lets go of that piece.
+        first = iter([next(chunks)])
+        with _output(args.output) as out:
+            out.writelines(itertools.chain(first, chunks, ["\n"]))
+
     run = windowed_estimates(batch, window, config)
-    with _output(args.output) as out:
-        render_report(run, args.emit_distributions, out=out)
-        out.write("\n")
+    render_report(run, args.emit_distributions, out=SimpleNamespace(writelines=writelines))
 
 
 def _emit_json(record, output: str | None) -> None:
@@ -222,6 +228,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _DISPATCH[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A shell's status for a writer whose pipe closed, 128 + SIGPIPE;
+        # with no stdout, Python's flush at exit has nothing left to send.
+        sys.stdout = None
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

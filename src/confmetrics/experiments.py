@@ -149,7 +149,7 @@ def run_convergence_experiment(
         batches = (_trial_batch(seed, window, t, with_labels=False) for t in range(trials))
         for batch, est in estimate_confusions(batches):
             exact_recall, exact_f1 = (_exact_estimate(m, est, None).point for m in ("recall", "f1"))
-            points, _ = _shortcut_windows(batch, batch.n, ("recall", "f1"))
+            points = _shortcut_windows(batch, batch.n, ("recall", "f1"))
             [approx_recall], [approx_f1] = points.values()
             if approx_recall is not None:
                 errors["recall"].append(exact_recall - approx_recall)

@@ -345,14 +345,13 @@ def _window_quantities(
 
 def _shortcut_windows(
     batch: PredictionBatch, window_size: int, metrics: tuple[str, ...] = METRICS
-) -> tuple[dict[str, list[float | None]], list[int]]:
+) -> dict[str, list[float | None]]:
     """Shortcut points of every window of the batch, from one pass.
 
-    Returns one column per requested metric, in request order, holding
-    each window's point (None where the metric is undefined), and the
-    sizes of the windows :func:`_window_sizes` lays out.  The sums come
-    from :func:`_window_quantities` over the scores.  The caller checks
-    that the batch is not empty.
+    Returns one column per requested metric, in request order, holding the
+    point of each window :func:`_window_sizes` lays out (None where the
+    metric is undefined).  The sums come from :func:`_window_quantities`
+    over the scores.  The caller checks that the batch is not empty.
     """
     expected = _window_quantities(batch.predictions, batch.scores, window_size)
     columns = {}
@@ -365,7 +364,7 @@ def _shortcut_windows(
         with np.errstate(divide="ignore", invalid="ignore"):
             values = num / den
         columns[metric] = [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
-    return columns, expected["n"].tolist()
+    return columns
 
 
 @dataclass(frozen=True)

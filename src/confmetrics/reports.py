@@ -4,17 +4,18 @@ A monitoring stream is cut into consecutive windows of a fixed size; each
 window gets one report holding the requested metric estimates.  A final
 window shorter than the configured size is still processed and flagged as
 partial.  :func:`windowed_estimates` is the one entry for both methods,
-and the only code that checks a request and picks its method; it returns
-the windows' estimates as one :class:`Run`, which carries the request it
-answers, and :func:`estimate_all` is its one-window run.  The shortcut
-points of all windows come from one array pass over the whole batch, as
-one column per metric.  An exact run feeds its window slices to the one
-exact stream, :func:`~confmetrics.confusion.estimate_confusions`, which
-builds their count PMFs a chunk of at least ``confusion._CHUNK_RECORDS``
-records at a time (a longer window is a chunk by itself); each window's
-estimates are derived from its PMFs when the run reaches it, and the
-first one when :func:`windowed_estimates` is called.  Iterating a run
-yields its reports.  The realized metrics of a labelled window,
+and the only code that checks a request; it returns the request as one
+:class:`Run` over its batch, and :func:`estimate_all` is its one-window
+run.  Nothing is estimated until a run is read, and each read, iterating
+the run or :func:`render_report`, estimates it again, so every read gives
+the same reports.  The shortcut points of all windows come from one array
+pass over the whole batch, as one column per metric.  An exact run feeds
+its window slices to the one exact stream,
+:func:`~confmetrics.confusion.estimate_confusions`, which builds their
+count PMFs a chunk of at least ``confusion._CHUNK_RECORDS`` records at a
+time (a longer window is a chunk by itself); each window's estimates are
+derived from its PMFs when the read reaches it.  Iterating a run yields
+its reports.  The realized metrics of a labelled window,
 :func:`true_metrics`, come from :mod:`confmetrics.metrics` and are
 exported here as well.
 
@@ -34,9 +35,9 @@ only on request, since the recall and F1 distributions each hold about
 25 support points per window record (about 25 000 at a window of 1000,
 100 000 at 4000).
 
-Reports stream: the writer turns each exact window's estimates into text
-as they arrive and can pass that text on to a stream before the next
-window is estimated, and lets a window go once the next one arrives, so
+Reports stream: the writer's first piece is the head with window 0, and
+each later piece one window, passed on to a stream before the next
+window is estimated; it lets a window go once the next one arrives, so
 a run holds the count PMFs of one chunk and the distributions of the
 window being estimated and at most the one before it, whatever its
 length (README.md gives the peak memory of exact runs).
@@ -105,42 +106,40 @@ class MonitoringReport:
 
 @dataclass(frozen=True)
 class Run:
-    """The estimates of every window of one run, under the request they
-    answer.
+    """A request over its batch: the windows of ``batch`` to estimate
+    under ``config``.
 
     ``sizes`` holds each window's size; a window is partial when its size
-    is below ``window_size``.  A shortcut run holds its ``columns``: each
-    requested metric, in request order, mapped to one point per window,
-    None where the metric is undefined.  An exact run has no columns; its
-    ``estimates`` yield each window's estimates in order, from one pass
-    over the batch, so it is read once: its first reader, an iteration
-    once started or :func:`render_report` when called, takes the whole
-    stream, and a later reader raises ValueError.  Iterating a run yields
-    its reports, each built when it is reached.
+    is below ``window_size``.  Nothing is estimated until the run is read.
+    Each read, an iteration or :func:`render_report`, makes the shortcut
+    pass or the exact stream over the batch then, so a run can be read any
+    number of times, whole or in part, and every read gives the same
+    reports; a caller that reads it twice pays twice.  Iterating a run
+    yields its reports, each built when it is reached.
     """
 
     config: EstimateConfig
     window_size: int
     sizes: list[int]
-    columns: dict[str, list[float | None]] | None
-    estimates: Iterator[list[MetricEstimate]] | None = None
+    batch: PredictionBatch
 
-    def _take(self) -> Iterator[list[MetricEstimate]]:
-        """The exact estimate stream, handed to its first reader only."""
-        estimates = self.estimates
-        if estimates is None:
-            raise ValueError("an exact run is read once; estimate it again to read it again")
-        object.__setattr__(self, "estimates", None)
-        return estimates
-
-    def __iter__(self) -> Iterator[MonitoringReport]:
-        if self.columns is None:
-            estimates = self._take()
-        else:
-            estimates = (
-                [MetricEstimate(m, "shortcut", column[index]) for m, column in self.columns.items()]
+    def _estimates(self) -> Iterator[list[MetricEstimate]]:
+        """Each window's estimates in order, from one pass over the batch."""
+        if self.config.method == "shortcut":
+            columns = _shortcut_windows(self.batch, self.window_size, self.config.metrics)
+            return (
+                [MetricEstimate(m, "shortcut", column[index]) for m, column in columns.items()]
                 for index in range(len(self.sizes))
             )
+        starts = itertools.accumulate(self.sizes, initial=0)
+        windows = (self.batch[a : a + n] for a, n in zip(starts, self.sizes))
+        return (
+            [_exact_estimate(m, est, self.config.alpha) for m in self.config.metrics]
+            for _, est in estimate_confusions(windows)
+        )
+
+    def __iter__(self) -> Iterator[MonitoringReport]:
+        estimates = self._estimates()
         for index, size in enumerate(self.sizes):
             # Not enumerate(zip(sizes, estimates)): enumerate keeps zip's
             # result tuple to reuse, and with it window 0's estimates for
@@ -151,18 +150,15 @@ class Run:
 def windowed_estimates(
     batch: PredictionBatch, window_size: int, config: EstimateConfig = EstimateConfig()
 ) -> Run:
-    """Split a batch into consecutive windows and estimate each one, as the
-    :class:`Run` of ``config``.
+    """Split a batch into consecutive windows to estimate under ``config``,
+    as a :class:`Run`; nothing is estimated until the run is read.
 
     The request is checked when this is called: ValueError for an empty
     batch, a window size that is not an integer (a bool is not) or is below
     1, an unknown method, metrics that are not a sequence (a string is
     not), an unknown or repeated metric, or an alpha that is not a real
-    number in (0, 1) or comes with shortcuts.  A shortcut run's points all
-    come from one pass over the batch, made here.  An exact run's count
-    PMFs come from :func:`~confmetrics.confusion.estimate_confusions`; its
-    first window, with its chunk's count PMFs, is estimated here, so that a
-    failure there raises from this call, and each later one when reached.
+    number in (0, 1) or comes with shortcuts.  A failure of the estimation
+    itself is raised by the read that reaches it.
     """
     _require_nonempty(batch)
     window_size = _require_integer(window_size, "window_size", 1)
@@ -177,19 +173,7 @@ def windowed_estimates(
         _check_alpha(config.alpha)
         if config.method == "shortcut":
             raise ValueError("alpha applies to the exact method only; shortcuts have no intervals")
-    if config.method == "shortcut":
-        columns, sizes = _shortcut_windows(batch, window_size, config.metrics)
-        return Run(config, window_size, sizes, columns)
-    sizes = _window_sizes(batch.n, window_size).tolist()
-    starts = itertools.accumulate(sizes, initial=0)
-    estimates = (
-        [_exact_estimate(m, est, config.alpha) for m in config.metrics]
-        for _, est in estimate_confusions(batch[a : a + n] for a, n in zip(starts, sizes))
-    )
-    # An exhausted list iterator lets go of the first window; chain([...],
-    # estimates) would keep it in its argument tuple for the whole run.
-    first = iter([next(estimates)])
-    return Run(config, window_size, sizes, None, itertools.chain(first, estimates))
+    return Run(config, window_size, _window_sizes(batch.n, window_size).tolist(), batch)
 
 
 def estimate_all(
@@ -210,8 +194,9 @@ def estimate_all(
 # keys in sorted order, one member or element per line, two spaces of
 # indentation per level.  Each template is written at its depth in the
 # document; _array lays out a list of already-written elements.  The
-# windows array is written one _WINDOW at a time, each led by the array's
-# opening or by the comma after the window before it.
+# windows array is written one _WINDOW at a time, the first led by the
+# head and the array's opening, each later one by the comma after the
+# window before it.
 _HEAD = """{
   "config": {
     "alpha": %s,
@@ -299,23 +284,23 @@ def _column_texts(metric: str, points: list[float | None], quote) -> list[str]:
 
 
 def _report_chunks(run: Run, texts: Iterator[list[str]], quote) -> Iterator[str]:
-    """The report's text in order: the head, one piece per window, the tail.
-    ``texts`` yields each window's estimate texts."""
+    """The report's text in order: the head with window 0, each later
+    window, the tail.  ``texts`` yields each window's estimate texts."""
     config = run.config
-    yield _HEAD % (
+    head = _HEAD % (
         _number(config.alpha),
         quote(config.method),
         _array([quote(m) for m in config.metrics], "    "),
     )
     for index, size in enumerate(run.sizes):
         yield _WINDOW % (
-            ",\n    " if index else "[\n    ",
+            ",\n    " if index else head + "[\n    ",
             _array(next(texts), "      "),
             _bool(size < run.window_size),
             index,
             size,
         )
-    yield "\n  ]\n}" if run.sizes else "[]\n}"
+    yield "\n  ]\n}" if run.sizes else head + "[]\n}"
 
 
 def render_report(
@@ -325,24 +310,26 @@ def render_report(
     identical inputs give identical bytes, the text ``json.dumps(document,
     indent=2, sort_keys=True)`` gives for the document it parses to.
 
-    A shortcut run is written from its columns, an exact run from its
-    estimates, read as the writer reaches each window; neither builds a
-    report per window.  Returns the text, or with ``out`` writes it there
-    piece by piece, each window's text as soon as its estimates arrive, and
-    returns None.  The text does not end in a newline.  An exact run that
-    has been read already raises ValueError, before anything is written.
+    A shortcut run is written from the columns of its one pass, an exact
+    run from its estimates, derived as the writer reaches each window;
+    neither builds a report per window.  Returns the text, or with ``out``
+    hands its pieces to one ``out.writelines`` call as an iterator, the
+    head with window 0 first and each later window's text as soon as its
+    estimates arrive, and returns None.  The text does not end in a
+    newline.
     """
     quote = functools.lru_cache(maxsize=None)(json.dumps)
-    if run.columns is None:
+    if run.config.method == "shortcut":
+        points = _shortcut_windows(run.batch, run.window_size, run.config.metrics)
+        columns = [_column_texts(m, column, quote) for m, column in points.items()]
+        texts = ([column[index] for column in columns] for index in range(len(run.sizes)))
+    else:
         # The loop variable holds each window until the next one arrives:
         # letting it go sooner multiplied the page faults of exact runs.
         texts = (
             [_estimate_text(e, emit_distributions, quote) for e in estimates]
-            for estimates in run._take()
+            for estimates in run._estimates()
         )
-    else:
-        columns = [_column_texts(m, points, quote) for m, points in run.columns.items()]
-        texts = ([column[index] for column in columns] for index in range(len(run.sizes)))
     chunks = _report_chunks(run, texts, quote)
     if out is None:
         return "".join(chunks)

@@ -18,7 +18,8 @@ must stay within the trimming bound of these references, and equal them bit
 for bit when nothing was trimmed.  :func:`pair_mass_reference` reads one
 recall or F1 probability from the count PMFs without forming the pair grid,
 which the whole-file derivation must match bit for bit at sizes where the
-untrimmed references cannot run.  :func:`run_to_json_reference`
+untrimmed references cannot run, and :func:`pair_cdf_reference` reads the
+mass at or below a value the same way.  :func:`run_to_json_reference`
 builds a run's report document as a dict, the form the report writer's
 text is pinned to, and :func:`shortcut_points_reference` computes one
 window's shortcut points from reductions of that window's own arrays,
@@ -321,6 +322,35 @@ def pair_mass_reference(est, scale, fixed, num, den):
     if not rows:
         return 0.0
     return float(np.cumsum(tp.pmf[rows] * fn.pmf[columns])[-1])
+
+
+def pair_cdf_reference(est, scale, fixed, values):
+    """For each positive value num/den in ``values``, the probability that
+    ``scale * i / (i + j + fixed)``, over the pairs of i true positives and
+    j false negatives in the estimate's kept count ranges, lies at or below
+    it, read without the pair grid.
+
+    With a/b the value in lowest terms, row i >= 1 holds the pairs at or
+    below it from j = ceil(((scale * b - a) * i - a * fixed) / a) on, since
+    the value falls as j grows, so its mass is ``tp.pmf[i]`` times FN's
+    survival from that j; row 0 lies at 0, below every such value.  Each
+    survival and each value's sum over the rows is ``math.fsum``'s.  The
+    index arithmetic is in Python ints, since numpy's int64 products wrap
+    silently.
+    """
+    tp, fn = est.tp, est.fn
+    tail = fn.pmf.tolist()
+    survival = [math.fsum(tail[k:]) for k in range(len(tail))] + [0.0]
+    masses = []
+    for num, den in values:
+        g = math.gcd(num, den)
+        a, b = num // g, den // g
+        terms = []
+        for row, i in enumerate(range(tp.offset, tp.offset + tp.pmf.size)):
+            j = -((a * fixed - (scale * b - a) * i) // a) if i else fn.offset
+            terms.append(float(tp.pmf[row]) * survival[min(max(j - fn.offset, 0), len(tail))])
+        masses.append(math.fsum(terms))
+    return masses
 
 
 def tv_distance_between(a, b):

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import errno
+import io
 import json
 import math
 import os
@@ -262,6 +264,43 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert "error: points failed" in err
         assert out_path.read_bytes() == b"an earlier report\n"
+
+    def test_a_closed_stdout_pipe_ends_the_run_quietly(self, labelled_csv, capsys, monkeypatch):
+        # It used to print "error: [Errno 32] Broken pipe" and exit 1, the
+        # status of a rejected request.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        args = ("estimate", "--input", labelled_csv, "--method", "shortcut", "--window-size", "1")
+        code, _, err = run(capsys, *args)
+        assert code == 141 and err == ""
+
+    @pytest.mark.parametrize(
+        "command, lines",
+        [(("estimate", "--method", "shortcut", "--window-size", "10"), 1), (("true-metrics",), 0)],
+        ids=["writing", "flushing"],
+    )
+    def test_a_reader_that_stops_early_ends_the_process_quietly(self, tmp_path, command, lines):
+        # The shortcut report, about 400 kB, meets the closed pipe while it
+        # is written.  The realized metrics, about 100 bytes, wait in
+        # stdout's buffer for the last flush, which Python would otherwise
+        # make at exit and report as "Exception ignored".
+        data = tmp_path / "data.csv"
+        assert main(["generate", "hypersphere", "--dims", "3", "--points", "5000",
+                     "--output", str(data)]) == 0
+        src = str(Path(confmetrics.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "confmetrics.cli", *command, "--input", str(data)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert [child.stdout.readline() for _ in range(lines)] == [b"{\n"] * lines
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait(timeout=300) == 141
 
     def test_stdout_and_output_file_hold_the_same_report(self, labelled_csv, tmp_path, capsys):
         args = ("estimate", "--input", labelled_csv, "--window-size", "3", "--emit-distributions")

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confmetrics import metrics
-from confmetrics.confusion import PredictionBatch, estimate_confusion
-from confmetrics.distribution import PROB_SUM_TOL, TRIM_TOL, DiscreteDistribution
+from confmetrics.confusion import ConfusionEstimate, PredictionBatch, estimate_confusion
+from confmetrics.distribution import PROB_SUM_TOL, TRIM_TOL, CountPMF, DiscreteDistribution
 from confmetrics.intervals import hdi
 from confmetrics.metrics import (
     METRICS,
@@ -27,6 +27,7 @@ from oracles import (
     estimate_confusion_dp,
     expand,
     f1_distribution_untrimmed,
+    pair_cdf_reference,
     pair_mass_reference,
     poisson_binomial_dp,
     random_small_batch,
@@ -467,17 +468,23 @@ TRIMMING_WINDOWS = [
 ]
 
 
-def test_whole_file_recall_and_f1_masses_equal_the_pair_free_reader():
-    # A whole-file window far beyond the untrimmed references' reach.  Half
-    # of the points are drawn from those whose value two or more rows can
-    # reach, so that sums of several pairs are read as well as single ones.
+@pytest.fixture(scope="module")
+def whole_file():
+    """A whole-file window far beyond the untrimmed references' reach, with
+    its recall and F1 distributions and the scale and fixed denominator
+    part of each."""
     b = hypersphere_dataset(HypersphereConfig(n_dims=3, n_points=100_000, seed=7)).batch
     est = estimate_confusion(b)
+    return est, [(recall_distribution(est), 1, 0), (f1_distribution(est), 2, est.n_pos)]
+
+
+def test_whole_file_recall_and_f1_masses_equal_the_pair_free_reader(whole_file):
+    # Half of the points are drawn from those whose value two or more rows
+    # can reach, so that sums of several pairs are read as well as single
+    # ones.
+    est, derived = whole_file
     rng = np.random.default_rng(11)
-    for dist, scale, fixed in (
-        (recall_distribution(est), 1, 0),
-        (f1_distribution(est), 2, est.n_pos),
-    ):
+    for dist, scale, fixed in derived:
         nums, dens = dist._reduced()
         rows_apart = nums // np.gcd(nums, scale)
         positive = np.flatnonzero(nums > 0)
@@ -487,6 +494,55 @@ def test_whole_file_recall_and_f1_masses_equal_the_pair_free_reader():
         ).tolist()
         got = [pair_mass_reference(est, scale, fixed, int(nums[k]), int(dens[k])) for k in picked]
         assert got == dist.probabilities[picked].tolist()
+
+
+def test_whole_file_mass_at_or_below_a_point_equals_the_pair_free_reader(whole_file):
+    # The grid's masses at or below each point are summed by math.fsum, not
+    # by cumsum, whose rounding over these 1.1M points reached 5.5e-13.
+    # The grid rounds each pair's product and each addition in a group,
+    # the reader each survival and each row's product: both stay within a
+    # few units in the last place of the exact sum.
+    est, derived = whole_file
+    rng = np.random.default_rng(13)
+    for dist, scale, fixed in derived:
+        nums, dens = dist._reduced()
+        picked = np.sort(rng.choice(np.flatnonzero(nums > 0), 200, replace=False)).tolist()
+        got = pair_cdf_reference(est, scale, fixed, [(int(nums[k]), int(dens[k])) for k in picked])
+        # fsum of each prefix, one segment at a time: the sum so far is
+        # carried as its float and the float of what that leaves out.
+        carry, start, want = [], 0, []
+        for stop in (k + 1 for k in picked):
+            terms = carry + dist.probabilities[start:stop].tolist()
+            total = math.fsum(terms)
+            carry, start = [total, math.fsum(terms + [-total])], stop
+            want.append(total)
+        assert np.abs(np.array(got) - want).max() <= 2**-50
+
+
+def test_sort_keys_wider_than_an_int64_take_the_stable_argsort(monkeypatch):
+    # Count offsets of 2**24 put recall's denominators near 2**25 and F1's
+    # near 3 * 2**24, below the 2**26 bound, so each key holds a 53-bit
+    # bucket, and 3600 pairs take 12 index bits: 66 bits in all.
+    rng = np.random.default_rng(17)
+    tp_pmf, tn_pmf = (p / p.sum() for p in rng.random((2, 60)))
+    n_pos, n_neg = 2**24 + 100, 2**24 + 200
+    tn = CountPMF(n_neg - 2**24 - 59, tn_pmf, 0.0)
+    est = ConfusionEstimate(CountPMF(2**24, tp_pmf, 0.0), tn, n_pos, n_neg)
+    assert est.fn.offset == 2**24
+    sorts = []
+    argsort = np.argsort
+
+    def recorded(keys, kind=None):
+        sorts.append(kind)
+        return argsort(keys, kind=kind)
+
+    monkeypatch.setattr(np, "argsort", recorded)
+    for derive, scale, fixed in ((recall_distribution, 1, 0), (f1_distribution, 2, n_pos)):
+        dist = derive(est)
+        assert sorts.pop() == "stable" and not sorts
+        nums, dens = dist._reduced()
+        got = [pair_mass_reference(est, scale, fixed, int(n), int(d)) for n, d in zip(nums, dens)]
+        assert got == dist.probabilities.tolist()
 
 
 class TestTrimming:

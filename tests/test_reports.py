@@ -5,6 +5,7 @@ import io
 import json
 import tracemalloc
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from confmetrics.ingest import parse_input
 from confmetrics.intervals import HdiInterval, hdi
 from confmetrics.metrics import METRICS, MetricEstimate
 from confmetrics.reports import (
+    METHODS,
     EstimateConfig,
     MonitoringReport,
     Run,
@@ -204,7 +206,7 @@ class TestWindowing:
         reports = iter(windowed_estimates(
             random_batch(np.random.default_rng(7), 25), 10, EstimateConfig(metrics=("f1",))
         ))
-        assert calls == [10]
+        assert calls == []
         assert next(reports).window_size == 10
         assert calls == [10]
         assert [r.window_size for r in reports] == [10, 5]
@@ -218,8 +220,11 @@ class TestWindowing:
             yield
 
         monkeypatch.setattr(reports_module, "estimate_confusions", fails)
-        with pytest.raises(RuntimeError, match="first window"):
-            windowed_estimates(random_batch(np.random.default_rng(7), 25), 10)
+        run = windowed_estimates(random_batch(np.random.default_rng(7), 25), 10)
+        # The call estimates nothing; each first read of the run raises.
+        for read in (list, render_report):
+            with pytest.raises(RuntimeError, match="first window"):
+                read(run)
 
     def test_each_exact_window_is_let_go_once_passed(self):
         run = iter(windowed_estimates(
@@ -232,35 +237,68 @@ class TestWindowing:
         gc.collect()
         assert estimate() is None
 
-    READ_ONCE = "^an exact run is read once; estimate it again to read it again$"
-
     @staticmethod
-    def _six_rows(method="exact"):
+    def _six_rows(method):
         b = random_batch(np.random.default_rng(12), 6)
         return windowed_estimates(b, 2, EstimateConfig(method=method))
 
-    @pytest.mark.parametrize("second", [list, render_report], ids=["iterate", "write"])
-    def test_an_exact_run_read_whole_cannot_be_read_again(self, second):
-        # Both used to raise "RuntimeError: generator raised StopIteration".
-        run = self._six_rows()
-        assert len(list(run)) == 3
-        with pytest.raises(ValueError, match=self.READ_ONCE):
-            second(run)
+    @staticmethod
+    def _document(run, reports):
+        """The reports of a run as a document that compares by value."""
+        assert [r.window_index for r in reports] == [0, 1, 2]
+        return run_to_json_reference(reports, run.config, emit_distributions=True)
 
-    def test_a_started_exact_run_writes_nothing_for_a_second_reader(self):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_nothing_is_estimated_until_the_run_is_read(self, method, monkeypatch):
+        calls = []
+
+        def recorded(name):
+            estimate = getattr(reports_module, name)
+
+            def call(*args):
+                calls.append(name)
+                return estimate(*args)
+
+            return call
+
+        for name in ("_shortcut_windows", "estimate_confusions"):
+            monkeypatch.setattr(reports_module, name, recorded(name))
+        b = random_batch(np.random.default_rng(12), 6)
+        config = EstimateConfig(method=method)
+        run = windowed_estimates(b, 2, config)
+        assert vars(run) == {"config": config, "window_size": 2, "sizes": [2, 2, 2], "batch": b}
+        iter(run)
+        assert calls == []
+        pass_name = {"shortcut": "_shortcut_windows", "exact": "estimate_confusions"}[method]
+        list(run)
+        assert calls == [pass_name]
+        render_report(run)
+        assert calls == [pass_name, pass_name]
+
+    @pytest.mark.parametrize("second", ["iterate", "write"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_run_read_whole_reads_the_same_again(self, method, second):
+        # A second read of an exact run used to raise "RuntimeError:
+        # generator raised StopIteration".
+        run = self._six_rows(method)
+        fresh = self._six_rows(method)
+        assert self._document(run, list(run)) == self._document(fresh, list(fresh))
+        if second == "iterate":
+            assert self._document(run, list(run)) == self._document(fresh, list(fresh))
+        else:
+            assert render_report(run, True) == render_report(fresh, True)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_started_run_writes_the_whole_report_for_a_second_reader(self, method):
         # The writer used to write window 1's estimates under window_index
         # 0, and window 2's under 1, before it failed.
-        run = self._six_rows()
+        run = self._six_rows(method)
         assert next(iter(run)).window_index == 0
         out = io.StringIO()
-        with pytest.raises(ValueError, match=self.READ_ONCE):
-            render_report(run, out=out)
-        assert out.getvalue() == ""
-
-    def test_a_shortcut_run_reads_the_same_each_time(self):
-        run = self._six_rows("shortcut")
-        assert list(run) == list(run) and len(list(run)) == 3
-        assert render_report(run) == render_report(run)
+        render_report(run, True, out=out)
+        fresh = self._six_rows(method)
+        assert out.getvalue() == render_report(fresh, True)
+        assert json.loads(out.getvalue()) == self._document(fresh, list(fresh))
 
     @pytest.mark.parametrize("window", [1, 7, 50, 2**62])
     def test_both_methods_lay_out_the_same_windows(self, window):
@@ -438,23 +476,34 @@ _RUNS = st.tuples(
 _METRIC_REQUESTS = st.permutations(METRICS).flatmap(
     lambda order: st.integers(0, len(order)).map(lambda k: tuple(order[:k]))
 )
+_ALPHAS = st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 _CONFIGS = st.builds(
-    EstimateConfig,
-    metrics=_METRIC_REQUESTS,
-    method=st.sampled_from(("exact", "shortcut")),
-    alpha=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    EstimateConfig, metrics=_METRIC_REQUESTS, method=st.sampled_from(METHODS), alpha=_ALPHAS
 )
+
+
+# An exact run's estimates are what the writer reads of it; a drawn run
+# hands over its drawn estimates in their place.
+_EXACT_CONFIGS = st.builds(EstimateConfig, metrics=_METRIC_REQUESTS, alpha=_ALPHAS)
+
+
+@dataclass(frozen=True)
+class _DrawnRun(Run):
+    drawn: list[list[MetricEstimate]]
+
+    def _estimates(self):
+        return iter(self.drawn)
 
 
 class TestWriter:
     @settings(deadline=None, max_examples=200)
-    @given(_RUNS, _CONFIGS, st.booleans())
+    @given(_RUNS, _EXACT_CONFIGS, st.booleans())
     def test_writes_the_text_of_json_dumps(self, drawn, config, emit_distributions):
         window_size, windows = drawn
         sizes = [size for size, _ in windows]
 
         def run():
-            return Run(config, window_size, sizes, None, iter([e for _, e in windows]))
+            return _DrawnRun(config, window_size, sizes, None, [e for _, e in windows])
 
         reports = [
             MonitoringReport(index, size, size < window_size, tuple(estimates))
@@ -552,7 +601,7 @@ class TestWriter:
         window = {"one": 1, "n": b.n, "huge": 2**62}.get(window, window)
         config = EstimateConfig(metrics, "shortcut")
         run = windowed_estimates(b, window, config)
-        assert isinstance(run, Run) and run.estimates is None
+        assert isinstance(run, Run)
         reports = list(run)
         document = run_to_json_reference(reports, config, emit_distributions)
         expected = json.dumps(document, indent=2, sort_keys=True)
