@@ -1,8 +1,8 @@
 """Argument checks of the public entry points.
 
 Each raises ValueError naming the argument before any work is done, and
-none coerces: a bool is neither an integer nor a real number, and a string
-is not a collection.  One call checks a number's type and range.
+none coerces: a bool is neither an integer nor a real number, and neither
+a string nor a set is a sequence.  One call checks a number's type and range.
 """
 
 from __future__ import annotations
@@ -46,10 +46,12 @@ def _check_alpha(alpha) -> None:
 
 
 def _require_sequence(values, name: str, items: str, nonempty: bool = False) -> None:
-    """Raise ValueError unless ``values`` is a collection but not a string,
-    and, when ``nonempty``, holds an entry."""
+    """Raise ValueError unless ``values`` is a collection but not a string
+    or a set, whose order would follow the hash seed, and, when
+    ``nonempty``, holds an entry."""
     text = isinstance(values, (str, bytes))
-    if text or not isinstance(values, Collection) or (nonempty and len(values) == 0):
+    unordered = isinstance(values, (set, frozenset))
+    if text or unordered or not isinstance(values, Collection) or (nonempty and len(values) == 0):
         got = f"the string {values!r}" if text else repr(values)
         kind = "nonempty sequence" if nonempty else "sequence"
         raise ValueError(f"{name} must be a {kind} of {items}, got {got}")

@@ -55,6 +55,18 @@ MALFORMED = {
         lambda: hdis(_accuracy(), None),
         "alphas must be a sequence of real numbers, got None",
     ),
+    "hdis-alphas-set": (
+        lambda: hdis(_accuracy(), {0.05}),
+        "alphas must be a sequence of real numbers, got {0.05}",
+    ),
+    "windowed-config-none": (
+        lambda: windowed_estimates(_labelled(5), 3, None),
+        "config must be an EstimateConfig, got None",
+    ),
+    "windowed-config-dict": (
+        lambda: windowed_estimates(_labelled(5), 3, {"method": "shortcut"}),
+        "config must be an EstimateConfig, got {'method': 'shortcut'}",
+    ),
     "sample-params-tuple": (
         lambda: sample_beta_scores(3, (2.0, 2.0), 0),
         "params must be a BetaParams, got (2.0, 2.0)",

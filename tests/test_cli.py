@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import errno
 import io
 import json
@@ -333,28 +334,78 @@ class TestEstimate:
         assert out_path.read_text(encoding="utf-8") == printed
         assert len(json.loads(printed)["windows"]) == windows
 
-    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # OpenBLAS splits a dot product of more than 10 000 elements across
         # its threads, which changes how the sum rounds; the recall and F1
-        # distributions of a 1000-row window hold about 25 000 points.
-        data = tmp_path / "sphere.csv"
-        code, _, _ = run(
-            capsys, "--seed", "1", "generate", "hypersphere",
-            "--dims", "5", "--points", "1000", "--shifted", "--output", data,
-        )
-        assert code == 0
+        # distributions of a 1000-row window hold about 25 000 points.  The
+        # experiments' CSVs are reports too.
+        whole, windowed = tmp_path / "whole.csv", tmp_path / "windowed.csv"
+        for seed, points, data in (("1", "1000", whole), ("3", "10000", windowed)):
+            assert main(["--seed", seed, "generate", "hypersphere", "--dims", "5",
+                         "--points", points, "--shifted", "--output", str(data)]) == 0
         src = str(Path(confmetrics.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        reports_by_threads = [
-            subprocess.run(
-                [sys.executable, "-m", "confmetrics.cli", "estimate",
-                 "--input", str(data), "--alpha", "0.05"],
-                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-                capture_output=True, check=True, timeout=300,
-            ).stdout
-            for threads in ("1", "2")
-        ]
-        assert reports_by_threads[0] == reports_by_threads[1]
+        for command in (
+            ("estimate", "--input", whole, "--alpha", "0.05"),
+            ("estimate", "--input", windowed, "--method", "exact", "--alpha", "0.05",
+             "--window-size", "1000"),
+            ("--seed", "3", "simulate", "coverage", "--trials", "20", "--windows", "100,300"),
+            ("--seed", "3", "simulate", "convergence", "--trials", "20", "--windows", "10,500"),
+        ):
+            reports_by_threads = [
+                subprocess.run(
+                    [sys.executable, "-m", "confmetrics.cli", *map(str, command)],
+                    env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                    capture_output=True, check=True, timeout=300,
+                ).stdout
+                for threads in ("1", "2")
+            ]
+            assert reports_by_threads[0] == reports_by_threads[1], command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--method", "shortcut", "--window-size", "100"),
+            ("--method", "shortcut", "--window-size", "1000000"),
+            ("--method", "shortcut", "--window-size", "100", "--metrics", "f1,precision"),
+            ("--method", "shortcut", "--window-size", "100", "--emit-distributions"),
+            ("--method", "exact", "--alpha", "0.05", "--window-size", "1000"),
+            ("--method", "exact", "--window-size", "300", "--emit-distributions"),
+        ],
+        ids=["shortcut", "shortcut-whole", "shortcut-subset", "shortcut-distributions",
+             "exact-alpha", "exact-distributions"],
+    )
+    def test_report_is_canonical_json_and_a_newline(self, tmp_path, capsys, argv):
+        # The exact distributions at window 300 make a report of about 37 MB.
+        data = tmp_path / "sphere.csv"
+        assert main(["--seed", "2", "generate", "hypersphere", "--dims", "3",
+                     "--points", "20000", "--output", str(data)]) == 0
+        code, out, err = run(capsys, "estimate", "--input", data, *argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--method", "shortcut", "--window-size", "100"),
+         ("--alpha", "0.05", "--window-size", "1000")],
+        ids=["shortcut", "exact-alpha"],
+    )
+    def test_csv_and_jsonl_forms_of_a_file_give_the_same_report(self, tmp_path, capsys, argv):
+        # The score text goes over verbatim, so json parses it with float(),
+        # the bits the plain CSV route must give it too.
+        data, jsonl = tmp_path / "sphere.csv", tmp_path / "sphere.jsonl"
+        assert main(["--seed", "4", "generate", "hypersphere", "--dims", "3",
+                     "--points", "20000", "--output", str(data)]) == 0
+        with data.open(newline="", encoding="utf-8") as rows:
+            jsonl.write_text(
+                "".join('{"prediction": %(prediction)s, "score": %(score)s, "label": %(label)s}\n'
+                        % row for row in csv.DictReader(rows)),
+                encoding="utf-8",
+            )
+        code, from_csv, _ = run(capsys, "estimate", "--input", data, *argv)
+        assert code == 0
+        code, from_jsonl, _ = run(capsys, "estimate", "--input", jsonl, "--format", "jsonl", *argv)
+        assert code == 0 and from_jsonl == from_csv
 
 
 class TestLabelledCommands:
@@ -362,15 +413,21 @@ class TestLabelledCommands:
         code, out, _ = run(capsys, "true-metrics", "--input", labelled_csv)
         assert code == 0
         doc = json.loads(out)
+        assert sorted(doc) == ["accuracy", "f1", "precision", "recall"]
         assert doc["precision"] == 1.0
         assert doc["recall"] == pytest.approx(2 / 3)
 
-    def test_ace(self, labelled_csv, capsys):
+    def test_ace(self, labelled_csv, tmp_path, capsys):
         code, out, _ = run(capsys, "ace", "--input", labelled_csv, "--bins", "2")
         assert code == 0
         doc = json.loads(out)
         assert doc["ace"] >= 0.0
         assert len(doc["bins"]) == 2
+        data = tmp_path / "sphere.csv"
+        assert main(["--seed", "1", "generate", "hypersphere", "--dims", "3",
+                     "--points", "20000", "--output", str(data)]) == 0
+        code, out, _ = run(capsys, "ace", "--input", data)
+        assert code == 0 and len(json.loads(out)["bins"]) == 15
 
     @pytest.mark.parametrize("command", ["true-metrics", "ace"])
     def test_header_only_labelled_file_reports_empty_input(self, tmp_path, capsys, command):
@@ -392,15 +449,27 @@ class TestSimulate:
     def test_convergence_csv(self, capsys):
         code, out, _ = run(
             capsys,
-            "--seed", "4",
+            "--seed", "3",
             "simulate", "convergence",
-            "--windows", "10",
+            "--windows", "10,50",
             "--trials", "5",
         )
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("window,metric,")
-        assert any(line.startswith("10,recall,") for line in lines)
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["window", "metric", "trials", "mean_error", "mean_abs_error", "std_error"]
+        # Two windows by recall, F1 and the exact-minus-exact control.
+        assert [row[:2] for row in rows] == [
+            [window, metric] for window in ("10", "50") for metric in ("recall", "f1", "control")
+        ]
+        assert [float(row[3]) for row in rows if row[1] == "control"] == [0.0, 0.0]
+
+    def test_coverage_csv(self, capsys):
+        code, out, _ = run(capsys, "simulate", "coverage", "--windows", "100", "--trials", "5")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["window", "metric", "alpha", "trials", "coverage"]
+        # One window by four metrics and the two default alphas.
+        assert len(rows) == 8
 
     def test_coverage_csv_deterministic_per_seed(self, capsys):
         args = (

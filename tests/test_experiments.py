@@ -120,9 +120,12 @@ class TestCoverage:
          (None, (0.05,), r"^window_sizes must be a nonempty sequence of integers, got None$"),
          ((300,), None, r"^alphas must be a nonempty sequence of real numbers, got None$"),
          ((300,), 0.05, r"^alphas must be a nonempty sequence of real numbers, got 0\.05$"),
-         ((300,), ("0.05",), r"^alpha must be a real number, got '0\.05'$")],
+         ((300,), ("0.05",), r"^alpha must be a real number, got '0\.05'$"),
+         ({300}, (0.05,), r"^window_sizes must be a nonempty sequence of integers, got \{300\}$"),
+         ((300,), frozenset([0.05]),
+          r"^alphas must be a nonempty sequence of real numbers, got frozenset\(\{0\.05\}\)$")],
         ids=["window", "alpha", "int-windows", "none-windows", "none-alphas",
-             "float-alphas", "string-alpha"],
+             "float-alphas", "string-alpha", "set-windows", "frozenset-alphas"],
     )
     def test_rejects_no_window_or_alpha_before_any_trial(
         self, monkeypatch, windows, alphas, match

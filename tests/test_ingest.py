@@ -462,6 +462,25 @@ def test_both_formats_check_a_rows_fields_in_one_order(tmp_path, fields, message
     assert str(from_jsonl.value) == message.format(repr(raw))
 
 
+@pytest.mark.parametrize(
+    "fmt, header, row",
+    [("csv", "prediction,score\n", "1,0.5\n"),
+     ("csv", "prediction,score\r\n", "1,0.5\r\n"),
+     ("jsonl", "", '{"prediction": 1, "score": 0.5}\n')],
+    ids=["csv", "csv-crlf", "jsonl"],
+)
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, fmt, header, row):
+    # The text reader's error gave the byte's position inside its decode
+    # chunk, 8 KiB or so, and no line.
+    lines = [header.encode()] * bool(header) + [row.encode()] * 5000
+    lines[4998] = lines[4998].replace(b"5", b"\xff")
+    path = tmp_path / f"a.{fmt}"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError) as raised:
+        parse_input(path, fmt)
+    assert str(raised.value) == "line 4999: byte 0xff is not UTF-8 (invalid start byte)"
+
+
 def test_rejects_unknown_format(tmp_path):
     path = write(tmp_path, "a.csv", "prediction,score\n1,0.5\n")
     with pytest.raises(ValueError, match="format"):

@@ -158,12 +158,18 @@ class TestWindowing:
         [({"alpha": "0.05"}, r"^alpha must be a real number, got '0\.05'$"),
          ({"alpha": True}, r"^alpha must be a real number, got True$"),
          ({"metrics": None}, r"^metrics must be a sequence of metric names, got None$"),
-         ({"metrics": iter(["recall"])}, r"^metrics must be a sequence of metric names, got <")],
-        ids=["string-alpha", "bool-alpha", "no-metrics", "metrics-iterator"],
+         ({"metrics": iter(["recall"])}, r"^metrics must be a sequence of metric names, got <"),
+         ({"metrics": {"recall"}},
+          r"^metrics must be a sequence of metric names, got \{'recall'\}$"),
+         ({"metrics": frozenset(["recall"])},
+          r"^metrics must be a sequence of metric names, got frozenset\(\{'recall'\}\)$")],
+        ids=["string-alpha", "bool-alpha", "no-metrics", "metrics-iterator", "metrics-set",
+             "metrics-frozenset"],
     )
     def test_rejects_request_of_the_wrong_types(self, kwargs, match):
         # The string alpha and None metrics used to raise TypeError; an
-        # iterator of metrics was used up by the checks, leaving no metric.
+        # iterator of metrics was used up by the checks, leaving no metric;
+        # a set of metrics ran in an order that followed the hash seed.
         with pytest.raises(ValueError, match=match):
             estimate_all(batch([1, 0], [0.5, 0.4]), **kwargs)
 
