@@ -143,19 +143,15 @@ class ConfusionEstimate:
 
     ``tp`` is the PMF of the number of true positives among the ``n_pos``
     positive predictions, and ``tn`` that of the true negatives among the
-    ``n_neg`` negative ones.  False positives are ``n_pos - TP`` and false
-    negatives ``n_neg - TN``, so ``fp`` and ``fn`` are complements whose
-    arrays are reversed views, not copies.
+    ``n_neg`` negative ones.  False negatives are ``n_neg - TN``, so ``fn``
+    is a complement whose array is a reversed view, not a copy; false
+    positives, ``n_pos - TP``, are ``tp.complement(n_pos)``.
     """
 
     tp: CountPMF
     tn: CountPMF
     n_pos: int
     n_neg: int
-
-    @property
-    def fp(self) -> CountPMF:
-        return self.tp.complement(self.n_pos)
 
     @property
     def fn(self) -> CountPMF:

@@ -4,11 +4,11 @@ A :class:`DiscreteDistribution` is an immutable PMF held as three aligned
 arrays: int64 numerators and denominators of its support points, sorted
 ascending by value, and float64 probabilities.  The fractions are stored as
 they were derived, not necessarily in lowest terms; each support point
-appears once, as one representative fraction, and ``support``, ``ratios``
-and equality reduce them when asked.  Float values of the support points
-are computed when asked, each the correctly rounded quotient of its
-fraction.  `fractions.Fraction` values appear only at the edges:
-``support``, ``items`` and ``as_dict`` return them.
+appears once, as one representative fraction, and ``ratios``, ``repr`` and
+equality reduce them when asked.  A support point is read in one of two
+forms: exactly, as a (numerator, denominator, probability) triple in lowest
+terms from ``ratios``, or as a float from ``float_values``, the correctly
+rounded quotient of its fraction, computed when asked.
 
 A count PMF is a :class:`CountPMF`: a read-only float64 array ``pmf`` whose
 entry k is the probability of exactly ``offset + k`` successes, and the mass
@@ -27,7 +27,7 @@ construction and are safe to share across threads.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -64,6 +64,13 @@ _NODE_TOL = 1e-24
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """``num / den`` in lowest terms, for a positive ``den``, written as
+    ``str(Fraction(num, den))`` writes it: ``n`` or ``n/d``."""
+    g = math.gcd(num, den)
+    return f"{num // g}" if den == g else f"{num // g}/{den // g}"
 
 
 class CountPMF(NamedTuple):
@@ -106,19 +113,19 @@ class DiscreteDistribution:
         trimmed_mass: float = 0.0,
     ) -> "DiscreteDistribution":
         """The one constructor, which the metric derivations call: num/den
-        pairs of distinct values, not necessarily reduced, already sorted
-        by value, and the probability left out of them.  Numerators and
-        denominators must lie within 2**53 in magnitude, as
-        ``float_values`` divides them in numpy.  The distribution takes the
-        arrays over, reading them through read-only views, so the caller
-        must not write to them afterwards."""
+        pairs of distinct values with positive denominators, not necessarily
+        reduced, already sorted by value, and the probability left out of
+        them.  Numerators and denominators must lie within 2**53 in
+        magnitude, as ``float_values`` divides them in numpy.  The
+        distribution takes the arrays over, reading them through read-only
+        views, so the caller must not write to them afterwards."""
         nums = np.ascontiguousarray(nums, dtype=np.int64)
         dens = np.ascontiguousarray(dens, dtype=np.int64)
         probs = np.ascontiguousarray(probs, dtype=np.float64)
         lowest = probs.min(initial=np.inf)  # no points fail the sum check below
         if lowest < 0.0:
             i = int(np.argmin(probs))
-            bad = Fraction(int(nums[i]), int(dens[i]))
+            bad = _fraction_text(int(nums[i]), int(dens[i]))
             raise ValueError(f"negative probability {float(probs[i])!r} at support {bad}")
         if trimmed_mass < 0.0:
             raise ValueError(f"negative trimmed mass {trimmed_mass!r}")
@@ -138,13 +145,6 @@ class DiscreteDistribution:
         return self
 
     # ---- accessors ----
-
-    @property
-    def support(self) -> tuple[Fraction, ...]:
-        """Support points as Fractions, ascending."""
-        return tuple(
-            Fraction(n, d) for n, d in zip(self._nums.tolist(), self._dens.tolist())
-        )
 
     @property
     def float_values(self) -> np.ndarray:
@@ -168,12 +168,6 @@ class DiscreteDistribution:
         """Probability left out of the support by tail trimming; 0.0 for a
         distribution that holds all of its mass."""
         return self._trimmed
-
-    def items(self) -> Iterator[tuple[Fraction, float]]:
-        return zip(self.support, self._probs.tolist())
-
-    def as_dict(self) -> dict[Fraction, float]:
-        return dict(self.items())
 
     def _reduced(self) -> tuple[np.ndarray, np.ndarray]:
         """Numerators and denominators in lowest terms."""
@@ -202,7 +196,7 @@ class DiscreteDistribution:
 
     def __repr__(self) -> str:
         first = (a[:4].tolist() for a in (self._nums, self._dens, self._probs))
-        head = ", ".join(f"{Fraction(n, d)}: {p:.6g}" for n, d, p in zip(*first))
+        head = ", ".join(f"{_fraction_text(n, d)}: {p:.6g}" for n, d, p in zip(*first))
         tail = ", ..." if len(self) > 4 else ""
         return f"DiscreteDistribution({{{head}{tail}}})"
 

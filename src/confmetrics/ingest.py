@@ -8,11 +8,12 @@ files hold one object per line with typed values: no key may appear twice
 in an object, each field must be a JSON number, never a string or a
 boolean, and an absent or null label means unlabelled.  Unknown columns or
 keys are ignored with a warning.  Malformed content is rejected with the
-1-based line number of the offending row, and a byte that is not UTF-8
-with the line that holds it.  Files are read as UTF-8; a leading
-byte-order mark is skipped.  One function, :func:`_row`, checks a
-row of either format, field by field in the order prediction, score,
-label; only how a raw field becomes a number depends on the format.
+1-based line number of the first offending row, and a byte that is not
+UTF-8 with the line that holds it, whichever comes first in the file.
+Files are read as UTF-8; a leading byte-order mark is skipped.  One
+function, :func:`_row`, checks a row of either format, field by field in
+the order prediction, score, label; only how a raw field becomes a number
+depends on the format.
 
 A CSV file takes one of two routes to the same result.  A plain file is
 checked and converted by array operations over its bytes.  Plain means:
@@ -39,10 +40,12 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import json
 import warnings
+from contextlib import closing
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -153,44 +156,57 @@ def _columns(rows: list[tuple[int, float, int | None]]) -> Columns:
     return predictions, scores, labels if labelled else None
 
 
-def _undecodable(path: Path, error: UnicodeDecodeError) -> ValueError:
-    """The error for a file the text reader could not decode: it names the
-    1-based line of the first byte that is not UTF-8, as the reader splits
-    lines, where the reader's ``error`` gives a position inside one decode
-    chunk.  The file is read again only on this path."""
+def _lines(path: Path, newline: str | None) -> Iterator[str]:
+    """The file's lines, as ``path.open`` with ``newline`` splits them.
+
+    The text reader decodes about 8 KiB at a time, and a byte that is not
+    UTF-8 fails its whole chunk.  Only then is the file read again as bytes:
+    the complete lines before the byte that the reader had not yet given
+    are yielded, so that a row parser checks them in file order, and then a
+    ValueError names the 1-based line of the byte.
+    """
+    given = 0
+    with path.open(newline=newline, encoding="utf-8-sig") as handle:
+        try:
+            for given, line in enumerate(handle, start=1):
+                yield line
+            return
+        except UnicodeDecodeError as exc:
+            error = exc
     data = path.read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return ValueError(f"line {line}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})")
-    return error
+        start, reason = exc.start, exc.reason
+    else:
+        raise error  # the file was changed while it was read
+    head = data[:start]
+    complete = head[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1].decode("utf-8-sig")
+    lines = io.StringIO(complete, newline=newline).readlines()
+    yield from lines[given:]
+    raise ValueError(f"line {len(lines) + 1}: byte {data[start]:#04x} is not UTF-8 ({reason})")
 
 
 def _parse_csv_rows(path: Path) -> Columns:
     """Parse a CSV file row by row; the reference for every CSV file."""
     rows = []
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        try:
-            if reader.fieldnames is None:
-                raise ValueError("line 1: missing CSV header")
-            problem = _header_problem(reader.fieldnames)
-            if problem:
-                raise ValueError(problem)
-            _warn_unknown(reader.fieldnames, "CSV columns")
-            for row in reader:
-                line = reader.line_num
-                if row.get(None):
-                    raise ValueError(f"line {line}: more fields than header columns")
-                if None in row.values():  # the value DictReader gives missing fields
-                    raise ValueError(f"line {line}: fewer fields than header columns")
-                label = row.get("label")  # blank means unlabelled
-                label = label if label and label.strip() else None
-                rows.append(_row(row["prediction"], row["score"], label, line, _text_number))
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from None
+    with closing(_lines(path, newline="")) as lines:
+        reader = csv.DictReader(lines)
+        if reader.fieldnames is None:
+            raise ValueError("line 1: missing CSV header")
+        problem = _header_problem(reader.fieldnames)
+        if problem:
+            raise ValueError(problem)
+        _warn_unknown(reader.fieldnames, "CSV columns")
+        for row in reader:
+            line = reader.line_num
+            if row.get(None):
+                raise ValueError(f"line {line}: more fields than header columns")
+            if None in row.values():  # the value DictReader gives missing fields
+                raise ValueError(f"line {line}: fewer fields than header columns")
+            label = row.get("label")  # blank means unlabelled
+            label = label if label and label.strip() else None
+            rows.append(_row(row["prediction"], row["score"], label, line, _text_number))
     return _columns(rows)
 
 
@@ -343,28 +359,25 @@ def _parse_csv_plain(data: bytes) -> Columns | None:
 def _parse_jsonl(path: Path) -> Columns:
     rows = []
     unknown_keys: set[str] = set()
-    with path.open(encoding="utf-8-sig") as handle:
-        try:
-            for line_num, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line, object_pairs_hook=_distinct_keys)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"line {line_num}: invalid JSON: {exc.msg}") from None
-                except ValueError as exc:  # a repeated key, or an integer too long to convert
-                    raise ValueError(f"line {line_num}: {exc}") from None
-                if not isinstance(obj, dict):
-                    raise ValueError(f"line {line_num}: expected a JSON object")
-                missing = [k for k in _REQUIRED if k not in obj]
-                if missing:
-                    raise ValueError(f"line {line_num}: missing keys: {', '.join(missing)}")
-                unknown_keys.update(set(obj) - set(_KNOWN))
-                rows.append(
-                    _row(obj["prediction"], obj["score"], obj.get("label"), line_num, _json_number)
-                )
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from None
+    with closing(_lines(path, newline=None)) as lines:
+        for line_num, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line, object_pairs_hook=_distinct_keys)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {line_num}: invalid JSON: {exc.msg}") from None
+            except ValueError as exc:  # a repeated key, or an integer too long to convert
+                raise ValueError(f"line {line_num}: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"line {line_num}: expected a JSON object")
+            missing = [k for k in _REQUIRED if k not in obj]
+            if missing:
+                raise ValueError(f"line {line_num}: missing keys: {', '.join(missing)}")
+            unknown_keys.update(set(obj) - set(_KNOWN))
+            rows.append(
+                _row(obj["prediction"], obj["score"], obj.get("label"), line_num, _json_number)
+            )
     _warn_unknown(unknown_keys, "JSONL keys")
     return _columns(rows)
 

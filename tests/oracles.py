@@ -27,10 +27,11 @@ which the one-pass shortcut windows must match bit for bit.
 :func:`convergence_rows_reference` and :func:`coverage_rows_reference` run
 the experiments one trial at a time through ``estimate_all`` and ``hdis``,
 as the runners did before they estimated chunks of trials together; the
-runners' rows must equal theirs.  Two helpers stand in
+runners' rows must equal theirs.  Three helpers stand in
 for library conveniences that only tests needed: :func:`distribution`
 builds a distribution from a mapping of support values to probabilities,
-and :func:`run_to_json` parses a run's report text.
+:func:`fraction_pmf` reads one back as such a mapping, and
+:func:`run_to_json` parses a run's report text.
 :func:`record_chunks` records the chunks of the exact stream.
 """
 
@@ -61,6 +62,13 @@ def distribution(pmf):
         [v.denominator for v, _ in items],
         [p for _, p in items],
     )
+
+
+def fraction_pmf(dist):
+    """A distribution as a mapping of its support points, each a
+    ``Fraction``, to their probabilities, in ascending order: the reduced
+    triples of ``ratios`` read as Fractions."""
+    return {Fraction(n, d): p for n, d, p in dist.ratios()}
 
 
 def poisson_binomial_dp(params):
@@ -186,7 +194,7 @@ def enumerate_metric_distributions(predictions, scores):
 def tv_distance(dist, reference):
     """Total variation distance between a DiscreteDistribution and a
     Fraction-keyed mapping."""
-    ours = dist.as_dict()
+    ours = fraction_pmf(dist)
     keys = set(ours) | set(reference)
     return 0.5 * sum(abs(ours.get(k, 0.0) - reference.get(k, 0.0)) for k in keys)
 

@@ -161,15 +161,16 @@ class TestSlicing:
 class TestEstimateConfusion:
     def test_three_record_example(self):
         est = estimate_confusion(batch([1, 1, 0], [0.8, 0.6, 0.3]))
+        fp = est.tp.complement(est.n_pos)
         means = (
             mean(expand(est.tp, 2)),
-            mean(expand(est.fp, 2)),
+            mean(expand(fp, 2)),
             mean(expand(est.fn, 1)),
             mean(expand(est.tn, 1)),
         )
         assert means == pytest.approx((1.4, 0.6, 0.3, 0.7))
         assert expand(est.tp, 2) == pytest.approx([0.08, 0.44, 0.48])
-        assert expand(est.fp, 2) == pytest.approx([0.48, 0.44, 0.08])
+        assert expand(fp, 2) == pytest.approx([0.48, 0.44, 0.08])
         assert expand(est.tn, 1) == pytest.approx([0.3, 0.7])
         assert expand(est.fn, 1) == pytest.approx([0.7, 0.3])
 
@@ -190,7 +191,7 @@ class TestEstimateConfusion:
 
     def test_complements_are_read_only_reversed_views(self):
         est = estimate_confusion(batch([1, 1, 0, 0, 0], [0.9, 0.4, 0.3, 0.2, 0.6]))
-        for side, flipped, n in ((est.tp, est.fp, 2), (est.tn, est.fn, 3)):
+        for side, flipped, n in ((est.tp, est.tp.complement(2), 2), (est.tn, est.fn, 3)):
             assert np.shares_memory(flipped.pmf, side.pmf)
             assert flipped.pmf.tolist() == side.pmf.tolist()[::-1]
             assert flipped.offset == n - side.offset - side.pmf.size + 1
@@ -212,7 +213,7 @@ class TestEstimateConfusion:
             for side, n in ((est.tp, est.n_pos), (est.tn, est.n_neg)):
                 assert 0 <= side.offset and side.offset + side.pmf.size <= n + 1
                 assert side.pmf.sum() + side.trimmed == pytest.approx(1.0, abs=1e-9)
-            tp, fp = expand(est.tp, est.n_pos), expand(est.fp, est.n_pos)
+            tp, fp = expand(est.tp, est.n_pos), expand(est.tp.complement(est.n_pos), est.n_pos)
             tn, fn = expand(est.tn, est.n_neg), expand(est.fn, est.n_neg)
             assert mean(tp) + mean(fp) == pytest.approx(est.n_pos, abs=1e-9)
             assert mean(tn) + mean(fn) == pytest.approx(est.n_neg, abs=1e-9)
@@ -224,7 +225,8 @@ class TestEstimateConfusion:
         est = estimate_confusion(batch(predictions, scores))
         pos, neg = scores[predictions == 1], scores[predictions == 0]
         assert mean(expand(est.tp, est.n_pos)) == pytest.approx(pos.sum(), abs=1e-9)
-        assert mean(expand(est.fp, est.n_pos)) == pytest.approx((1 - pos).sum(), abs=1e-9)
+        fp = est.tp.complement(est.n_pos)
+        assert mean(expand(fp, est.n_pos)) == pytest.approx((1 - pos).sum(), abs=1e-9)
         assert mean(expand(est.tn, est.n_neg)) == pytest.approx((1 - neg).sum(), abs=1e-9)
         assert mean(expand(est.fn, est.n_neg)) == pytest.approx(neg.sum(), abs=1e-9)
 

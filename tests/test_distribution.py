@@ -2,13 +2,18 @@
 constructors."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confmetrics
 from confmetrics.distribution import (
     PROB_SUM_TOL,
     TRIM_TOL,
@@ -21,6 +26,7 @@ from oracles import (
     distribution,
     enumerate_poisson_binomial,
     expand,
+    fraction_pmf,
     poisson_binomial_cf,
     poisson_binomial_dp,
 )
@@ -42,12 +48,12 @@ def poisson_binomial_tree_full(params):
 class TestConstruction:
     def test_sorted_support_and_fraction_keys(self):
         d = distribution({1: 0.2, Fraction(1, 2): 0.3, 0: 0.5})
-        assert d.support == (Fraction(0), Fraction(1, 2), Fraction(1))
+        assert tuple(fraction_pmf(d)) == (Fraction(0), Fraction(1, 2), Fraction(1))
         assert d.probabilities.tolist() == [0.5, 0.3, 0.2]
 
     def test_float_keys_are_exact(self):
         d = distribution({0.5: 0.6, 0.25: 0.4})
-        assert d.support == (Fraction(1, 4), Fraction(1, 2))
+        assert tuple(fraction_pmf(d)) == (Fraction(1, 4), Fraction(1, 2))
 
     @pytest.mark.parametrize(
         "nums, dens",
@@ -66,11 +72,22 @@ class TestConstruction:
 
     def test_zero_probability_entries_dropped(self):
         d = distribution({0: 0.0, 1: 1.0})
-        assert d.as_dict() == {Fraction(1): 1.0}
+        assert fraction_pmf(d) == {Fraction(1): 1.0}
 
     def test_rejects_negative_probability(self):
         with pytest.raises(ValueError, match="negative"):
             distribution({0: -0.1, 1: 1.1})
+
+    @pytest.mark.parametrize(
+        "num, den, shown", [(2, 4, "1/2"), (6, 3, "2"), (0, 5, "0"), (-4, 6, "-2/3")]
+    )
+    def test_negative_probability_names_its_point_in_lowest_terms(self, num, den, shown):
+        # The point is written as str(Fraction(num, den)) writes it.
+        with pytest.raises(ValueError) as raised:
+            DiscreteDistribution._from_ratio_arrays(
+                np.array([-9, num, 9]), np.array([1, den, 1]), np.array([0.6, -0.25, 0.65])
+            )
+        assert str(raised.value) == f"negative probability -0.25 at support {shown}"
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError, match="sum"):
@@ -146,12 +163,20 @@ class TestConstruction:
         )
         # repr used to build a Fraction for every support point, 1.34M of
         # them on a 50 000-row recall distribution, to show four.
-        monkeypatch.setattr(
-            DiscreteDistribution, "support", property(lambda d: pytest.fail("support"))
-        )
+        monkeypatch.setattr(DiscreteDistribution, "_reduced", lambda d: pytest.fail("_reduced"))
         assert repr(small) == "DiscreteDistribution({0: 0.5, 1/2: 0.3, 1: 0.2})"
         assert repr(unreduced) == (
             "DiscreteDistribution({0: 0.2, 1/2: 0.2, 3/4: 0.2, 1: 0.2, ...})"
+        )
+
+    def test_the_package_imports_no_fractions(self):
+        # A support point is read as a reduced integer triple or as a float,
+        # so importing the library loads neither fractions nor decimal.
+        src = str(Path(confmetrics.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", "import confmetrics, sys; assert 'fractions' not in sys.modules"],
+            env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60,
         )
 
 

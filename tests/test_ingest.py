@@ -481,6 +481,46 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, fmt, header, row):
     assert str(raised.value) == "line 4999: byte 0xff is not UTF-8 (invalid start byte)"
 
 
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [("csv", b"prediction,score\n1,0.5\n1,2.5\n1,0.5\n1,0.\xff\n",
+      "line 3: score must lie in [0, 1], got '2.5'"),
+     ("csv", b"prediction,score\r\n1,0.5\r\n1,2.5\r\n1,0.\xff\r\n",
+      "line 3: score must lie in [0, 1], got '2.5'"),
+     ("csv", b'prediction,score\n1,0.5\n1,"2\n5\xff"\n',
+      "line 4: byte 0xff is not UTF-8 (invalid start byte)"),
+     ("jsonl", b'{"prediction": 1, "score": 0.5}\n{"prediction": 1, "score": 2.5}\n'
+               b'{"prediction": 1, "score": 0.\xff}\n',
+      "line 2: score must lie in [0, 1], got 2.5"),
+     ("jsonl", b'{"prediction": 1, "score": 0.5}\r{"prediction": 1, "score": 2.5}\r'
+               b'{"prediction": 1, "score": 0.\xff}\r',
+      "line 2: score must lie in [0, 1], got 2.5"),
+     ("jsonl", b'{"prediction": 1, "score": 0.5}\n{"prediction": 1, "score": 0.\xff',
+      "line 2: byte 0xff is not UTF-8 (invalid start byte)")],
+    ids=["csv", "csv-crlf", "csv-open-quote", "jsonl", "jsonl-cr", "jsonl-last-line"],
+)
+def test_a_row_before_a_byte_that_is_not_utf8_is_checked_first(tmp_path, fmt, text, message):
+    # The text reader decodes about 8 KiB at a time and fails the whole
+    # chunk at the byte; the rows in front of it in that chunk are still
+    # checked first, in file order.  A row that the byte's line ends or
+    # continues is not checked: the quoted score "2\n5…" is not taken as 2.
+    path = tmp_path / f"a.{fmt}"
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as raised:
+        parse_input(path, fmt)
+    assert str(raised.value) == message
+
+
+def test_a_file_that_decodes_when_read_again_keeps_the_readers_error(tmp_path, monkeypatch):
+    # The bytes are read again only to find the line of the byte; if they
+    # changed in between, there is no such byte, and the reader's error stands.
+    path = tmp_path / "a.jsonl"
+    path.write_bytes(b'{"prediction": 1, "score": 0.\xff}\n')
+    monkeypatch.setattr(type(path), "read_bytes", lambda self: b"{}\n")
+    with pytest.raises(UnicodeDecodeError):
+        parse_input(path, "jsonl")
+
+
 def test_rejects_unknown_format(tmp_path):
     path = write(tmp_path, "a.csv", "prediction,score\n1,0.5\n")
     with pytest.raises(ValueError, match="format"):

@@ -27,6 +27,7 @@ from oracles import (
     estimate_confusion_dp,
     expand,
     f1_distribution_untrimmed,
+    fraction_pmf,
     pair_cdf_reference,
     pair_mass_reference,
     poisson_binomial_dp,
@@ -58,7 +59,7 @@ def approx_dict(dist):
 class TestAccuracy:
     def test_example_distribution(self):
         d = accuracy_distribution(estimate_confusion(EXAMPLE))
-        assert d.as_dict() == {
+        assert fraction_pmf(d) == {
             Fraction(0): pytest.approx(0.024),
             Fraction(1, 3): pytest.approx(0.188),
             Fraction(2, 3): pytest.approx(0.452),
@@ -67,7 +68,7 @@ class TestAccuracy:
 
     def test_certain_single_record(self):
         d = accuracy_distribution(estimate_confusion(batch([1], [1.0])))
-        assert d.as_dict() == {Fraction(1): 1.0}
+        assert fraction_pmf(d) == {Fraction(1): 1.0}
 
     def test_expectation_matches_shortcut(self):
         d = accuracy_distribution(estimate_confusion(EXAMPLE))
@@ -107,7 +108,7 @@ class TestPrecision:
     def test_key_rescaling(self):
         est = estimate_confusion(EXAMPLE)
         d = precision_distribution(est)
-        assert d.as_dict() == {
+        assert fraction_pmf(d) == {
             Fraction(0): pytest.approx(0.08),
             Fraction(1, 2): pytest.approx(0.44),
             Fraction(1): pytest.approx(0.48),
@@ -116,7 +117,7 @@ class TestPrecision:
 
     def test_certain_point_mass(self):
         est = estimate_confusion(batch([1, 1], [1.0, 1.0]))
-        assert precision_distribution(est).as_dict() == {Fraction(1): 1.0}
+        assert fraction_pmf(precision_distribution(est)) == {Fraction(1): 1.0}
 
     def test_undefined_without_positive_predictions(self):
         est = estimate_confusion(batch([0, 0], [0.3, 0.4]))
@@ -127,7 +128,7 @@ class TestRecall:
     def test_example_distribution(self):
         est = estimate_confusion(EXAMPLE)
         d = recall_distribution(est)
-        assert d.as_dict() == {
+        assert fraction_pmf(d) == {
             Fraction(0): pytest.approx(0.08),
             Fraction(1, 2): pytest.approx(0.132),
             Fraction(2, 3): pytest.approx(0.144),
@@ -139,7 +140,7 @@ class TestRecall:
         est = estimate_confusion(batch([1, 1], [0.8, 0.6]))
         d = recall_distribution(est)
         p_tp_zero = 0.2 * 0.4
-        assert d.as_dict() == {
+        assert fraction_pmf(d) == {
             Fraction(0): pytest.approx(p_tp_zero),
             Fraction(1): pytest.approx(1 - p_tp_zero),
         }
@@ -151,7 +152,7 @@ class TestRecall:
             n = int(rng.integers(2, 16))
             b = batch(rng.integers(0, 2, n), rng.random(n))
             est = estimate_confusion(b)
-            d = recall_distribution(est).as_dict()
+            d = fraction_pmf(recall_distribution(est))
             p_tp0 = expand(est.tp, est.n_pos)[0]
             p_fn0 = expand(est.fn, est.n_neg)[0]
             assert d.get(Fraction(0), 0.0) == pytest.approx(p_tp0, abs=1e-12)
@@ -164,7 +165,7 @@ class TestF1:
     def test_example_distribution(self):
         est = estimate_confusion(EXAMPLE)
         d = f1_distribution(est)
-        assert d.as_dict() == {
+        assert fraction_pmf(d) == {
             Fraction(0): pytest.approx(0.08),
             Fraction(1, 2): pytest.approx(0.132),
             Fraction(2, 3): pytest.approx(0.308),
@@ -174,7 +175,7 @@ class TestF1:
 
     def test_perfect_predictions(self):
         est = estimate_confusion(batch([1, 1], [1.0, 1.0]))
-        assert f1_distribution(est).as_dict() == {Fraction(1): 1.0}
+        assert fraction_pmf(f1_distribution(est)) == {Fraction(1): 1.0}
 
     def test_undefined_without_positive_predictions(self):
         est = estimate_confusion(batch([0], [0.9]))
@@ -370,7 +371,7 @@ class TestOracleEquivalence:
             scores = rng.uniform(0.0, 0.04, size=n)
             est = estimate_confusion(batch(predictions, scores))
             reference = enumerate_metric_distributions(predictions.tolist(), scores.tolist())
-            assert recall_distribution(est).as_dict()[Fraction(0)] > 0.5
+            assert fraction_pmf(recall_distribution(est))[Fraction(0)] > 0.5
             for metric, derive, grid in (
                 ("recall", recall_distribution, recall_distribution_untrimmed),
                 ("f1", f1_distribution, f1_distribution_untrimmed),
@@ -609,7 +610,7 @@ class TestRatioGrouping:
             np.array([b, b - 1, 2 * k, 2]),
             np.array([0.25, 0.25, 0.25, 0.25]),
         )
-        assert d.support == (Fraction(1, 2), Fraction(b - 2, b - 1), Fraction(b - 1, b))
+        assert list(fraction_pmf(d)) == [Fraction(1, 2), Fraction(b - 2, b - 1), Fraction(b - 1, b)]
         assert d.probabilities.tolist() == [0.5, 0.25, 0.25]
 
 
