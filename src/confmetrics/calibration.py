@@ -58,22 +58,15 @@ def ace(batch: PredictionBatch, num_bins: int = DEFAULT_NUM_BINS) -> Calibration
     n = batch.n
     num_bins = _require_integer(num_bins, "num_bins", 1, n)
     order = np.argsort(batch.scores, kind="stable")
-    scores = batch.scores[order]
-    positives = batch.labels[order].astype(np.float64)
-    base, remainder = divmod(n, num_bins)
-    sizes = np.full(num_bins, base, dtype=np.int64)
-    sizes[:remainder] += 1
-    bins = []
-    gaps = np.empty(num_bins, dtype=np.float64)
-    start = 0
-    for k, size in enumerate(sizes):
-        stop = start + int(size)
-        mean_score = float(scores[start:stop].mean())
-        positive_rate = float(positives[start:stop].mean())
-        gaps[k] = abs(mean_score - positive_rate)
-        bins.append(CalibrationBin(mean_score, positive_rate, int(size)))
-        start = stop
-    return CalibrationReport(ace=float(gaps.mean()), bins=tuple(bins))
+    bins = tuple(
+        CalibrationBin(float(scores.mean()), float(positives.mean()), scores.size)
+        for scores, positives in zip(
+            np.array_split(batch.scores[order], num_bins),
+            np.array_split(batch.labels[order].astype(np.float64), num_bins),
+        )
+    )
+    gaps = np.array([abs(b.mean_score - b.positive_rate) for b in bins])
+    return CalibrationReport(ace=float(gaps.mean()), bins=bins)
 
 
 def reverse_sample_labels(scores: Sequence[float] | np.ndarray, seed) -> np.ndarray:

@@ -157,17 +157,17 @@ def windowed_estimates(
     The request is checked when this is called: ValueError for an empty
     batch, a window size that is not an integer (a bool is not) or is below
     1, a config that is not an :class:`EstimateConfig`, an unknown method,
-    metrics that are not a sequence (neither a string nor a set is), an
-    unknown or repeated metric, or an alpha that is not a real number in
-    (0, 1) or comes with shortcuts.  A failure of the estimation itself is
-    raised by the read that reaches it.
+    metrics that are not a nonempty sequence (neither a string nor a set
+    is), an unknown or repeated metric, or an alpha that is not a real
+    number in (0, 1) or comes with shortcuts.  A failure of the estimation
+    itself is raised by the read that reaches it.
     """
     _require_nonempty(batch)
     window_size = _require_integer(window_size, "window_size", 1)
     _require(config, "config", kind=EstimateConfig, what="an EstimateConfig")
     if config.method not in METHODS:
         raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, got {config.method!r}")
-    _require_sequence(config.metrics, "metrics", "metric names")
+    _require_sequence(config.metrics, "metrics", "metric names", nonempty=True)
     unknown = [m for m in config.metrics if m not in METRICS]
     if unknown:
         raise ValueError(f"unknown metrics requested: {unknown}; choose from {', '.join(METRICS)}")

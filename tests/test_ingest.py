@@ -496,14 +496,27 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, fmt, header, row):
                b'{"prediction": 1, "score": 0.\xff}\r',
       "line 2: score must lie in [0, 1], got 2.5"),
      ("jsonl", b'{"prediction": 1, "score": 0.5}\n{"prediction": 1, "score": 0.\xff',
-      "line 2: byte 0xff is not UTF-8 (invalid start byte)")],
-    ids=["csv", "csv-crlf", "csv-open-quote", "jsonl", "jsonl-cr", "jsonl-last-line"],
+      "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
+     ("csv", b"prediction,score\n1,0.5\n1,\xc3\xa9\xff\n",
+      "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
+     ("jsonl", b'{"prediction": 1, "score": 0.5}\n{"note": "\xc3\xa9", "prediction": 1, '
+               b'"score": 0.\xff}\n',
+      "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
+     ("jsonl", b'{"prediction": 1, "score": 0.5}\r\n{"prediction": 1, "score": 0.\xe2\r\n',
+      "line 2: byte 0xe2 is not UTF-8 (invalid continuation byte)"),
+     ("csv", b"\xef\xbb\xbf\xffprediction,score\n1,0.5\n",
+      "line 1: byte 0xff is not UTF-8 (invalid start byte)")],
+    ids=["csv", "csv-crlf", "csv-open-quote", "jsonl", "jsonl-cr", "jsonl-last-line",
+         "csv-text-before", "jsonl-text-before", "jsonl-truncated-crlf", "csv-after-bom"],
 )
 def test_a_row_before_a_byte_that_is_not_utf8_is_checked_first(tmp_path, fmt, text, message):
-    # The text reader decodes about 8 KiB at a time and fails the whole
-    # chunk at the byte; the rows in front of it in that chunk are still
-    # checked first, in file order.  A row that the byte's line ends or
-    # continues is not checked: the quoted score "2\n5…" is not taken as 2.
+    # The reader carries each byte that is not UTF-8 to its line as a lone
+    # surrogate, and that line is decoded strictly before it is given; the
+    # rows in front of it are checked first, in file order.  A row that the
+    # byte's line ends or continues is not checked: the quoted score "2\n5…"
+    # is not taken as 2.  Valid text before the byte, a line end that the
+    # reader translates, and a skipped byte-order mark leave the byte and
+    # the reason that a decode of the whole file gives.
     path = tmp_path / f"a.{fmt}"
     path.write_bytes(text)
     with pytest.raises(ValueError) as raised:
@@ -511,14 +524,31 @@ def test_a_row_before_a_byte_that_is_not_utf8_is_checked_first(tmp_path, fmt, te
     assert str(raised.value) == message
 
 
-def test_a_file_that_decodes_when_read_again_keeps_the_readers_error(tmp_path, monkeypatch):
-    # The bytes are read again only to find the line of the byte; if they
-    # changed in between, there is no such byte, and the reader's error stands.
+@pytest.mark.parametrize(
+    "fmt, text",
+    [("csv", "prediction,score,note\n1,0.5,é\n"),
+     ("jsonl", '{"prediction": 1, "score": 0.5, "note": "é"}\n')],
+)
+def test_text_that_is_not_ascii_is_read(tmp_path, fmt, text):
+    path = write(tmp_path, f"a.{fmt}", text)
+    with pytest.warns(UserWarning, match="note"):
+        parsed = parse_input(path, fmt)
+    assert (parsed.predictions.tolist(), parsed.scores.tolist()) == ([1], [0.5])
+
+
+def test_a_byte_that_is_not_utf8_is_found_in_one_read(tmp_path, monkeypatch):
+    # The byte's line comes from the one pass that parses the rows; the file
+    # is not read a second time to find it.
     path = tmp_path / "a.jsonl"
-    path.write_bytes(b'{"prediction": 1, "score": 0.\xff}\n')
-    monkeypatch.setattr(type(path), "read_bytes", lambda self: b"{}\n")
-    with pytest.raises(UnicodeDecodeError):
+    path.write_bytes(b'{"prediction": 1, "score": 0.5}\n{"prediction": 1, "score": 0.\xff}\n')
+
+    def read_again(self):
+        raise AssertionError("the file was read a second time")
+
+    monkeypatch.setattr(type(path), "read_bytes", read_again)
+    with pytest.raises(ValueError) as raised:
         parse_input(path, "jsonl")
+    assert str(raised.value) == "line 2: byte 0xff is not UTF-8 (invalid start byte)"
 
 
 def test_rejects_unknown_format(tmp_path):

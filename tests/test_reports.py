@@ -59,8 +59,8 @@ class TestWindowing:
 
     @pytest.mark.parametrize(
         "metrics",
-        [METRICS, ("f1", "accuracy", "recall"), ()],
-        ids=["all", "f1-accuracy-recall", "none"],
+        [METRICS, ("f1", "accuracy", "recall"), ("precision",)],
+        ids=["all", "f1-accuracy-recall", "precision"],
     )
     @pytest.mark.parametrize("window", [1, 30, 37, 90, 91])
     @pytest.mark.parametrize("method", ["exact", "shortcut"])
@@ -157,19 +157,24 @@ class TestWindowing:
         "kwargs, match",
         [({"alpha": "0.05"}, r"^alpha must be a real number, got '0\.05'$"),
          ({"alpha": True}, r"^alpha must be a real number, got True$"),
-         ({"metrics": None}, r"^metrics must be a sequence of metric names, got None$"),
-         ({"metrics": iter(["recall"])}, r"^metrics must be a sequence of metric names, got <"),
+         ({"metrics": None},
+          r"^metrics must be a nonempty sequence of metric names, got None$"),
+         ({"metrics": iter(["recall"])},
+          r"^metrics must be a nonempty sequence of metric names, got <"),
          ({"metrics": {"recall"}},
-          r"^metrics must be a sequence of metric names, got \{'recall'\}$"),
+          r"^metrics must be a nonempty sequence of metric names, got \{'recall'\}$"),
          ({"metrics": frozenset(["recall"])},
-          r"^metrics must be a sequence of metric names, got frozenset\(\{'recall'\}\)$")],
+          r"^metrics must be a nonempty sequence of metric names, "
+          r"got frozenset\(\{'recall'\}\)$"),
+         ({"metrics": ()}, r"^metrics must be a nonempty sequence of metric names, got \(\)$")],
         ids=["string-alpha", "bool-alpha", "no-metrics", "metrics-iterator", "metrics-set",
-             "metrics-frozenset"],
+             "metrics-frozenset", "no-metric-named"],
     )
     def test_rejects_request_of_the_wrong_types(self, kwargs, match):
         # The string alpha and None metrics used to raise TypeError; an
         # iterator of metrics was used up by the checks, leaving no metric;
-        # a set of metrics ran in an order that followed the hash seed.
+        # a set of metrics ran in an order that followed the hash seed; no
+        # metric at all built every exact window's counts for empty reports.
         with pytest.raises(ValueError, match=match):
             estimate_all(batch([1, 0], [0.5, 0.4]), **kwargs)
 
@@ -177,7 +182,7 @@ class TestWindowing:
     def test_rejects_metrics_given_as_one_string(self, method):
         # A string is a sequence of letters, each an unknown metric.
         b = batch([1, 0], [0.5, 0.4])
-        match = r"^metrics must be a sequence of metric names, got the string 'recall'$"
+        match = r"^metrics must be a nonempty sequence of metric names, got the string 'recall'$"
         with pytest.raises(ValueError, match=match):
             estimate_all(b, metrics="recall", method=method)
         with pytest.raises(ValueError, match=match):
@@ -478,9 +483,9 @@ _RUNS = st.tuples(
     st.integers(1, 10**6),
     st.lists(st.tuples(st.integers(1, 10**6), st.lists(_ESTIMATES, max_size=5)), max_size=4),
 )
-# Empty, subset and permuted metric requests.
+# Nonempty subset and permuted metric requests.
 _METRIC_REQUESTS = st.permutations(METRICS).flatmap(
-    lambda order: st.integers(0, len(order)).map(lambda k: tuple(order[:k]))
+    lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k]))
 )
 _ALPHAS = st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 _CONFIGS = st.builds(
@@ -547,7 +552,7 @@ class TestWriter:
             (EstimateConfig(method="exact", alpha=0.1), 7),
             (EstimateConfig(("recall", "precision"), "exact"), 20),
             (EstimateConfig(method="shortcut"), 6),
-            (EstimateConfig((), "shortcut"), 6),
+            (EstimateConfig(("f1",), "shortcut"), 6),
         ],
     )
     def test_estimated_windows_match_the_reference(self, config, window):
