@@ -10,8 +10,9 @@ boolean, and an absent or null label means unlabelled.  Unknown columns or
 keys are ignored with a warning.  Malformed content is rejected with the
 1-based line number of the first offending row, and a byte that is not
 UTF-8 with the line that holds it, whichever comes first in the file.
-Files are read as UTF-8; a leading byte-order mark is skipped.  A row
-parser reads the file in one pass, in which a byte that is not UTF-8
+Each file is read once, as bytes, and one leading UTF-8 byte-order mark
+is removed from them; every route parses those bytes.  A row parser
+decodes them as UTF-8 in one pass, in which a byte that is not UTF-8
 fails only its own line (:func:`_lines`).  One function, :func:`_row`,
 checks a row of either format, field by field in the order prediction,
 score, label; only how a raw field becomes a number depends on the format.
@@ -41,9 +42,9 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import json
 import warnings
-from contextlib import closing
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -156,8 +157,9 @@ def _columns(rows: list[tuple[int, float, int | None]]) -> Columns:
     return predictions, scores, labels if labelled else None
 
 
-def _lines(path: Path, newline: str | None) -> Iterator[str]:
-    """The file's lines, as ``path.open`` with ``newline`` splits them.
+def _lines(data: bytes, newline: str | None) -> Iterator[str]:
+    """The lines of ``data``, as a UTF-8 text reader with ``newline`` splits
+    them.
 
     The reader carries each byte that is not UTF-8 to its line as a lone
     surrogate, which a strict encode of the line rejects.  Only such a line
@@ -167,41 +169,40 @@ def _lines(path: Path, newline: str | None) -> Iterator[str]:
     end, so the line's decode gives the byte and the reason that a decode
     of the whole file would.
     """
-    with path.open(newline=newline, encoding="utf-8-sig", errors="surrogateescape") as handle:
-        for number, line in enumerate(handle, start=1):
+    reader = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape", newline)
+    for number, line in enumerate(reader, start=1):
+        try:
+            line.isascii() or line.encode()
+        except UnicodeEncodeError:
             try:
-                line.isascii() or line.encode()
-            except UnicodeEncodeError:
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    byte = exc.object[exc.start]
-                    raise ValueError(
-                        f"line {number}: byte {byte:#04x} is not UTF-8 ({exc.reason})"
-                    ) from None
-            yield line
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = exc.object[exc.start]
+                raise ValueError(
+                    f"line {number}: byte {byte:#04x} is not UTF-8 ({exc.reason})"
+                ) from None
+        yield line
 
 
-def _parse_csv_rows(path: Path) -> Columns:
-    """Parse a CSV file row by row; the reference for every CSV file."""
+def _parse_csv_rows(data: bytes) -> Columns:
+    """Parse a CSV file's bytes row by row; the reference for every CSV file."""
     rows = []
-    with closing(_lines(path, newline="")) as lines:
-        reader = csv.DictReader(lines)
-        if reader.fieldnames is None:
-            raise ValueError("line 1: missing CSV header")
-        problem = _header_problem(reader.fieldnames)
-        if problem:
-            raise ValueError(problem)
-        _warn_unknown(reader.fieldnames, "CSV columns")
-        for row in reader:
-            line = reader.line_num
-            if row.get(None):
-                raise ValueError(f"line {line}: more fields than header columns")
-            if None in row.values():  # the value DictReader gives missing fields
-                raise ValueError(f"line {line}: fewer fields than header columns")
-            label = row.get("label")  # blank means unlabelled
-            label = label if label and label.strip() else None
-            rows.append(_row(row["prediction"], row["score"], label, line, _text_number))
+    reader = csv.DictReader(_lines(data, newline=""))
+    if reader.fieldnames is None:
+        raise ValueError("line 1: missing CSV header")
+    problem = _header_problem(reader.fieldnames)
+    if problem:
+        raise ValueError(problem)
+    _warn_unknown(reader.fieldnames, "CSV columns")
+    for row in reader:
+        line = reader.line_num
+        if row.get(None):
+            raise ValueError(f"line {line}: more fields than header columns")
+        if None in row.values():  # the value DictReader gives missing fields
+            raise ValueError(f"line {line}: fewer fields than header columns")
+        label = row.get("label")  # blank means unlabelled
+        label = label if label and label.strip() else None
+        rows.append(_row(row["prediction"], row["score"], label, line, _text_number))
     return _columns(rows)
 
 
@@ -298,15 +299,13 @@ def _score_values(body: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
 
 
 def _parse_csv_plain(data: bytes) -> Columns | None:
-    """Parse a plain CSV file (see the module docstring) with array
+    """Parse a plain CSV file's bytes (see the module docstring) with array
     operations, or return None when ``data`` is not plain or has no rows.
 
     Never raises on file content, and warns about unknown columns only when
     it returns columns, so that falling back to :func:`_parse_csv_rows`
     reproduces every message and warning.
     """
-    if data.startswith(codecs.BOM_UTF8):
-        data = data[len(codecs.BOM_UTF8):]
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
     if not data.endswith(b"\n"):
@@ -351,28 +350,27 @@ def _parse_csv_plain(data: bytes) -> Columns | None:
     return predictions, scores, labels
 
 
-def _parse_jsonl(path: Path) -> Columns:
+def _parse_jsonl(data: bytes) -> Columns:
     rows = []
     unknown_keys: set[str] = set()
-    with closing(_lines(path, newline=None)) as lines:
-        for line_num, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line, object_pairs_hook=_distinct_keys)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_num}: invalid JSON: {exc.msg}") from None
-            except ValueError as exc:  # a repeated key, or an integer too long to convert
-                raise ValueError(f"line {line_num}: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"line {line_num}: expected a JSON object")
-            missing = [k for k in _REQUIRED if k not in obj]
-            if missing:
-                raise ValueError(f"line {line_num}: missing keys: {', '.join(missing)}")
-            unknown_keys.update(set(obj) - set(_KNOWN))
-            rows.append(
-                _row(obj["prediction"], obj["score"], obj.get("label"), line_num, _json_number)
-            )
+    for line_num, line in enumerate(_lines(data, newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line, object_pairs_hook=_distinct_keys)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {line_num}: invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # a repeated key, or an integer too long to convert
+            raise ValueError(f"line {line_num}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"line {line_num}: expected a JSON object")
+        missing = [k for k in _REQUIRED if k not in obj]
+        if missing:
+            raise ValueError(f"line {line_num}: missing keys: {', '.join(missing)}")
+        unknown_keys.update(set(obj) - set(_KNOWN))
+        rows.append(
+            _row(obj["prediction"], obj["score"], obj.get("label"), line_num, _json_number)
+        )
     _warn_unknown(unknown_keys, "JSONL keys")
     return _columns(rows)
 
@@ -380,16 +378,18 @@ def _parse_jsonl(path: Path) -> Columns:
 def parse_input(path: str | Path, format: str = "csv") -> PredictionBatch:
     """Read a prediction file into an ordered batch.
 
-    Labels are attached when every row has one.  Raises ValueError naming
-    the 1-based line of the first malformed row.
+    The file is read once, so a named pipe works on every route, and one
+    leading UTF-8 byte-order mark is removed before any route parses the
+    bytes.  Labels are attached when every row has one.  Raises ValueError
+    naming the 1-based line of the first malformed row.
     """
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    path = Path(path)
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     if format == "csv":
         # One line for both routes, so that an unknown-column warning, which
         # names the line it was raised from, is the same for either.
-        columns = _parse_csv_plain(path.read_bytes()) or _parse_csv_rows(path)
+        columns = _parse_csv_plain(data) or _parse_csv_rows(data)
     else:
-        columns = _parse_jsonl(path)
+        columns = _parse_jsonl(data)
     return PredictionBatch.from_arrays(*columns)

@@ -1,15 +1,23 @@
 """Tests for CSV and JSONL ingestion."""
 
+import codecs
+import io
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import confmetrics
 from confmetrics import ingest
 from confmetrics.cli import main
 from confmetrics.confusion import PredictionBatch
@@ -20,6 +28,13 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def parse_rows(path):
+    """The row parser's batch for ``path``, given the bytes that
+    ``parse_input`` gives it: the file's, less one leading byte-order mark."""
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    return PredictionBatch.from_arrays(*ingest._parse_csv_rows(data))
 
 
 class TestCsv:
@@ -209,7 +224,7 @@ class TestPlainRoute:
     def test_matches_row_parser(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "differential.csv"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
-        rows = outcome(lambda p: PredictionBatch.from_arrays(*ingest._parse_csv_rows(p)), path)
+        rows = outcome(parse_rows, path)
         assert outcome(parse_input, path) == rows
 
     @pytest.mark.parametrize(
@@ -232,12 +247,12 @@ class TestPlainRoute:
         assert text.startswith("prediction,score,label\n")
         path = write(tmp_path, "variant.csv", variant(text))
 
-        def refuse(path):
+        def refuse(data):
             raise AssertionError("the row parser ran on a plain file")
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            want = PredictionBatch.from_arrays(*ingest._parse_csv_rows(path))
+            want = parse_rows(path)
             monkeypatch.setattr(ingest, "_parse_csv_rows", refuse)
             got = parse_input(path)
         assert got.predictions.tobytes() == want.predictions.tobytes()
@@ -505,9 +520,15 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, fmt, header, row):
      ("jsonl", b'{"prediction": 1, "score": 0.5}\r\n{"prediction": 1, "score": 0.\xe2\r\n',
       "line 2: byte 0xe2 is not UTF-8 (invalid continuation byte)"),
      ("csv", b"\xef\xbb\xbf\xffprediction,score\n1,0.5\n",
-      "line 1: byte 0xff is not UTF-8 (invalid start byte)")],
+      "line 1: byte 0xff is not UTF-8 (invalid start byte)"),
+     ("csv", b"\xef", "line 1: byte 0xef is not UTF-8 (unexpected end of data)"),
+     ("csv", b"\xef\xbb", "line 1: byte 0xef is not UTF-8 (unexpected end of data)"),
+     ("jsonl", b"\xef", "line 1: byte 0xef is not UTF-8 (unexpected end of data)"),
+     ("jsonl", b"\xef\xbb", "line 1: byte 0xef is not UTF-8 (unexpected end of data)")],
     ids=["csv", "csv-crlf", "csv-open-quote", "jsonl", "jsonl-cr", "jsonl-last-line",
-         "csv-text-before", "jsonl-text-before", "jsonl-truncated-crlf", "csv-after-bom"],
+         "csv-text-before", "jsonl-text-before", "jsonl-truncated-crlf", "csv-after-bom",
+         "csv-truncated-bom-1", "csv-truncated-bom-2", "jsonl-truncated-bom-1",
+         "jsonl-truncated-bom-2"],
 )
 def test_a_row_before_a_byte_that_is_not_utf8_is_checked_first(tmp_path, fmt, text, message):
     # The reader carries each byte that is not UTF-8 to its line as a lone
@@ -516,7 +537,8 @@ def test_a_row_before_a_byte_that_is_not_utf8_is_checked_first(tmp_path, fmt, te
     # byte's line ends or continues is not checked: the quoted score "2\n5…"
     # is not taken as 2.  Valid text before the byte, a line end that the
     # reader translates, and a skipped byte-order mark leave the byte and
-    # the reason that a decode of the whole file gives.
+    # the reason that a decode of the whole file gives.  A file that ends
+    # inside a byte-order mark holds no mark, only bytes that are not UTF-8.
     path = tmp_path / f"a.{fmt}"
     path.write_bytes(text)
     with pytest.raises(ValueError) as raised:
@@ -536,19 +558,78 @@ def test_text_that_is_not_ascii_is_read(tmp_path, fmt, text):
     assert (parsed.predictions.tolist(), parsed.scores.tolist()) == ([1], [0.5])
 
 
-def test_a_byte_that_is_not_utf8_is_found_in_one_read(tmp_path, monkeypatch):
-    # The byte's line comes from the one pass that parses the rows; the file
-    # is not read a second time to find it.
-    path = tmp_path / "a.jsonl"
-    path.write_bytes(b'{"prediction": 1, "score": 0.5}\n{"prediction": 1, "score": 0.\xff}\n')
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [("csv", b"prediction,score\n1,0.5\n", None),
+     ("csv", b'prediction,score\n1,"0.5"\n', None),
+     ("csv", "prediction,score,note\n1,0.5,\u00e9\n".encode(), None),
+     ("jsonl", b'{"prediction": 1, "score": 0.5}\n', None),
+     ("jsonl", b'{"prediction": 1, "score": 0.5}\n{"prediction": 1, "score": 0.\xff}\n',
+      "line 2: byte 0xff is not UTF-8 (invalid start byte)")],
+    ids=["csv-plain", "csv-quoted", "csv-not-ascii", "jsonl", "jsonl-not-utf8"],
+)
+def test_each_file_is_opened_once(tmp_path, monkeypatch, fmt, text, message):
+    # Every route parses the bytes of one read, and a byte that is not UTF-8
+    # is found in that read too.
+    path = tmp_path / f"a.{fmt}"
+    path.write_bytes(text)
+    opened = []
+    real_open = io.open
 
-    def read_again(self):
-        raise AssertionError("the file was read a second time")
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == os.fspath(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(type(path), "read_bytes", read_again)
-    with pytest.raises(ValueError) as raised:
-        parse_input(path, "jsonl")
-    assert str(raised.value) == "line 2: byte 0xff is not UTF-8 (invalid start byte)"
+    monkeypatch.setattr(io, "open", counting_open)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if message is None:
+            assert parse_input(path, fmt).scores.tolist() == [0.5]
+        else:
+            with pytest.raises(ValueError) as raised:
+                parse_input(path, fmt)
+            assert str(raised.value) == message
+    assert len(opened) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is not available here")
+def test_a_named_pipe_is_read(tmp_path):
+    # A pipe's bytes can be read only once, so a route that opens the file a
+    # second time waits for a writer that never comes.  The quoted field
+    # sends this file through the row parser.
+    text = b'prediction,score,label\n1,"0.8",1\n0,0.25,0\n1,0.5,0\n'
+    regular, fifo = tmp_path / "a.csv", tmp_path / "pipe.csv"
+    regular.write_bytes(text)
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as pipe:
+                pipe.write(text)
+        except OSError:  # the reader is gone
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    src = str(Path(confmetrics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = ["estimate", "--method", "shortcut", "--input"]
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "confmetrics.cli", *command, str(fifo)],
+            env=env, capture_output=True, timeout=60,
+        )
+    finally:
+        # Lets the writer's open return, should the child never have opened
+        # the pipe.
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=60)
+    assert (child.returncode, child.stderr) == (0, b"")
+    want = tmp_path / "want.json"
+    assert main([*command, str(regular), "--output", str(want)]) == 0
+    assert child.stdout == want.read_bytes()
 
 
 def test_rejects_unknown_format(tmp_path):
