@@ -26,16 +26,18 @@ field count; every prediction and label field is the single byte ``0`` or
 label column, when there is one, is filled on every row; and there is at
 least one row.  A score field written as ``0.`` or ``1.`` and digits, as
 ``repr`` writes every float in [0.0001, 1], is converted by an exact array
-kernel to the bits ``float()`` gives (:func:`_score_values`); only other
-score fields take ``float()`` one by one.  Any other file, and any file on
-which a check or the conversion fails, is parsed again row by row with
-:mod:`csv`.  That row parser is the only route that raises or
-reports a line number, so messages, warnings and results are the same
-whichever route a file takes.  On files of the benchmark's form, a plain
-parse takes about 40 ms for 200 000 rows against 0.68 s row by row, and
-1.5 ms against 31 ms for 10 000 rows (median of 7, one core of a 2-vCPU
-machine); its peak memory is lower too, since it builds no Python object
-per row.
+kernel to the bits ``float()`` gives (:func:`_score_values`), by the same
+float64 operations on every platform: one division where the digits are at
+most 2**53, and otherwise an exact split into a float64 sum whose rounding
+error is found exactly, so that only a sum that is a tie takes ``float()``.
+Other score fields take ``float()`` one by one.  Any other file, and any
+file on which a check or the conversion fails, is parsed again row by row
+with :mod:`csv`.  That row parser is the only route that raises or reports
+a line number, so messages, warnings and results are the same whichever
+route a file takes.  On files of the benchmark's form, a plain parse takes
+about 36 ms for 200 000 rows against 0.66 s row by row, and 1.8 ms against
+30 ms for 10 000 rows (median of 7, one core of a 2-vCPU x86-64 machine);
+its peak memory is lower too, since it builds no Python object per row.
 """
 
 from __future__ import annotations
@@ -79,13 +81,12 @@ _U64 = np.uint64
 _IN_TAIL = np.arange(_WIDTH) >= _WIDTH - np.arange(_WIDTH - 1)[:, None]
 _KEEP = np.where(_IN_TAIL, 0xFF, 0).astype(np.uint8).view("<u8")
 _ZERO_FILL = np.where(_IN_TAIL, 0, ord("0")).astype(np.uint8).view("<u8")
-# Exact powers of ten, in float64 up to 10**22, so also in long double.
+# Powers of ten and two up to k = 22 in float64, and of five in uint64, each
+# exact in float64 too, since 5**22 < 2**53.
 _POW10 = np.array([float(10**k) for k in range(_WIDTH - 1)])
-_LONG_POW10 = _POW10.astype(np.longdouble)
+_POW5 = np.array([5**k for k in range(_WIDTH - 1)], dtype=_U64)
+_POW2 = np.array([2.0**k for k in range(_WIDTH - 1)])
 _EXACT_INT = _U64(2**53)
-# Whether a long double holds every uint64 exactly and rounds a quotient to
-# at least 64 bits; when not, fields above 2**53 take float().
-_EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
 def _row(prediction, score, label, line: int, number) -> tuple[int, float, int | None]:
@@ -232,27 +233,31 @@ def _score_values(body: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
     _WIDTH bytes into ``body``, is converted by array operations: m is read
     from the field's window by :func:`_eight_digits`, and the field's value
     is m / 10**k, plus one for ``1.`` followed by zeros only (``1.`` and a
-    non-zero digit goes to ``float()``, which may round it to 1.0).  Since
-    10**k is exact in float64 and in long double, the rounding matches
-    ``float()``, which rounds the exact decimal value correctly:
+    non-zero digit goes to ``float()``, which may round it to 1.0).  Every
+    such field takes the same float64 operations on every platform, and
+    each is rounded as ``float()`` rounds the exact decimal value, to
+    nearest:
 
-    - m <= 2**53 is exact in float64, and IEEE division of two exact
-      operands is correctly rounded (Clinger's fast path).
-    - Above 2**53, a long double with at least 64 bits of precision holds m
-      exactly, so q = m / 10**k is the correctly rounded extended quotient,
-      and q is then rounded to float64.  Every float64 midpoint (a value
-      halfway between adjacent float64s) needs 54 bits, so it is a long
-      double, and rounding to nearest is monotonic: if the exact quotient
-      lies below a midpoint, q lies at or below it, and if above, at or
-      above it.  So a q that is no midpoint lies strictly between the same
-      two adjacent midpoints as the exact quotient, and both round to the
-      one float64 between them.  A q that is a midpoint may come from a
-      quotient just off it, which rounds the other way, so such a field
-      goes to ``float()``.
+    - m <= 2**53 is exact in float64, and so is 10**k, and IEEE division of
+      two exact operands is correctly rounded (Clinger's fast path).
+    - Above 2**53, m / 10**k = (q + r / 5**k) * 2**-k with q, r =
+      divmod(m, 5**k), taken in uint64.  Since m < 10**k, q < 2**k <=
+      2**22, and since 5**k <= 5**22 < 2**53 < m, q >= 3; r < 5**k < 2**52.
+      So q, r and 5**k are exact in float64.  f = r / 5**k rounds once, to
+      within half its spacing s of r / 5**k, and t = q + f rounds once;
+      since q > f, e = f - (t - q) is t's rounding error exactly
+      (Fast2Sum): q + f = t + e.  As f < 1 and t >= 3, s <= 2**-53 and
+      t's gaps to its neighbours are at least 2**-51, all powers of two, so
+      q, f, t and e are multiples of s.  Unless the sum was a tie, which
+      makes |e| half the gap from t to its neighbour on e's side, |e| is at
+      most that half gap less s.  Then the exact q + r / 5**k lies within
+      the half gap less s / 2 of t, so t is its correctly rounded value,
+      and t * 2**-k is an exact scaling.  A tie leaves the exact value on
+      either side of the midpoint (a value halfway between adjacent
+      float64s) that q + f is, so that field goes to ``float()``.
 
     Every other field is converted by ``float()``: exponent forms, ``.5``,
-    ``+.5``, ``01``, ``-0.0``, longer fields, and fields above 2**53 when
-    the long double is not that wide.
+    ``+.5``, ``01``, ``-0.0`` and longer fields.
     """
     if body.size < _WIDTH:  # pad the end, so there is a window; none is used
         body = np.concatenate((body, np.zeros(_WIDTH - body.size, np.uint8)))
@@ -277,18 +282,15 @@ def _score_values(body: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
         ok &= ~ones | (m == 0)
         values = m.astype(np.float64) / _POW10[k]
         values += ones
-        wide = ok & (m > _EXACT_INT)
-        if not _EXTENDED:
-            ok &= ~wide
-        elif wide.any():
-            q = m[wide].astype(np.longdouble) / _LONG_POW10[k[wide]]
-            x = q.astype(np.float64)
-            values[wide] = x
-            # q - x is exact in float64.  q is a midpoint just when q != x and
-            # x + 2 (q - x), as far past q as x is before it, is a float64:
-            # then, and only then, the float64 sum is exact.
-            twice = 2.0 * (q - x).astype(np.float64)
-            ok[wide] = (twice == 0.0) | ((x + twice) - x != twice)
+        wide = np.flatnonzero(ok & (m > _EXACT_INT))
+        kw = k[wide]
+        q, r = np.divmod(m[wide], _POW5[kw])  # each exact in float64 too
+        f = r / _POW5[kw]
+        t = q + f
+        error = f - (t - q)  # exactly q + f - t, since q >= 3 > f
+        gap = np.abs(np.nextafter(t, np.copysign(np.inf, error)) - t)
+        values[wide] = t / _POW2[kw]
+        ok[wide] = 2.0 * np.abs(error) < gap  # not a tie
         for i in np.flatnonzero(~ok).tolist():
             try:
                 values[i] = float(body[s[i] : e[i]].tobytes())

@@ -56,9 +56,27 @@ Point estimates are distribution means.  The shortcut reader evaluates a
 row on the window's expected quantities without a distribution: expected
 ``tp`` is the positive-prediction score sum, ``p`` the total score sum and
 ``correct`` the sum of each positive prediction's score and each negative
-one's complement.  That is exact for accuracy and precision and has an
-O(1/sqrt(n)) error for recall and F1.  Shortcuts are O(n) and give
-points only.
+one's complement.  That is exact for accuracy and precision, whose rows are
+linear in the counts.  Recall and F1 are rows g(i, j) = ``scale * i / (i +
+j + fixed)`` of the independent TP and FN counts T and F, and there the
+shortcut point g(m_T, m_F) on their means is off from the exact mean
+E g(T, F) by O(1/n) in the window size n:
+
+- By the second-order delta method (Casella and Berger, *Statistical
+  Inference*, 2nd ed., §5.5), E g = g(m_T, m_F) + (g_TT v_T + g_FF v_F) / 2
+  + R.  The variances v are at most n/4.  While T + F stays above half its
+  mean m, which grows as n when the scores' mean does not vanish, the
+  second derivatives are O(1/n**2) and the third O(1/n**3), so the
+  correction term is O(1/n) and the remainder R is O(n**-1.5).
+- g lies in [0, scale], and its second-order expansion about the means is
+  O(1) for all counts from 0 to n.  So the event that T + F, a sum of n
+  independent labels, falls below m / 2 adds O(1) times its chance, which
+  is at most exp(-m**2 / (2n)) by Hoeffding's inequality (1963).
+
+Measured with ``run_convergence_experiment((100, 1000), trials=100,
+seed=s)`` for seeds 0 to 5, the mean absolute error is 6.5 to 13 times
+smaller at window 1000 than at window 100, where an O(1/sqrt(n)) error
+would give 3.2 times.  Shortcuts are O(n) and give points only.
 
 The shortcuts need only per-window sums, so all windows of a stream get
 their shortcut points in one array pass, as one column of points per

@@ -40,6 +40,15 @@ class TestConvergence:
                 assert row.mean_abs_error == 0.0
                 assert row.std_error == 0.0
 
+    def test_shortcut_error_falls_as_one_over_n(self):
+        """Ten times the window cuts the recall and F1 shortcut error by at
+        least 5 times, beyond the 3.2 times an O(1/sqrt(n)) error gives (the
+        ``metrics`` docstring argues O(1/n))."""
+        rows = run_convergence_experiment((100, 1000), trials=100, seed=0)
+        error = {(r.window, r.metric): r.mean_abs_error for r in rows}
+        for metric in ("recall", "f1"):
+            assert error[100, metric] >= 5 * error[1000, metric], metric
+
     def test_abs_error_bounded_by_unit_interval(self):
         for row in run_convergence_experiment((20,), trials=25, seed=4):
             if row.trials:

@@ -131,6 +131,22 @@ def truncated_midpoints(draw):
     return f"0.{math.floor(middle * 10**digits):0{digits}d}"
 
 
+@st.composite
+def near_midpoints(draw):
+    """The value halfway between a float x in [0.0001, 1) and the next one
+    up, written to 17 to 19 significant digits and moved by -2 to +2 in the
+    last one: fields on either side of a midpoint, close enough to it that
+    they read as one of its two floats only by a correctly rounded
+    conversion."""
+    low = draw(st.floats(0.0001, 1.0, exclude_max=True))
+    middle = (Fraction(low) + Fraction(math.nextafter(low, 2.0))) / 2
+    zeros = 0
+    while middle * 10 ** (zeros + 1) < 1:
+        zeros += 1
+    digits = zeros + draw(st.integers(17, 19))
+    return f"0.{math.floor(middle * 10**digits) + draw(st.integers(-2, 2)):0{digits}d}"
+
+
 # Tokens a plain file holds, per column; ``model`` stands for any column the
 # parser ignores.
 PLAIN_TOKENS = {
@@ -141,6 +157,7 @@ PLAIN_TOKENS = {
         st.text("0123456789", min_size=1, max_size=25).map("0.".__add__),
         st.integers(1, 25).map(lambda k: "1." + "0" * k),
         truncated_midpoints(),
+        near_midpoints(),
         st.sampled_from(["1", "0", "01", "1.0", ".5", "5e-1", "1e-3", "1E-3", "+.5", "-0.0"]),
     ),
     "model": st.sampled_from(["m1", "", "a b", "0.9", "#x", "x\ty", "1e"]),
@@ -291,23 +308,31 @@ class TestScoreKernel:
     @given(
         tokens=st.lists(PLAIN_TOKENS["score"], min_size=1, max_size=40),
         pad=st.integers(0, 30),
-        extended=st.booleans(),
     )
-    def test_matches_float(self, tokens, pad, extended):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "_EXTENDED", extended)
-            got = score_values(tokens, pad)
-        assert float_bits(got) == float_bits([float(t) for t in tokens])
+    def test_matches_float(self, tokens, pad):
+        assert float_bits(score_values(tokens, pad)) == float_bits([float(t) for t in tokens])
 
-    @pytest.mark.parametrize("extended", [True, False])
+    # Fields that take each of the kernel's routes: an exact division, the
+    # wide route, float() after the wide route, and float() alone.
+    OTHERS = ["0.5", "0.1234567890123456789", "0.905009233782354372", "5e-1", "0.25"]
+
+    @pytest.mark.parametrize("among_others", [False, True])
     @pytest.mark.parametrize(
         "token",
         [
-            # Truncated midpoints whose long double quotient is a float64
-            # midpoint, so that rounding it again would round up.
+            # Truncated midpoints, which lie below a float64 midpoint by less
+            # than 3e-20 of their value, so that float() rounds them down.
             "0.05795841307797354111",
             "0.0005305807198454621609",
             "0.0008423618979416756260",
+            # Fields whose float64 sum q + f is a tie that rounds to even away
+            # from the exact value, so that float() must read them.
+            "0.020590591476551642",
+            "0.905009233782354372",
+            "0.0372116462544135225",
+            # A tie below t = 2**7 = q + 1, where t's gap below is half the
+            # gap above.
+            "0.0000305175781249999983",
             # 20, 21 and 22 characters, and 23 to 25 with leading zeros.
             "0.123456789012345678",
             "0.1234567890123456789",
@@ -324,18 +349,37 @@ class TestScoreKernel:
             "0." + "0" * 22,
         ],
     )
-    def test_explicit_fields(self, monkeypatch, extended, token):
-        monkeypatch.setattr(ingest, "_EXTENDED", extended)
-        assert float_bits(score_values([token])) == float_bits([float(token)])
+    def test_explicit_fields(self, among_others, token):
+        """Each token alone, and in the middle of fields that take every
+        route, so that each value must come back to its own row."""
+        tokens = [*self.OTHERS, token, *self.OTHERS] if among_others else [token]
+        assert float_bits(score_values(tokens)) == float_bits([float(t) for t in tokens])
 
-    @pytest.mark.parametrize("extended", [True, False])
-    def test_fallback_in_the_last_partial_chunk(self, monkeypatch, extended):
-        monkeypatch.setattr(ingest, "_EXTENDED", extended)
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_fallback_in_the_last_partial_chunk(self, wide):
+        """A field that goes to float() in the first chunk and in the last
+        one: an exponent form, or a wide field whose float64 sum is a tie."""
         tokens = [repr(x) for x in np.random.default_rng(5).random(ingest._CHUNK + 3).tolist()]
-        tokens[3] = tokens[ingest._CHUNK + 1] = "5e-1"
+        tokens[3] = tokens[ingest._CHUNK + 1] = "0.020590591476551642" if wide else "5e-1"
         assert float_bits(score_values(tokens)) == float_bits([float(t) for t in tokens])
         tokens[ingest._CHUNK + 1] = "1e"
         assert score_values(tokens) is None
+
+    def test_repr_fields_take_no_float_call(self, monkeypatch):
+        """``repr`` writes every float in [0.0001, 1] as ``0.`` or ``1.`` and
+        at most 22 digits, and the kernel converts such fields without
+        ``float()``, except the rare one whose float64 sum is a tie."""
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return float(raw)
+
+        monkeypatch.setattr(ingest, "float", counted, raising=False)
+        values = 10 ** np.random.default_rng(0).uniform(-4, 0, 10_000)
+        tokens = [repr(x) for x in values.tolist()]
+        assert float_bits(score_values([*tokens, "5e-1"])) == float_bits([*values, 0.5])
+        assert calls == [b"5e-1"]  # the stand-in sees the fields that take float()
 
 
 class TestJsonl:
