@@ -17,7 +17,9 @@ of batches lazily, in chunks that grow until they hold at least
 itself.  Each chunk's TP and TN PMFs, both sides of every batch, come from
 one shared leaf pass of the tree, and each is the same, bit for bit, as its
 batch alone gives; so peak memory is bounded by the chunk, not the stream,
-and results do not depend on the chunk bound.  The estimate holds no
+and results do not depend on the chunk bound.  The estimates of a chunk
+share one :class:`_Chunk`, where :mod:`confmetrics.metrics` keeps the
+pair tables their windows read together.  The estimate holds no
 expected counts: the shortcut estimators in :mod:`confmetrics.metrics` sum
 a window's scores themselves.  All operations are pure and deterministic.
 
@@ -28,7 +30,7 @@ guarantees assume the predicted label is a function of the score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -152,10 +154,32 @@ class ConfusionEstimate:
     tn: CountPMF
     n_pos: int
     n_neg: int
+    # The chunk the estimate came from and its window's place in it; an
+    # estimate built by hand has none, and its window is derived alone.
+    _chunk: "_Chunk | None" = field(default=None, repr=False)
+    _index: int = field(default=0, repr=False)
 
     @property
     def fn(self) -> CountPMF:
         return self.tn.complement(self.n_neg)
+
+
+class _Chunk:
+    """What the estimates of one chunk share.
+
+    ``counts`` holds one row per window: the TP offset and size, the FN
+    offset and size, ``n_pos`` and ``n_neg``.  ``tables`` is where the
+    metric derivations keep what they build for several of the chunk's
+    windows at once (:mod:`confmetrics.metrics` keeps its pair tables
+    there).  The chunk holds no estimate, so it, and all it keeps, goes
+    with the last of its estimates.
+    """
+
+    __slots__ = ("counts", "tables")
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
+        self.tables: dict = {}
 
 
 def estimate_confusion(batch: PredictionBatch) -> ConfusionEstimate:
@@ -197,7 +221,14 @@ def estimate_confusions(
 
 def _chunk_estimates(chunk: list[PredictionBatch]) -> list[ConfusionEstimate]:
     """The confusion estimates of a chunk's batches, from one
-    :func:`~confmetrics.distribution.poisson_binomial_trees` call."""
+    :func:`~confmetrics.distribution.poisson_binomial_trees` call, sharing
+    one :class:`_Chunk`."""
     sides = [(batch.positive_scores, batch.negative_scores) for batch in chunk]
-    counts = iter(poisson_binomial_trees([s for pos, neg in sides for s in (pos, 1.0 - neg)]))
-    return [ConfusionEstimate(next(counts), next(counts), pos.size, neg.size) for pos, neg in sides]
+    pmfs = iter(poisson_binomial_trees([s for pos, neg in sides for s in (pos, 1.0 - neg)]))
+    windows = [(next(pmfs), next(pmfs), pos.size, neg.size) for pos, neg in sides]
+    counts = []
+    for tp, tn, n_pos, n_neg in windows:
+        fn = tn.complement(n_neg)
+        counts.append((tp.offset, tp.pmf.size, fn.offset, fn.pmf.size, n_pos, n_neg))
+    shared = _Chunk(np.array(counts, dtype=np.int64))
+    return [ConfusionEstimate(*window, shared, index) for index, window in enumerate(windows)]

@@ -115,12 +115,13 @@ class DiscreteDistribution:
         """The one constructor, which the metric derivations call: num/den
         pairs of distinct values with positive denominators, not necessarily
         reduced, already sorted by value, and the probability left out of
-        them.  Numerators and denominators must lie within 2**53 in
-        magnitude, as ``float_values`` divides them in numpy.  The
-        distribution takes the arrays over, reading them through read-only
-        views, so the caller must not write to them afterwards."""
-        nums = np.ascontiguousarray(nums, dtype=np.int64)
-        dens = np.ascontiguousarray(dens, dtype=np.int64)
+        them.  Numerators and denominators may come in any integer type and
+        are kept as int64; they must lie within 2**53 in magnitude, as
+        ``float_values`` divides them in numpy.  The distribution takes the
+        arrays over, reading them through read-only views, so the caller
+        must not write to them afterwards."""
+        nums = np.asarray(nums)
+        dens = np.asarray(dens)
         probs = np.ascontiguousarray(probs, dtype=np.float64)
         lowest = probs.min(initial=np.inf)  # no points fail the sum check below
         if lowest < 0.0:
@@ -133,13 +134,13 @@ class DiscreteDistribution:
         if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN probability fails too
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         if lowest == 0.0:
-            keep = probs > 0.0
-            nums = nums[keep]
-            dens = dens[keep]
-            probs = probs[keep]
+            keep = np.flatnonzero(probs > 0.0)
+            nums = nums.take(keep)
+            dens = dens.take(keep)
+            probs = probs.take(keep)
         self = object.__new__(cls)
-        self._nums = _read_only(nums.view())
-        self._dens = _read_only(dens.view())
+        self._nums = _read_only(np.ascontiguousarray(nums, dtype=np.int64).view())
+        self._dens = _read_only(np.ascontiguousarray(dens, dtype=np.int64).view())
         self._probs = _read_only(probs.view())
         self._trimmed = trimmed_mass
         return self

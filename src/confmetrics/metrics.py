@@ -31,12 +31,28 @@ counts, where the FN PMF is the reversed TN one; by independence it is the
 product of the marginals.  The row is then ``scale * i / (i + j + fixed)``
 over every pair of i true positives and j false negatives inside the kept
 count ranges, zero counts included, with recall's 0/0 read as 0, and each
-pair's probability accumulates on the fraction the pair maps to.  The pairs
-are grouped by one sort of int64 keys, each a bucket of the pair's float
-value packed above the pair's index, and each group's masses are summed in
-pair order.  A row that reads ``correct`` rescales the count TP + TN, whose
-PMF is the convolution of the two count arrays; any other row rescales the
-TP count.
+pair's probability accumulates on the fraction the pair maps to.  A row
+that reads ``correct`` rescales the count TP + TN, whose PMF is the
+convolution of the two count arrays; any other row rescales the TP count.
+
+With s = j + fixed the row is ``scale * i / (i + s)``, so the pairs are
+read from pair tables: the lattice of i in [i0, i1) and s in [s0, s1),
+grouped once by value with one sort of int64 keys, each a bucket of a
+pair's float value packed above its index.  Consecutive windows of a chunk
+(:func:`~confmetrics.confusion.estimate_confusions`) share a table while
+it holds at most ``_TABLE_GROWTH`` times the pairs of its largest window,
+and any other window reads a table of its own.  F1's s holds ``n_pos``, so
+windows with different ``n_pos`` share one F1 table; recall has tables of
+its own.  A window places its TP and FN PMFs, padded with zeros, at their
+offsets in the table and sums each group's products in value order.  The
+result is bit for bit what the window's own table gives: a fraction's
+place in value order depends on (i, s) alone; within a group, the table's
+order, i first and then s, is the window's own pair order; a padding pair
+adds an exact 0.0; a group without mass is left out either way; and a
+group's representative can differ only unreduced, which ``ratios``,
+``float_values`` and equality do not see.  A table that several windows
+read is kept on the chunk until each of them has read it, a large one in
+its narrowest integer types; a table of one window goes once it is read.
 
 The count PMFs arrive trimmed.  The Poisson binomial product tree keeps
 each of them to a count range outside which at most ``TRIM_TOL / 2`` of its
@@ -167,23 +183,25 @@ def _scaled_counts(counts: CountPMF, scale: int, denominator: int) -> DiscreteDi
     )
 
 
-# Denominators below this bound keep the float grouping of
-# _aggregate_ratio_masses exact; its docstring gives the argument.
+# Denominators below this bound keep the float grouping of _value_order
+# exact; its docstring gives the argument.
 _RATIO_DEN_BOUND = 2**26
 
 # Widest sort key an int64 holds without its sign bit.
 _KEY_BITS = 63
 
 
-def _aggregate_ratio_masses(
-    nums: np.ndarray, dens: np.ndarray, masses: np.ndarray, trimmed_mass: float = 0.0
-) -> DiscreteDistribution:
-    """Sum probability masses that land on the same fraction.
+def _value_order(values: np.ndarray, max_den: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group ratios that are the same fraction, by their float values.
 
-    ``nums``/``dens``/``masses`` are flat arrays of unreduced ratios in
-    [0, 1] with their probabilities.  Each ratio's float value v goes to the
-    integer bucket floor(v * 2**k), with k = 2 * bit_length(D) + 1 for the
-    largest denominator D, and the bucket identifies the fraction exactly:
+    ``values`` holds the quotients, as float64, of fractions in [0, 1]
+    whose denominators are positive and at most ``max_den``; they are
+    scaled in place to the buckets below.  Returns the
+    ratios' indices in value order, stable; the group of each in that
+    order, the groups numbered in ascending value from 0; and the index of
+    each group's first ratio.  Each quotient v goes to the integer bucket
+    floor(v * 2**k), with k = 2 * bit_length(max_den) + 1, and the bucket
+    identifies the fraction exactly:
 
     - distinct fractions with denominators at most D differ by at least
       1/D**2;
@@ -193,30 +211,26 @@ def _aggregate_ratio_masses(
       1/D**2 - 2**-53 >= 2**-k, which holds for every D below
       ``_RATIO_DEN_BOUND`` = 2**26 (where k reaches 53), and they land in
       distinct buckets, in ascending order;
-    - equal fractions are already the same double, since int64 operands
-      below 2**53 convert exactly and division is correctly rounded.
+    - equal fractions are already the same double, since integers below
+      2**53 convert to float64 exactly and division is correctly rounded.
 
-    The key of a pair is its bucket, k + 1 bits wide, shifted above its
+    The key of a ratio is its bucket, k + 1 bits wide, shifted above its
     index, and one ``np.sort`` of these int64 keys yields a stable value
-    order in the low bits; a change in the high bits starts each group.  A
-    grid whose keys need more than ``_KEY_BITS`` bits (a whole-file window
-    of more than about 300 000 records) takes a stable argsort of the
-    buckets instead.  Either way each group's masses arrive in input
-    order, so ``bincount`` adds them in that sequence, and each group keeps
-    its first ratio, unreduced, as its representative.  Raises ValueError
-    for a denominator at or above the bound.
+    order in the low bits; a change in the high bits starts each group.
+    Ratios whose keys need more than ``_KEY_BITS`` bits (a whole-file
+    window of more than about 300 000 records) take a stable argsort of the
+    buckets instead.  Raises ValueError for ``max_den`` at or above the
+    bound.
     """
-    max_den = int(dens.max())
     if max_den >= _RATIO_DEN_BOUND:
         raise ValueError(
             f"ratio denominator {max_den} is not below {_RATIO_DEN_BOUND}; "
             "float grouping could merge distinct fractions"
         )
     k = 2 * max_den.bit_length() + 1
-    index_bits = (nums.size - 1).bit_length()
-    keys = nums / dens
-    keys *= 2.0**k
-    keys = keys.astype(np.int64)  # truncation is floor for values >= 0
+    values *= 2.0**k
+    keys = values.astype(np.int64)  # truncation is floor for values >= 0
+    index_bits = (keys.size - 1).bit_length()
     if k + 1 + index_bits <= _KEY_BITS:
         keys <<= index_bits
         keys |= np.arange(keys.size)
@@ -231,35 +245,210 @@ def _aggregate_ratio_masses(
     np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
     labels = np.cumsum(new_group, out=keys)
     labels -= 1
-    probs = np.bincount(labels, weights=masses[order])
-    del keys, labels
-    first = order[new_group]
-    del order, new_group
-    return DiscreteDistribution._from_ratio_arrays(nums[first], dens[first], probs, trimmed_mass)
+    return order, labels, order[new_group]
 
 
-def _count_pair_distribution(
-    est: ConfusionEstimate, scale: int, offset: int
+class _RatioGroups(NamedTuple):
+    """Ratios grouped by :func:`_value_order`: its ``order`` and
+    ``labels``, and each group's first ratio, unreduced, as ``nums`` over
+    ``dens``."""
+
+    order: np.ndarray
+    labels: np.ndarray
+    nums: np.ndarray
+    dens: np.ndarray
+
+    def narrowed(self) -> "_RatioGroups":
+        """The same groups, each array in the narrowest unsigned integer
+        type that holds its values: the form a kept table is stored in."""
+        return _RatioGroups(*(a.astype(np.min_scalar_type(int(a.max()))) for a in self))
+
+
+def _sum_groups(
+    groups: _RatioGroups, masses: np.ndarray, trimmed_mass: float = 0.0
 ) -> DiscreteDistribution:
-    """Distribution of ``scale * i / (i + j + offset)`` over the pairs of i
-    true positives and j false negatives, zero counts included, with 0/0
-    read as 0.
+    """The distribution of ``masses``, one on each grouped ratio in the
+    ratios' shape, with ``trimmed_mass`` left out.
 
-    Pairs are formed only inside the count ranges the two PMFs hold.  The
-    mass their trimming left out of the joint distribution, at most
-    ``TRIM_TOL``, is carried as the result's ``trimmed_mass``.
+    The masses are taken in value order, and ``bincount`` adds each
+    group's masses in that sequence, so within a group in the ratios' own
+    order, starting at 0.0.  A group whose masses are all 0.0 is left out.
+    """
+    # Each large array goes once read, which keeps a window's peak low.
+    weights = masses.ravel().take(groups.order.astype(np.intp, copy=False))
+    del masses
+    labels = groups.labels.astype(np.intp, copy=False)
+    probs = np.bincount(labels, weights=weights, minlength=groups.nums.size)
+    del labels, weights
+    return DiscreteDistribution._from_ratio_arrays(groups.nums, groups.dens, probs, trimmed_mass)
+
+
+class _PairTable(NamedTuple):
+    """The values ``scale * i / (i + s)`` over i in [i0, i1) and s in
+    [s0, s1), grouped as the ratios of one (i1 - i0) by (s1 - s0) array."""
+
+    i0: int
+    i1: int
+    s0: int
+    s1: int
+    groups: _RatioGroups
+
+
+def _pair_table(scale: int, i0: int, i1: int, s0: int, s1: int) -> _PairTable:
+    """The pair table of i in [i0, i1) and s in [s0, s1), with 0/0 read as
+    0/1.  Its numerators and denominators lie below 2**53, so in float64
+    they are exact and each quotient is the correctly rounded one."""
+    i = np.arange(i0, i1, dtype=np.float64)
+    values = np.add.outer(i, np.arange(s0, s1, dtype=np.float64))
+    if i0 == s0 == 0:
+        # The pair (0, 0), recall's 0/0, is the first pair and the first
+        # of the first group; no other pair has a zero denominator.
+        values[0, 0] = 1.0
+    np.divide((scale * i)[:, None], values, out=values)
+    order, labels, first = _value_order(values.ravel(), max(i1 + s1 - 2, 1))
+    del values
+    # The pair at flat index f = r * width + c is (i0 + r, s0 + c), with
+    # denominator f - r * (width - 1) + i0 + s0.
+    width = s1 - s0
+    rows = first // width
+    dens = first - rows * (width - 1)
+    dens += i0 + s0
+    if i0 == s0 == 0:
+        dens[0] = 1
+    rows *= scale
+    rows += scale * i0
+    return _PairTable(i0, i1, s0, s1, _RatioGroups(order, labels, rows, dens))
+
+
+def _padded(pmf: np.ndarray, start: int, size: int) -> np.ndarray:
+    """``pmf`` placed at ``start`` among ``size`` zeros."""
+    if pmf.size == size:
+        return pmf
+    padded = np.zeros(size)
+    padded[start : start + pmf.size] = pmf
+    return padded
+
+
+# A window joins the pair table of the windows before it in its chunk
+# while the table, grown to hold the window's pairs too, holds at most this
+# many times the pairs of its largest window.  README.md gives the
+# measurements behind the value.
+_TABLE_GROWTH = 1.25
+
+# A kept table of fewer pairs is kept as built: narrowing it would save
+# under 100 kB, and its windows' reads would pay more for the conversions
+# than its sharing saves.  README.md gives the measurements.
+_NARROW_PAIRS = 2**12
+
+
+class _TablePlan:
+    """The pair tables of one metric over the windows of a chunk.
+
+    Consecutive windows share a table by ``_TABLE_GROWTH``.  ``of`` holds
+    each window's table index, -1 for a window where the metric is
+    undefined, and ``tables`` each table's bounds (i0, i1, s0, s1) and
+    window count.  A table of several windows is kept, narrowed from
+    ``_NARROW_PAIRS`` pairs on, as ``kept`` with the number of reads it
+    has left, until each of its windows has read it or another such table
+    is built; so a chunk keeps at most one table per metric, and a table
+    of one window is built, read and let go.  A window read again after
+    its table went builds it again.
+    """
+
+    __slots__ = ("metric", "of", "tables", "kept")
+
+    def __init__(self, metric: str, counts: np.ndarray):
+        self.metric = metric
+        self.of: list[int] = []
+        self.tables: list[list[int]] = []
+        self.kept: tuple[int, _PairTable | None, int] = (-1, None, 0)
+        undefined = "n_pos" in _ROWS[metric].den
+        largest = 0
+        for i0, tp_size, fn_offset, fn_size, n_pos, n_neg in counts.tolist():
+            if undefined and n_pos == 0:
+                self.of.append(-1)
+                continue
+            s0 = fn_offset + _fixed(metric, n_pos, n_neg)
+            i1, s1 = i0 + tp_size, s0 + fn_size
+            pairs = tp_size * fn_size
+            if self.tables:
+                a0, a1, b0, b1, members = self.tables[-1]
+                grown = [min(a0, i0), max(a1, i1), min(b0, s0), max(b1, s1)]
+                largest = max(largest, pairs)
+                if (grown[1] - grown[0]) * (grown[3] - grown[2]) <= _TABLE_GROWTH * largest:
+                    self.tables[-1] = [*grown, members + 1]
+                    self.of.append(len(self.tables) - 1)
+                    continue
+            largest = pairs
+            self.tables.append([i0, i1, s0, s1, 1])
+            self.of.append(len(self.tables) - 1)
+
+    def table(self, index: int, bounds: tuple[int, int, int, int]) -> _PairTable:
+        """The table that window ``index``, whose pairs lie in ``bounds``,
+        reads."""
+        scale = _ROWS[self.metric].scale
+        number = self.of[index]
+        kept = self.kept  # read once, so that a thread sees one table
+        if number != kept[0]:
+            *shared, reads = self.tables[number]
+            if reads == 1:
+                return _pair_table(scale, *bounds)
+            self.kept = kept = (-1, None, 0)  # the table before goes first
+            table = _pair_table(scale, *shared)
+            if table.groups.order.size >= _NARROW_PAIRS:
+                table = table._replace(groups=table.groups.narrowed())
+            kept = (number, table, reads)
+        _, table, reads = kept
+        self.kept = (number, table, reads - 1) if reads > 1 else (-1, None, 0)
+        return table
+
+
+def _window_pair_table(metric: str, est: ConfusionEstimate, bounds: tuple[int, ...]) -> _PairTable:
+    """The pair table the window's ``metric`` pairs are read from: by its
+    chunk's plan, made when the chunk's first window asks, or the window's
+    own table for an estimate without a chunk."""
+    chunk = est._chunk
+    if chunk is None:
+        return _pair_table(_ROWS[metric].scale, *bounds)
+    plan = chunk.tables.get(metric)
+    if plan is None:
+        plan = chunk.tables[metric] = _TablePlan(metric, chunk.counts)
+    return plan.table(est._index, bounds)
+
+
+def _fixed(metric: str, n_pos: int, n_neg: int) -> int:
+    """The part of the metric's row denominator that ``n_pos`` and ``n``
+    make up, fixed by the window."""
+    den = _ROWS[metric].den
+    return n_pos * ("n_pos" in den) + (n_pos + n_neg) * ("n" in den)
+
+
+def _count_pair_distribution(metric: str, est: ConfusionEstimate) -> DiscreteDistribution:
+    """Distribution of the metric's row ``scale * i / (i + j + fixed)``
+    over the pairs of i true positives and j false negatives, zero counts
+    included, with 0/0 read as 0.
+
+    Pairs are formed only inside the count ranges the two PMFs hold, and
+    their masses are read as a block of a pair table.  The mass their
+    trimming left out of the joint distribution, at most ``TRIM_TOL``, is
+    carried as the result's ``trimmed_mass``.
     """
     tp, fn = est.tp, est.fn
-    i = np.arange(tp.offset, tp.offset + tp.pmf.size, dtype=np.int64)
-    j = np.arange(fn.offset, fn.offset + fn.pmf.size, dtype=np.int64)
-    nums = np.broadcast_to(scale * i[:, None], (i.size, j.size)).ravel()
-    dens = (i[:, None] + (j + offset)[None, :]).ravel()
-    # Only the pair (0, 0) of recall has a zero denominator, and both ranges
-    # ascend, so it can only be the first pair.
-    dens[0] = max(dens[0], 1)
-    masses = np.outer(tp.pmf, fn.pmf).ravel()
+    s0 = fn.offset + _fixed(metric, est.n_pos, est.n_neg)
+    table = _window_pair_table(
+        metric, est, (tp.offset, tp.offset + tp.pmf.size, s0, s0 + fn.pmf.size)
+    )
     trimmed = tp.trimmed + fn.trimmed - tp.trimmed * fn.trimmed
-    return _aggregate_ratio_masses(nums, dens, masses, trimmed)
+    # Each PMF is padded with zeros to the table's range: a pair outside
+    # the window gets mass 0.0, which adds nothing to any sum.
+    return _sum_groups(
+        table.groups,
+        np.multiply.outer(
+            _padded(tp.pmf, tp.offset - table.i0, table.i1 - table.i0),
+            _padded(fn.pmf, s0 - table.s0, table.s1 - table.s0),
+        ),
+        trimmed,
+    )
 
 
 def _metric_distribution(metric: str, est: ConfusionEstimate) -> DiscreteDistribution | None:
@@ -274,9 +463,8 @@ def _metric_distribution(metric: str, est: ConfusionEstimate) -> DiscreteDistrib
     scale, num, den = _ROWS[metric]
     if "n_pos" in den and est.n_pos == 0:
         return None
-    fixed = est.n_pos * ("n_pos" in den) + (est.n_pos + est.n_neg) * ("n" in den)
     if "p" in den:
-        return _count_pair_distribution(est, scale, fixed)
+        return _count_pair_distribution(metric, est)
     if num == "correct":
         tp, tn = est.tp, est.tn
         counts = CountPMF(
@@ -286,7 +474,7 @@ def _metric_distribution(metric: str, est: ConfusionEstimate) -> DiscreteDistrib
         )
     else:
         counts = est.tp
-    return _scaled_counts(counts, scale, fixed)
+    return _scaled_counts(counts, scale, _fixed(metric, est.n_pos, est.n_neg))
 
 
 # The named metric distributions, each the module-level name through

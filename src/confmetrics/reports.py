@@ -38,7 +38,8 @@ only on request, since the recall and F1 distributions each hold about
 Reports stream: the writer's first piece is the head with window 0, and
 each later piece one window, passed on to a stream before the next
 window is estimated; it lets a window go once the next one arrives, so
-a run holds the count PMFs of one chunk and the distributions of the
+a run holds the count PMFs of one chunk, at most one recall and one F1
+pair table that the chunk's windows share, and the distributions of the
 window being estimated and at most the one before it, whatever its
 length (README.md gives the peak memory of exact runs).
 """

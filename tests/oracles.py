@@ -3,14 +3,16 @@
 The brute-force oracles enumerate outcomes directly instead of reusing any
 library code path, so agreement between the two is meaningful evidence.  The
 loop references (:func:`greedy_hdi_reference`,
-:func:`aggregate_ratio_masses_reference`) keep the straightforward former
+:func:`aggregate_ratio_masses_reference`, and its grouping alone,
+:func:`group_ratios_reference`) keep the straightforward former
 implementations of two vectorised library routines, which must agree with
-them bit for bit.  :func:`poisson_binomial_dp` is the former Poisson
-binomial constructor, one convolution per parameter over the full count
-range; :func:`estimate_confusion_dp` builds a window's count PMFs with it,
-untrimmed.  :func:`poisson_binomial_cf` builds the same PMF by a third,
-independent route, the discrete characteristic function.  The untrimmed
-derivations (:func:`recall_distribution_untrimmed`,
+them bit for bit; :func:`aggregate_ratio_masses` runs the library's own
+grouping steps on flat ratios.  :func:`poisson_binomial_dp` is the former
+Poisson binomial constructor, one convolution per parameter over the full
+count range; :func:`estimate_confusion_dp` builds a window's count PMFs
+with it, untrimmed.  :func:`poisson_binomial_cf` builds the same PMF by a
+third, independent route, the discrete characteristic function.  The
+untrimmed derivations (:func:`recall_distribution_untrimmed`,
 :func:`f1_distribution_untrimmed`) push every pair of the full
 0..n_pos x 0..n_neg count grid through the metric formula, as the library
 did before it trimmed the count PMFs' tails; the library's trimmed results
@@ -257,6 +259,26 @@ def greedy_hdi_reference(probs, alpha, trimmed_mass=0.0):
     return lo, hi, covered
 
 
+def group_ratios_reference(nums, dens):
+    """Flat unreduced ratios grouped by their gcd-reduced integer code: the
+    ratios' indices in value order, stable, the group of each in that
+    order, the groups numbered in ascending value, and the index of each
+    group's first ratio."""
+    g = np.gcd(nums, dens)
+    reduced_nums = nums // g
+    reduced_dens = dens // g
+    # Reduced denominators are bounded, so a linear code uniquely keys a pair.
+    width = int(reduced_dens.max()) + 1
+    unique_codes, inverse = np.unique(reduced_nums * width + reduced_dens, return_inverse=True)
+    by_value = np.argsort((unique_codes // width) / (unique_codes % width), kind="stable")
+    rank = np.empty_like(by_value)
+    rank[by_value] = np.arange(by_value.size)
+    groups = rank[inverse.ravel()]
+    order = np.argsort(groups, kind="stable")
+    labels = groups[order]
+    return order, labels, order[np.diff(labels, prepend=-1) > 0]
+
+
 def aggregate_ratio_masses_reference(nums, dens, masses):
     """Reduced (nums, dens, probs) arrays, ascending by value, of unreduced
     ratio masses grouped by their gcd-reduced integer code."""
@@ -274,6 +296,15 @@ def aggregate_ratio_masses_reference(nums, dens, masses):
     return u_nums[order], u_dens[order], probs[order]
 
 
+def aggregate_ratio_masses(nums, dens, masses, trimmed_mass=0.0):
+    """The library's two grouping steps on flat ratios: their value order
+    and groups, each group led by its first ratio, then the masses summed
+    over the groups."""
+    order, labels, first = metrics._value_order(nums / dens, int(dens.max()))
+    groups = metrics._RatioGroups(order, labels, nums[first], dens[first])
+    return metrics._sum_groups(groups, masses, trimmed_mass)
+
+
 def _count_pairs_untrimmed(est, scale, offset):
     """``scale * i / (i + j + offset)`` over the full grid of i in
     0..n_pos true positives and j in 0..n_neg false negatives, with 0/0 read
@@ -284,7 +315,7 @@ def _count_pairs_untrimmed(est, scale, offset):
     dens = (i[:, None] + j[None, :] + offset).ravel()
     dens[dens == 0] = 1
     masses = np.outer(expand(est.tp, est.n_pos), expand(est.fn, est.n_neg)).ravel()
-    return metrics._aggregate_ratio_masses(nums, dens, masses)
+    return aggregate_ratio_masses(nums, dens, masses)
 
 
 def recall_distribution_untrimmed(est):

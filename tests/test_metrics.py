@@ -8,10 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from confmetrics import metrics
-from confmetrics.confusion import ConfusionEstimate, PredictionBatch, estimate_confusion
+from confmetrics import confusion, metrics
+from confmetrics.confusion import (
+    ConfusionEstimate,
+    PredictionBatch,
+    estimate_confusion,
+    estimate_confusions,
+)
 from confmetrics.distribution import PROB_SUM_TOL, TRIM_TOL, CountPMF, DiscreteDistribution
-from confmetrics.intervals import hdi
+from confmetrics.intervals import hdi, hdis
 from confmetrics.metrics import (
     METRICS,
     accuracy_distribution,
@@ -22,12 +27,14 @@ from confmetrics.metrics import (
 from confmetrics.reports import estimate_all, true_metrics
 from confmetrics.synthesis import HypersphereConfig, hypersphere_dataset, shift_dataset
 from oracles import (
+    aggregate_ratio_masses,
     aggregate_ratio_masses_reference,
     enumerate_metric_distributions,
     estimate_confusion_dp,
     expand,
     f1_distribution_untrimmed,
     fraction_pmf,
+    group_ratios_reference,
     pair_cdf_reference,
     pair_mass_reference,
     poisson_binomial_dp,
@@ -417,6 +424,9 @@ class TestOracleEquivalence:
                 assert dist.float_values.tobytes() == quotients.tobytes()
 
     def test_recall_and_f1_equal_gcd_keyed_aggregation(self, monkeypatch):
+        # Every pair table, shared by a stream's windows or a window's own,
+        # is grouped once more by the gcd-keyed reference; each derived
+        # distribution must come out the same.
         rng = np.random.default_rng(31)
         windows = []
         for _ in range(40):
@@ -427,17 +437,35 @@ class TestOracleEquivalence:
             predictions = (
                 rng.integers(0, 2, size=n) if rng.random() < 0.5 else (scores >= 0.5)
             )
-            windows.append(estimate_confusion(batch(predictions.astype(int), scores)))
-        new = [(recall_distribution(e), f1_distribution(e)) for e in windows]
+            windows.append(batch(predictions.astype(int), scores))
+        scores = rng.random(3000)
+        stream = batch((scores >= 0.5).astype(int), scores)
+        windows += [stream[a : a + 300] for a in range(0, 3000, 300)]
 
-        def reference(nums, dens, masses, trimmed_mass=0.0):
-            return DiscreteDistribution._from_ratio_arrays(
-                *aggregate_ratio_masses_reference(nums, dens, masses), trimmed_mass
-            )
+        def derive():
+            alone = [estimate_confusion(w) for w in windows]
+            together = [est for _, est in estimate_confusions(windows)]
+            return [(recall_distribution(e), f1_distribution(e)) for e in alone + together]
 
-        monkeypatch.setattr(metrics, "_aggregate_ratio_masses", reference)
-        old = [(recall_distribution(e), f1_distribution(e)) for e in windows]
+        new = derive()
+        tables = []
+
+        def reference(scale, i0, i1, s0, s1):
+            i = np.arange(i0, i1, dtype=np.int64)[:, None]
+            dens = (i + np.arange(s0, s1, dtype=np.int64)).ravel()
+            dens[dens == 0] = 1
+            nums = np.broadcast_to(scale * i, (i1 - i0, s1 - s0)).ravel()
+            tables.append((i1 - i0) * (s1 - s0))
+            order, labels, first = group_ratios_reference(nums, dens)
+            groups = metrics._RatioGroups(order, labels, nums[first], dens[first])
+            return metrics._PairTable(i0, i1, s0, s1, groups)
+
+        monkeypatch.setattr(metrics, "_pair_table", reference)
+        old = derive()
         assert new == old
+        # The windows alone build two tables each, or one without positive
+        # predictions; the stream's windows share some.
+        assert len(tables) < 4 * len(windows)
 
 
 def trimming_window(kind, n):
@@ -596,7 +624,7 @@ class TestRatioGrouping:
     def test_rejects_denominator_at_bound(self):
         for den in (self.BOUND, self.BOUND + 5):
             with pytest.raises(ValueError, match="denominator"):
-                metrics._aggregate_ratio_masses(
+                aggregate_ratio_masses(
                     np.array([1, 1]), np.array([2, den]), np.array([0.5, 0.5])
                 )
 
@@ -605,7 +633,7 @@ class TestRatioGrouping:
         # the closest two ratios with denominators below the bound can be.
         b = self.BOUND - 1
         k = (self.BOUND - 1) // 2
-        d = metrics._aggregate_ratio_masses(
+        d = aggregate_ratio_masses(
             np.array([b - 1, b - 2, k, 1]),
             np.array([b, b - 1, 2 * k, 2]),
             np.array([0.25, 0.25, 0.25, 0.25]),
@@ -661,7 +689,7 @@ class TestPackedGrouping:
     @settings(deadline=None, max_examples=300)
     @given(ratio_masses())
     def test_matches_gcd_keyed_reference_bit_for_bit(self, case):
-        got = metrics._aggregate_ratio_masses(*case)
+        got = aggregate_ratio_masses(*case)
         assert_same_bytes(got, aggregate_by_reference(*case))
 
     def test_wide_key_fallback_matches_packed_keys(self, monkeypatch):
@@ -678,8 +706,138 @@ class TestPackedGrouping:
             assert_same_bytes(derive(est), want)
         b = 2**26 - 1
         case = (np.array([b - 1, b - 2, 0, 1]), np.array([b, b - 1, b, 2]), np.full(4, 0.25))
-        got = metrics._aggregate_ratio_masses(*case)
+        got = aggregate_ratio_masses(*case)
         assert_same_bytes(got, aggregate_by_reference(*case))
+
+
+def stream(windows):
+    """The estimates of ``windows`` from one exact stream, so that the
+    windows of a chunk share its pair tables."""
+    return [est for _, est in estimate_confusions(windows)]
+
+
+def count_tables(monkeypatch):
+    """Patch the pair-table builder; the returned list gets the scale of
+    each table built."""
+    built = []
+    build = metrics._pair_table
+
+    def recorded(scale, *bounds):
+        built.append(scale)
+        return build(scale, *bounds)
+
+    monkeypatch.setattr(metrics, "_pair_table", recorded)
+    return built
+
+
+def derive_pairs(est):
+    return recall_distribution(est), f1_distribution(est)
+
+
+def assert_window_as_alone(derived, window_alone):
+    """The recall and F1 distributions, and their intervals, derived from
+    a stream's window are those of the window estimated alone, bit for
+    bit."""
+    for got, want in zip(derived, derive_pairs(window_alone)):
+        if want is None:
+            assert got is None
+            continue
+        assert_same_bytes(got, want)
+        assert got.trimmed_mass == want.trimmed_mass
+        assert hdis(got, (0.05, 0.2)) == hdis(want, (0.05, 0.2))
+
+
+def hypersphere_windows(seed, n, size):
+    b = hypersphere_dataset(HypersphereConfig(n_dims=3, n_points=n, seed=seed)).batch
+    return [b[a : a + size] for a in range(0, n, size)]
+
+
+class TestPairTables:
+    def test_stationary_windows_of_a_chunk_share_one_table_per_metric(self, monkeypatch):
+        window = hypersphere_windows(21, 600, 600)[0]
+        built = count_tables(monkeypatch)
+        for est in stream([window] * 8):
+            derive_pairs(est)
+        assert sorted(built) == [1, 2]
+        # A stationary stream's windows differ in their count ranges, and
+        # still share: at most one of two derivations builds a table.
+        built.clear()
+        windows = hypersphere_windows(22, 8000, 1000)
+        for est in stream(windows):
+            derive_pairs(est)
+        assert len(built) <= len(windows), built
+
+    def test_each_window_is_bit_identical_to_the_window_alone(self, monkeypatch):
+        windows = hypersphere_windows(23, 6000, 1000) + hypersphere_windows(24, 1200, 300)
+        built = count_tables(monkeypatch)
+        derived = [derive_pairs(est) for est in stream(windows)]
+        # The windows of each size read shared tables.
+        assert len(built) < len(windows)
+        for pair, window in zip(derived, windows):
+            assert_window_as_alone(pair, estimate_confusion(window))
+
+    def test_drifting_windows_do_not_share(self, monkeypatch):
+        # Each window's scores sit far from the last one's, so their count
+        # ranges barely overlap and each window gets a table of its own.
+        rng = np.random.default_rng(25)
+        windows = []
+        for centre in (0.2, 0.45, 0.7, 0.95):
+            scores = np.clip(centre + 0.04 * rng.standard_normal(400), 0.0, 1.0)
+            windows.append(batch((rng.random(400) < 0.5).astype(int), scores))
+        built = count_tables(monkeypatch)
+        derived = [derive_pairs(est) for est in stream(windows)]
+        assert len(built) == 2 * len(windows)
+        for pair, window in zip(derived, windows):
+            assert_window_as_alone(pair, estimate_confusion(window))
+
+    def test_edge_windows_in_a_shared_chunk(self):
+        rng = np.random.default_rng(26)
+        scores = rng.random(300)
+        ordinary = batch((scores >= 0.5).astype(int), scores)
+        # No positive predictions: F1 is undefined, recall is not.
+        no_positive = batch(np.zeros(300, dtype=int), scores)
+        # Certain scores: each count PMF is one point.
+        certain = batch((scores >= 0.5).astype(int), np.round(scores))
+        # Few, uncertain positives and likely negatives: both count ranges
+        # start at 0, so recall reads its 0/0 pair.
+        low = batch(np.r_[np.ones(4, dtype=int), np.zeros(60, dtype=int)],
+                    np.r_[np.full(4, 0.5), np.full(60, 0.02)])
+        windows = [ordinary, no_positive, ordinary, certain, certain, low, low, ordinary]
+        estimates = stream(windows)
+        assert (estimates[5].tp.offset, estimates[5].fn.offset) == (0, 0)
+        assert f1_distribution(estimates[1]) is None
+        for est, window in zip(estimates, windows):
+            assert_window_as_alone(derive_pairs(est), estimate_confusion(window))
+        zero = recall_distribution(estimates[5])
+        assert list(zero.ratios())[0][:2] == (0, 1)
+
+    def test_a_mass_that_underflows_is_left_out_as_alone(self):
+        # Hand-made PMFs whose products underflow to 0.0 at the tails.
+        tiny = np.array([1e-200, 0.5 - 1e-200, 0.5 - 1e-200, 1e-200])
+        tiny /= tiny.sum()
+        wider = np.array([1e-200, 0.25, 0.5, 0.25 - 1e-200, 1e-200])
+        windows = [
+            (CountPMF(3, tiny, 0.0), CountPMF(2, wider, 0.0), 8, 9),
+            (CountPMF(3, tiny, 0.0), CountPMF(3, wider, 0.0), 8, 9),
+        ]
+        counts = [
+            (tp.offset, tp.pmf.size, tn.complement(n_neg).offset, tn.pmf.size, n_pos, n_neg)
+            for tp, tn, n_pos, n_neg in windows
+        ]
+        chunk = confusion._Chunk(np.array(counts, dtype=np.int64))
+        for index, window in enumerate(windows):
+            shared = ConfusionEstimate(*window, chunk, index)
+            alone = ConfusionEstimate(*window)
+            assert np.outer(alone.tp.pmf, alone.fn.pmf).min() == 0.0
+            assert_window_as_alone(derive_pairs(shared), alone)
+            tp, fn = alone.tp, alone.fn
+            values = {
+                Fraction(i, i + j)
+                for i in range(tp.offset, tp.offset + tp.pmf.size)
+                for j in range(fn.offset, fn.offset + fn.pmf.size)
+            }
+            assert len(recall_distribution(alone)) < len(values)  # a group went
+        assert len(chunk.tables["recall"].tables) == 1  # the two windows shared
 
 
 class TestEstimateAll:

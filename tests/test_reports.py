@@ -31,6 +31,7 @@ from confmetrics.reports import (
     true_metrics,
     windowed_estimates,
 )
+from confmetrics.synthesis import HypersphereConfig, hypersphere_dataset
 from oracles import run_to_json, run_to_json_reference, shortcut_points_reference
 
 
@@ -454,6 +455,76 @@ def test_peak_memory_holds_one_window_not_the_run():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 3 * peaks[0], peaks
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _hypersphere_batch(n):
+    return hypersphere_dataset(HypersphereConfig(n_dims=3, n_points=n, seed=5)).batch
+
+
+class TestPairTableMemory:
+    """Windows of a chunk read shared recall and F1 pair tables; the peaks
+    below were 1.48 MB and 8.76 MB before they did, under Python 3.11 and
+    numpy 2.4, and a chunk may hold its tables but no more."""
+
+    def test_peak_of_a_windowed_exact_report(self):
+        run = windowed_estimates(_hypersphere_batch(10_000), 1000, EstimateConfig(alpha=0.05))
+        peak = _traced_peak(lambda: render_report(run, out=io.StringIO()))
+        assert peak < 1.15 * 1.48 * 2**20, peak
+
+    def test_peak_of_a_one_window_estimate(self):
+        b = _hypersphere_batch(10_000)
+        peak = _traced_peak(lambda: estimate_all(b, alpha=0.05))
+        assert peak < 1.1 * 8.76 * 2**20, peak
+
+    def test_a_one_window_table_is_not_kept(self, monkeypatch):
+        tables = []
+        build = metrics_module._pair_table
+
+        def recorded(*args):
+            table = build(*args)
+            tables.append(weakref.ref(table.groups.order))
+            return table
+
+        monkeypatch.setattr(metrics_module, "_pair_table", recorded)
+        estimates = estimate_all(_hypersphere_batch(2000), alpha=0.05)
+        gc.collect()
+        assert len(tables) == 2  # recall and F1
+        assert all(table() is None for table in tables)
+        assert all(e.distribution is not None for e in estimates)
+
+    def test_a_chunks_tables_go_with_the_chunk(self, monkeypatch):
+        # At window 1000, windows 0-32 make the first chunk, 33-39 the
+        # second.  A kept table is stored narrowed.
+        kept = []
+        narrowed = metrics_module._RatioGroups.narrowed
+
+        def recorded(groups):
+            small = narrowed(groups)
+            kept.append(weakref.ref(small.order))
+            return small
+
+        monkeypatch.setattr(metrics_module._RatioGroups, "narrowed", recorded)
+        run = windowed_estimates(_hypersphere_batch(40_000), 1000, EstimateConfig(alpha=0.05))
+        reports = iter(run)
+        first_chunk = 0
+        for index in range(35):
+            next(reports)
+            gc.collect()
+            # At most one kept table per metric is alive at a time.
+            assert sum(table() is not None for table in kept) <= 2
+            if index == 32:
+                first_chunk = len(kept)
+        assert first_chunk >= 2
+        assert all(table() is None for table in kept[:first_chunk])
 
 
 def _sample_distributions():
